@@ -11,9 +11,7 @@ Subcommands share the on-disk formats defined in :mod:`sedfuse.core`:
 
 Every run writes ``run_manifest.json`` next to its outputs. Exit codes:
 0 success, 2 usage or validation problem, 1 internal error. Outputs are
-written atomically; inputs are never mutated. ``SEDFUSE_THREADS`` caps
-worker processes for per-clip stages (default 1; results are identical
-for any worker count).
+written atomically; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ import os
 import sys
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Sequence
 
@@ -36,6 +33,7 @@ from .core import (
     SedfuseError,
     ValidationError,
     atomic_write_text,
+    first_record,
     parse_events,
     parse_framegrids,
     parse_manifest,
@@ -85,41 +83,6 @@ from .synth import (
 EXIT_OK = 0
 EXIT_INTERNAL = 1
 EXIT_USAGE = 2
-
-
-def worker_count() -> int:
-    raw = os.environ.get("SEDFUSE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValidationError(f"SEDFUSE_THREADS must be an integer, got {raw!r}") from None
-
-
-def _simulate_model_job(args):
-    truth, skill, cfg, seed, indices = args
-    return simulate_model(truth, skill, cfg, seed, indices=indices)
-
-
-def simulate_model_parallel(truth, skill, cfg, seed):
-    """Per-clip parallel model simulation; identical to the serial run."""
-    workers = worker_count()
-    if workers == 1 or cfg.n_clips < 2 * workers:
-        return simulate_model(truth, skill, cfg, seed)
-    chunks = []
-    step = (cfg.n_clips + workers - 1) // workers
-    for lo in range(0, cfg.n_clips, step):
-        chunks.append(list(range(lo, min(lo + step, cfg.n_clips))))
-    try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(_simulate_model_job, [(truth, skill, cfg, seed, c) for c in chunks])
-            )
-    except OSError:
-        return simulate_model(truth, skill, cfg, seed)
-    grids = []
-    for part in parts:
-        grids.extend(part)
-    return grids
 
 
 @dataclasses.dataclass
@@ -200,13 +163,8 @@ def _decode_cfg_from_args(args) -> PostProcessConfig:
 
 def _vocab_from_grids_file(path) -> ClassVocabulary:
     """Peek the class list of the first record; order defines the run vocab."""
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                record = json.loads(line)
-                return ClassVocabulary(tuple(record["classes"]))
-    raise ValidationError(f"{path}: no grid records to derive a vocabulary from")
+    (classes,) = first_record(path, ("classes",))
+    return ClassVocabulary(tuple(classes))
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +199,7 @@ def _write_dataset(scenario: Scenario, out: Path, run: _Run) -> dict:
     vocab = cfg.vocab
     truth, weak = gen_truth(cfg)
     model_grids = [
-        simulate_model_parallel(truth, skill, cfg, scenario.model_seed(m))
+        simulate_model(truth, skill, cfg, scenario.model_seed(m))
         for m, skill in enumerate(scenario.model_skills)
     ]
     manifest, tags, source_truth = simulate_separation(
@@ -317,14 +275,8 @@ def cmd_spl(args) -> int:
 
 
 def _vocab_from_tags_file(path) -> ClassVocabulary:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                record = json.loads(line)
-                names = [k for k in record["probs"] if k != "other"]
-                return ClassVocabulary(tuple(names))
-    raise ValidationError(f"{path}: no tag records to derive a vocabulary from")
+    (probs,) = first_record(path, ("probs",))
+    return ClassVocabulary(tuple(k for k in probs if k != "other"))
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +566,7 @@ def cmd_experiment(args) -> int:
             "curve": [[b, s] for b, s in sweep.curve],
         }
         report["logistic"] = logistic_model.metadata()
-        report["scenario"] = _scenario_dict(scenario)
+        report["scenario"] = scenario.to_dict()
         report["tool_version"] = __version__
         atomic_write_text(
             run.writes(out / "report.json"), json.dumps(report, indent=2) + "\n"
@@ -631,43 +583,6 @@ def cmd_experiment(args) -> int:
         raise SedfuseError(f"experiment stage {stage!r} failed: {exc}") from exc
     run.finish(out, seed=scenario.config.seed)
     return EXIT_OK
-
-
-def _scenario_dict(scenario: Scenario) -> dict:
-    cfg = scenario.config
-    return {
-        "seed": cfg.seed,
-        "n_clips": cfg.n_clips,
-        "clip_seconds": cfg.clip_seconds,
-        "frames_per_clip": cfg.frames_per_clip,
-        "classes": list(cfg.classes),
-        "events_per_clip": list(cfg.events_per_clip),
-        "duration_seconds": list(cfg.duration_seconds),
-        "class_duration_seconds": {
-            k: list(v) for k, v in cfg.class_duration_seconds.items()
-        },
-        "allow_overlap": cfg.allow_overlap,
-        "models": [
-            {
-                "name": name,
-                "miss_rate": list(skill.miss_rate),
-                "false_alarm_rate": list(skill.false_alarm_rate),
-                "jitter_frames": list(skill.jitter_frames),
-                "sharpness": [
-                    "inf" if s == float("inf") else s for s in skill.sharpness
-                ],
-            }
-            for name, skill in zip(scenario.model_names, scenario.model_skills)
-        ],
-        "separation": {
-            "clean": scenario.separation.clean,
-            "leakage": scenario.separation.leakage,
-            "residual": scenario.separation.residual,
-            "tagging_error": scenario.separation.tagging_error,
-        },
-        "n_sources": scenario.n_sources,
-        "tau": scenario.tau,
-    }
 
 
 # ---------------------------------------------------------------------------

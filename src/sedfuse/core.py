@@ -475,6 +475,13 @@ def _record_fields(path, line_no, record: dict, fields: Sequence[str]) -> list:
     return out
 
 
+def first_record(path: str | os.PathLike, fields: Sequence[str]) -> list:
+    """The named fields of a JSONL file's first record, read as strictly as a full parse."""
+    for line_no, record in _load_jsonl(path):
+        return _record_fields(path, line_no, record, fields)
+    raise ValidationError(f"{path}: no records")
+
+
 def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[FrameGrid]:
     """Read posterior grids; columns are reordered to the vocabulary order."""
     grids: list[FrameGrid] = []

@@ -1,18 +1,23 @@
 """Turn frame posteriors into event lists.
 
-The decoding chain is ``binarize -> median_smooth -> extract_events``.
-Thresholding uses ``>=`` so the conventional 0.5 operating point includes
-posteriors that are exactly 0.5. The majority filter pads with inactive
-frames at the clip edges, which biases against spurious clip-edge events.
-``rasterize`` inverts ``extract_events`` for frame-aligned events and is
-what produces frame targets for fusion fitting.
+Each class column is smoothed by a centered running median of the class
+window (frames beyond the clip edges count as 0, which biases against
+spurious clip-edge events), thresholded with ``>=`` (so 0.5 is active at
+the 0.5 operating point), and its runs become events. For an odd window
+and any threshold ``t > 0``, ``median_w(p) >= t`` equals
+``majority_w(p >= t)``: median filtering commutes with thresholding
+(Fitch, Coyle & Gallagher, IEEE TASSP 32(6), 1984). So ``decode`` equals
+``extract_events(median_smooth(binarize(grid)))``, and a threshold sweep
+such as PSDS smooths once. ``rasterize`` inverts ``extract_events`` for
+frame-aligned events and produces frame targets for fusion fitting.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -64,10 +69,6 @@ class PostProcessConfig:
     def window_vector(self, vocab: ClassVocabulary) -> np.ndarray:
         return np.array([self.window_for(c) for c in vocab.classes], dtype=np.int64)
 
-    def with_global_threshold(self, threshold: float) -> "PostProcessConfig":
-        """Same windows, one threshold for every class (operating-point sweeps)."""
-        return replace(self, default_threshold=float(threshold), class_thresholds={})
-
     @classmethod
     def from_dict(cls, data: Mapping) -> "PostProcessConfig":
         return cls(
@@ -91,78 +92,127 @@ class PostProcessConfig:
         }
 
 
-def binarize(grid: FrameGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) -> BinaryGrid:
-    """Activate cells whose posterior is >= the class threshold."""
+def _check_columns(grid: FrameGrid | BinaryGrid, vocab: ClassVocabulary) -> None:
     if grid.n_classes != len(vocab):
         raise ValidationError(
             f"{grid.clip_id}: grid has {grid.n_classes} columns, vocabulary has {len(vocab)}"
         )
+
+
+def binarize(grid: FrameGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) -> BinaryGrid:
+    """Activate cells whose posterior is >= the class threshold."""
+    _check_columns(grid, vocab)
     active = grid.values >= cfg.threshold_vector(vocab)[None, :]
     return BinaryGrid(grid.clip_id, grid.hop_seconds, active)
 
 
-def _majority_filter_columns(values: np.ndarray, window: int) -> np.ndarray:
-    """Centered binary majority vote per column; outside frames count inactive."""
-    if window == 1:
-        return values.copy()
-    t = values.shape[0]
-    pad = window // 2
-    padded = np.zeros((t + 2 * pad, values.shape[1]), dtype=np.int64)
-    padded[pad : pad + t] = values
-    csum = np.zeros((t + 2 * pad + 1, values.shape[1]), dtype=np.int64)
-    np.cumsum(padded, axis=0, out=csum[1:])
-    counts = csum[window:] - csum[: t + 2 * pad + 1 - window]
-    return counts >= (window // 2 + 1)
+def _stack_by_frames(grids: Sequence[FrameGrid]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group clips by frame count: (clip indices, fresh (N, T, C) stack) pairs."""
+    groups: dict[int, list[int]] = {}
+    for k, grid in enumerate(grids):
+        groups.setdefault(grid.n_frames, []).append(k)
+    return [(np.asarray(idx), np.stack([grids[k].values for k in idx])) for idx in groups.values()]
+
+
+@functools.lru_cache(maxsize=None)
+def _median_network(window: int) -> tuple[tuple[int, int, bool, bool], ...]:
+    """Batcher's odd-even merge sort on ``window`` lanes, cut to what the middle lane needs.
+
+    (i, j, keep_min, keep_max): lane i takes the pair's min, lane j its max."""
+    pairs = []
+    p = 1
+    while p < window:
+        k = p
+        while k >= 1:
+            for j in range(k % p, window - k, 2 * k):
+                for i in range(min(k, window - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    needed, kept = {window // 2}, []
+    for i, j in reversed(pairs):
+        if i in needed or j in needed:
+            kept.append((i, j, i in needed, j in needed))
+            needed |= {i, j}
+    return tuple(reversed(kept))
+
+
+def _running_median(stack: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Centered, zero-padded running median along T of an (N, T, C) stack, in place.
+
+    Column c uses ``windows[c]``; one column at a time, so no (N, T, C, w) array."""
+    n, t = stack.shape[:2]
+    for c, window in enumerate(windows.tolist()):
+        if window == 1:
+            continue
+        pad = window // 2
+        padded = np.zeros((n, t + 2 * pad), dtype=stack.dtype)
+        padded[:, pad : pad + t] = stack[:, :, c]
+        lanes = [padded[:, s : s + t] for s in range(window)]
+        for i, j, keep_min, keep_max in _median_network(window):
+            a, b = lanes[i], lanes[j]
+            if keep_min:
+                lanes[i] = np.minimum(a, b)
+            if keep_max:
+                lanes[j] = np.maximum(a, b)
+        stack[:, :, c] = lanes[pad]
+    return stack
+
+
+def _active_runs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(clip, class, start, end_exclusive) of the maximal runs of an (N, T, C)
+    boolean stack, ordered by clip, then class, then start."""
+    n, t, n_classes = active.shape
+    rows = active.transpose(0, 2, 1).reshape(-1, t)
+    delta = np.diff(rows.astype(np.int8), axis=1, prepend=0, append=0)
+    row, start = np.nonzero(delta == 1)
+    _, end = np.nonzero(delta == -1)
+    return row // n_classes, row % n_classes, start, end
+
+
+def _events(grids, vocab: ClassVocabulary, clip, cls, start, end) -> EventList:
+    """Run [a, b) of clip k becomes the event (a*hop_k, b*hop_k)."""
+    hops = np.array([g.hop_seconds for g in grids])[clip]
+    runs = zip(clip.tolist(), cls.tolist(), (start * hops).tolist(), (end * hops).tolist())
+    return EventList([Event(grids[k].clip_id, a, b, vocab.classes[c]) for k, c, a, b in runs])
 
 
 def median_smooth(bgrid: BinaryGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) -> BinaryGrid:
     """Per-class binary median (= majority) filter with the class window."""
-    if bgrid.n_classes != len(vocab):
-        raise ValidationError(
-            f"{bgrid.clip_id}: grid has {bgrid.n_classes} columns, vocabulary has {len(vocab)}"
-        )
-    windows = cfg.window_vector(vocab)
-    out = np.empty_like(bgrid.values)
-    for window in np.unique(windows):
-        cols = np.flatnonzero(windows == window)
-        out[:, cols] = _majority_filter_columns(bgrid.values[:, cols], int(window))
-    return BinaryGrid(bgrid.clip_id, bgrid.hop_seconds, out)
-
-
-def _runs(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Maximal active runs as (start, end_exclusive) frame index arrays."""
-    delta = np.diff(column.astype(np.int8), prepend=0, append=0)
-    return np.flatnonzero(delta == 1), np.flatnonzero(delta == -1)
+    _check_columns(bgrid, vocab)
+    values = _running_median(bgrid.values[None].copy(), cfg.window_vector(vocab))[0]
+    return BinaryGrid(bgrid.clip_id, bgrid.hop_seconds, values)
 
 
 def extract_events(bgrid: BinaryGrid, vocab: ClassVocabulary) -> EventList:
     """Run-length decode: run [a, b] becomes the event (a*hop, (b+1)*hop)."""
-    if bgrid.n_classes != len(vocab):
-        raise ValidationError(
-            f"{bgrid.clip_id}: grid has {bgrid.n_classes} columns, vocabulary has {len(vocab)}"
-        )
-    hop = bgrid.hop_seconds
-    events: list[Event] = []
-    for c, name in enumerate(vocab.classes):
-        starts, ends = _runs(bgrid.values[:, c])
-        for a, b in zip(starts.tolist(), ends.tolist()):
-            events.append(Event(bgrid.clip_id, a * hop, b * hop, name))
-    return EventList(events)
+    _check_columns(bgrid, vocab)
+    return _events([bgrid], vocab, *_active_runs(bgrid.values[None]))
 
 
 def decode(grid: FrameGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) -> EventList:
-    """binarize -> median_smooth -> extract_events for one clip."""
-    return extract_events(median_smooth(binarize(grid, cfg, vocab), cfg, vocab), vocab)
+    """Median-smooth, threshold and extract events for one clip."""
+    return decode_many([grid], cfg, vocab)
 
 
 def decode_many(
     grids: Sequence[FrameGrid], cfg: PostProcessConfig, vocab: ClassVocabulary
 ) -> EventList:
-    """Decode a whole dump; events concatenate in clip order."""
-    events: list[Event] = []
+    """Decode a whole dump; events follow clip order, then class order, then onset."""
     for grid in grids:
-        events.extend(decode(grid, cfg, vocab))
-    return EventList(events)
+        _check_columns(grid, vocab)
+    windows = cfg.window_vector(vocab)
+    thresholds = cfg.threshold_vector(vocab)
+    parts = []
+    for idx, stack in _stack_by_frames(grids):
+        clip, cls, start, end = _active_runs(_running_median(stack, windows) >= thresholds)
+        parts.append((idx[clip], cls, start, end))
+    if not parts:
+        return EventList([])
+    clip, cls, start, end = (np.concatenate(arrays) for arrays in zip(*parts))
+    order = np.argsort(clip, kind="stable")
+    return _events(grids, vocab, clip[order], cls[order], start[order], end[order])
 
 
 def rasterize(

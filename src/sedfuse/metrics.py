@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .core import ClassVocabulary, EventList, FrameGrid, ValidationError
-from .decode import PostProcessConfig, _majority_filter_columns
+from .decode import PostProcessConfig, _active_runs, _running_median, _stack_by_frames
 
 
 # ---------------------------------------------------------------------------
@@ -53,21 +53,30 @@ def events_compatible(ref_onset, ref_offset, est_onset, est_offset, cfg: CollarC
 
 
 def _kuhn_matching(adjacency: Sequence[Sequence[int]], n_right: int) -> list[int]:
-    """Maximum bipartite matching; returns right-side partner per left node."""
-    match_right = [-1] * n_right
+    """Maximum bipartite matching; returns right-side partner per left node.
 
-    def try_augment(u: int, visited: list[bool]) -> bool:
-        for v in adjacency[u]:
-            if visited[v]:
+    Kuhn's augmenting paths, found by depth-first search in adjacency order
+    on an explicit stack, so long paths cannot hit the recursion limit.
+    """
+    match_right = [-1] * n_right
+    for root in range(len(adjacency)):
+        visited = [False] * n_right
+        stack = [iter(adjacency[root])]
+        path = [root]  # left and right nodes alternate along the search path
+        while stack:
+            v = next((x for x in stack[-1] if not visited[x]), -1)
+            if v == -1:
+                stack.pop()
+                del path[-2:]
                 continue
             visited[v] = True
-            if match_right[v] == -1 or try_augment(match_right[v], visited):
-                match_right[v] = u
-                return True
-        return False
-
-    for u in range(len(adjacency)):
-        try_augment(u, [False] * n_right)
+            if match_right[v] == -1:
+                path.append(v)
+                for u, x in zip(path[::2], path[1::2]):
+                    match_right[x] = u
+                break
+            path += [v, match_right[v]]
+            stack.append(iter(adjacency[match_right[v]]))
     match_left = [-1] * len(adjacency)
     for v, u in enumerate(match_right):
         if u != -1:
@@ -314,73 +323,6 @@ def dataset_duration_seconds(grids: Sequence[FrameGrid]) -> float:
     return float(sum(g.duration_seconds for g in grids))
 
 
-def _decode_all_operating_points(
-    grids: Sequence[FrameGrid],
-    windows: np.ndarray,
-    thresholds: Sequence[float],
-    bases: np.ndarray,
-):
-    """Decode every grid at every threshold; detections in global time.
-
-    Yields, per threshold, per-class (onsets, offsets) arrays sorted by
-    onset, with each clip shifted onto its own disjoint band so interval
-    queries can run dataset-wide.
-    """
-    n_classes = len(windows)
-    window_groups = [
-        (int(w), np.flatnonzero(windows == w)) for w in np.unique(windows)
-    ]
-    # Group clips by frame count so thresholding/median runs stacked.
-    shape_groups: dict[int, list[int]] = {}
-    for k, grid in enumerate(grids):
-        shape_groups.setdefault(grid.n_frames, []).append(k)
-    stacks = []
-    for t_frames, clip_idx in shape_groups.items():
-        stack = np.stack([grids[k].values for k in clip_idx])
-        hops = np.array([grids[k].hop_seconds for k in clip_idx])
-        stacks.append((np.asarray(clip_idx), stack, hops, t_frames))
-
-    for threshold in thresholds:
-        per_class_on: list[list[np.ndarray]] = [[] for _ in range(n_classes)]
-        per_class_off: list[list[np.ndarray]] = [[] for _ in range(n_classes)]
-        for clip_idx, stack, hops, t_frames in stacks:
-            active = stack >= threshold
-            smoothed = np.empty_like(active)
-            k_clips = active.shape[0]
-            for window, cols in window_groups:
-                flat = active[:, :, cols].transpose(1, 0, 2).reshape(t_frames, -1)
-                sm = _majority_filter_columns(flat, window)
-                smoothed[:, :, cols] = sm.reshape(t_frames, k_clips, len(cols)).transpose(
-                    1, 0, 2
-                )
-            # Run extraction over all (clip, class) rows at once.
-            rows = smoothed.transpose(0, 2, 1).reshape(-1, t_frames)
-            delta = np.diff(rows.astype(np.int8), axis=1, prepend=0, append=0)
-            r_s, p_s = np.nonzero(delta == 1)
-            r_e, p_e = np.nonzero(delta == -1)
-            local_clip = r_s // n_classes
-            cls_idx = r_s % n_classes
-            hop = hops[local_clip]
-            base = bases[clip_idx[local_clip]]
-            onset = p_s * hop + base
-            offset = p_e * hop + base
-            for c in range(n_classes):
-                mask = cls_idx == c
-                if mask.any():
-                    per_class_on[c].append(onset[mask])
-                    per_class_off[c].append(offset[mask])
-        out = []
-        for c in range(n_classes):
-            if per_class_on[c]:
-                on = np.concatenate(per_class_on[c])
-                off = np.concatenate(per_class_off[c])
-                order = np.argsort(on, kind="stable")
-                out.append((on[order], off[order]))
-            else:
-                out.append((np.empty(0), np.empty(0)))
-        yield out
-
-
 def psds_many(
     grids: Sequence[FrameGrid],
     ref: EventList,
@@ -444,8 +386,6 @@ def psds_many(
     evaluated = np.flatnonzero(n_ref > 0)
 
     ops = psds_cfgs[0].operating_points
-    windows = decode_cfg.window_vector(vocab)
-    need_ct = any(cfg.alpha_ct > 0 for cfg in psds_cfgs)
 
     n_cfg = len(psds_cfgs)
     n_op = len(ops)
@@ -453,26 +393,35 @@ def psds_many(
     fp = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
     ct = np.zeros((n_cfg, n_op, n_classes, n_classes), dtype=np.int64)
 
-    eval_set = set(evaluated.tolist())
-    for oi, dets in enumerate(
-        _decode_all_operating_points(grids, windows, ops, bases)
-    ):
+    # Threshold decomposition: smooth once, then each operating point only compares.
+    windows = decode_cfg.window_vector(vocab)
+    stacks = [(idx, _running_median(stack, windows)) for idx, stack in _stack_by_frames(grids)]
+    hops = np.array([g.hop_seconds for g in grids])
+    for oi, threshold in enumerate(ops):
+        parts = []
+        for idx, smoothed in stacks:
+            clip, cls, start, end = _active_runs(smoothed >= threshold)
+            k = idx[clip]
+            parts.append((cls, start * hops[k] + bases[k], end * hops[k] + bases[k]))
+        cls, onsets, offsets = (np.concatenate(arrays) for arrays in zip(*parts))
+        # _Coverage needs each class's detections sorted by onset.
+        order = np.lexsort((onsets, cls))
+        bounds = np.searchsorted(cls[order], np.arange(n_classes + 1))
         for c in range(n_classes):
-            on, off = dets[c]
-            if len(on) == 0:
-                continue
+            sel = order[bounds[c] : bounds[c + 1]]
+            on, off = onsets[sel], offsets[sel]
             lengths = off - on
             ratio_same = gt_cov[c].intersect(on, off) / lengths
             for gi, cfg in enumerate(psds_cfgs):
                 passing = ratio_same >= cfg.dtc
                 fp[gi, oi, c] = int(np.sum(~passing))
-                if c in eval_set and passing.any():
+                if n_ref[c] > 0 and passing.any():
                     det_cov = _Coverage(on[passing], off[passing])
                     covered = det_cov.intersect(gt_on_arr[c], gt_off_arr[c])
                     tp[gi, oi, c] = int(
                         np.sum(covered / (gt_off_arr[c] - gt_on_arr[c]) >= cfg.gtc)
                     )
-                if need_ct and cfg.alpha_ct > 0 and (~passing).any():
+                if cfg.alpha_ct > 0 and (~passing).any():
                     f_on, f_off, f_len = on[~passing], off[~passing], lengths[~passing]
                     for c2 in evaluated:
                         if c2 == c:

@@ -261,13 +261,9 @@ def simulate_model(
     skill: ModelSkill,
     cfg: ScenarioConfig,
     seed: int,
-    indices: Sequence[int] | None = None,
 ) -> list[FrameGrid]:
     """Posterior grids for one model: misses, per-frame false alarms,
     boundary jitter, then sharpness-shaped posterior noise.
-
-    ``indices`` restricts generation to those clips; per-clip seeding makes
-    the result identical to slicing a full run, so callers may shard.
     """
     vocab = cfg.vocab
     if len(skill.miss_rate) != len(vocab):
@@ -281,12 +277,8 @@ def simulate_model(
     sharp_row = np.asarray(skill.sharpness)
     inv_sharp = np.where(np.isinf(sharp_row), 0.0, 1.0 / sharp_row)
 
-    all_clip_ids = cfg.clip_ids()
-    if indices is None:
-        indices = range(cfg.n_clips)
     grids = []
-    for k in indices:
-        clip_id = all_clip_ids[k]
+    for k, clip_id in enumerate(cfg.clip_ids()):
         rng = _rng(seed, STREAM_MODEL, k)
         active = np.zeros((t_frames, len(vocab)), dtype=bool)
         for ev in by_clip.get(clip_id, []):
@@ -501,6 +493,43 @@ class Scenario:
     def separation_seed(self) -> int:
         return self.config.seed * 1000 + 777
 
+    def to_dict(self) -> dict:
+        """The scenario.json structure; ``scenario_from_dict`` reads it back."""
+        cfg = self.config
+        return {
+            "seed": cfg.seed,
+            "n_clips": cfg.n_clips,
+            "clip_seconds": cfg.clip_seconds,
+            "frames_per_clip": cfg.frames_per_clip,
+            "classes": list(cfg.classes),
+            "events_per_clip": list(cfg.events_per_clip),
+            "duration_seconds": list(cfg.duration_seconds),
+            "class_duration_seconds": {
+                k: list(v) for k, v in cfg.class_duration_seconds.items()
+            },
+            "allow_overlap": cfg.allow_overlap,
+            "models": [
+                {
+                    "name": name,
+                    "miss_rate": list(skill.miss_rate),
+                    "false_alarm_rate": list(skill.false_alarm_rate),
+                    "jitter_frames": list(skill.jitter_frames),
+                    "sharpness": [
+                        "inf" if s == float("inf") else s for s in skill.sharpness
+                    ],
+                }
+                for name, skill in zip(self.model_names, self.model_skills)
+            ],
+            "separation": {
+                "clean": self.separation.clean,
+                "leakage": self.separation.leakage,
+                "residual": self.separation.residual,
+                "tagging_error": self.separation.tagging_error,
+            },
+            "n_sources": self.n_sources,
+            "tau": self.tau,
+        }
+
 
 def heterogeneous_skills(
     n_classes: int,
@@ -555,6 +584,13 @@ def _skill_from_dict(data: Mapping, classes: Sequence[str]) -> ModelSkill:
             raise ValidationError(f"skill override for unknown class {name!r}")
 
     def column(field_name: str, cast):
+        if field_name in data:  # one value per class, as written by Scenario.to_dict
+            values = data[field_name]
+            if not isinstance(values, list) or len(values) != len(classes):
+                raise ValidationError(
+                    f"skill field {field_name!r} must list {len(classes)} per-class values"
+                )
+            return tuple(cast(v) for v in values)
         return tuple(
             cast(per_class.get(name, {}).get(field_name, defaults[field_name]))
             for name in classes

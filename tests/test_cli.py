@@ -62,16 +62,6 @@ class TestSimulate:
         assert rc == 2
         assert "nope.json" in capsys.readouterr().err
 
-    def test_worker_cap_does_not_change_output(self, tmp_path, monkeypatch):
-        cfg = write_tiny_scenario(tmp_path)
-        out1, out2 = tmp_path / "serial", tmp_path / "parallel"
-        assert run("simulate", "--config", cfg, "--out", out1) == 0
-        monkeypatch.setenv("SEDFUSE_THREADS", "3")
-        assert run("simulate", "--config", cfg, "--out", out2) == 0
-        assert (out1 / "grids_model_1.jsonl").read_bytes() == (
-            out2 / "grids_model_1.jsonl"
-        ).read_bytes()
-
 
 class TestSPL:
     def test_selection_written(self, dataset, tmp_path, capsys):
@@ -120,6 +110,33 @@ class TestSPL:
             "--manifest", bad, "--out", tmp_path / "o",
         )
         assert rc == 2
+
+
+class TestVocabularyPeek:
+    def test_grids_first_line_not_json_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "grids.jsonl"
+        bad.write_text("not json\n")
+        assert run("decode", "--grids", bad, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1:" in err and "Traceback" not in err
+
+    def test_grids_record_without_classes_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "grids.jsonl"
+        bad.write_text('\n{"clip_id": "c", "hop_seconds": 0.1, "posteriors": [[0.5]]}\n')
+        assert run("decode", "--grids", bad, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and "'classes'" in err
+
+    def test_tags_first_line_not_json_exits_2(self, dataset, tmp_path, capsys):
+        bad = tmp_path / "tags.jsonl"
+        bad.write_text("{oops\n")
+        rc = run(
+            "spl", "--tags", bad, "--weak", dataset / "weak.tsv",
+            "--manifest", dataset / "sep_manifest.jsonl", "--out", tmp_path / "o",
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1:" in err and "Traceback" not in err
 
 
 class TestFuse:

@@ -2,18 +2,49 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedfuse.core import BinaryGrid, ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from sedfuse.decode import (
     PostProcessConfig,
+    _running_median,
     binarize,
     decode,
+    decode_many,
     extract_events,
     median_smooth,
     rasterize,
 )
 
 V1 = ClassVocabulary(("x",))
+
+# Posteriors and thresholds share a 0.05 grid so that ties with the
+# threshold occur; clips may be shorter than the window.
+POSTERIOR = st.integers(0, 20).map(lambda k: k / 20)
+THRESHOLD = st.integers(1, 19).map(lambda k: k / 20)
+WINDOW = st.integers(0, 7).map(lambda k: 2 * k + 1)
+
+
+@st.composite
+def decode_setups(draw):
+    """A vocabulary of 1-3 classes and a config with per-class overrides."""
+    vocab = ClassVocabulary(tuple("abc"[: draw(st.integers(1, 3))]))
+    overridden = draw(st.lists(st.sampled_from(vocab.classes), unique=True))
+    cfg = PostProcessConfig(
+        default_threshold=draw(THRESHOLD),
+        default_median_window=draw(WINDOW),
+        class_thresholds={c: draw(THRESHOLD) for c in overridden},
+        class_median_windows={c: draw(WINDOW) for c in overridden},
+    )
+    return vocab, cfg
+
+
+def draw_grid(draw, n_classes, clip_id="c", frames=st.integers(1, 20)):
+    frames = draw(frames)
+    row = st.lists(POSTERIOR, min_size=n_classes, max_size=n_classes)
+    values = draw(st.lists(row, min_size=frames, max_size=frames))
+    return FrameGrid(clip_id, 0.05, np.array(values))
 
 
 def bgrid(column, hop=0.1, clip="c"):
@@ -104,6 +135,18 @@ class TestMedianSmooth:
             for i in range(40):
                 assert out[i] == (padded[i : i + window].sum() > window // 2)
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), window=WINDOW)
+    def test_running_median_oracle(self, data, window):
+        grid = draw_grid(data.draw, 2)
+        stack = grid.values[None].copy()
+        out = _running_median(stack, np.array([window, 1]))[0]
+        pad = window // 2
+        padded = np.pad(grid.values[:, 0], pad)
+        for t in range(grid.n_frames):
+            assert out[t, 0] == np.median(padded[t : t + window])
+        np.testing.assert_array_equal(out[:, 1], grid.values[:, 1])
+
     def test_commutes_with_column_permutation(self, rng):
         vocab = ClassVocabulary(("a", "b", "c"))
         values = rng.random((32, 3)) > 0.5
@@ -187,16 +230,30 @@ class TestDecode:
             (pytest.approx(0.4), pytest.approx(0.9))
         ]
 
-    def test_composition_oracle(self, rng):
-        vocab = ClassVocabulary(("a", "b", "c"))
-        cfg = PostProcessConfig(
-            class_thresholds={"a": 0.4}, class_median_windows={"b": 3}
-        )
-        grid = FrameGrid("c", 0.05, rng.random((128, 3)))
+    @settings(max_examples=300, deadline=None)
+    @given(setup=decode_setups(), data=st.data())
+    def test_composition_oracle(self, setup, data):
+        # Threshold decomposition: smoothing then thresholding equals
+        # thresholding then the binary median (majority) filter.
+        vocab, cfg = setup
+        grid = draw_grid(data.draw, len(vocab))
         staged = extract_events(
             median_smooth(binarize(grid, cfg, vocab), cfg, vocab), vocab
         )
         assert decode(grid, cfg, vocab) == staged
+
+    @settings(max_examples=100, deadline=None)
+    @given(setup=decode_setups(), data=st.data())
+    def test_many_equals_per_clip_in_input_order(self, setup, data):
+        vocab, cfg = setup
+        # Two frame counts, so clips of one stack interleave with the other's.
+        frames = st.sampled_from((6, 11))
+        n_clips = data.draw(st.integers(0, 6))
+        grids = [
+            draw_grid(data.draw, len(vocab), f"clip{k}", frames) for k in range(n_clips)
+        ]
+        joined = [ev for grid in grids for ev in decode(grid, cfg, vocab)]
+        assert decode_many(grids, cfg, vocab).events == joined
 
     def test_threshold_monotonicity(self, rng):
         grid = FrameGrid("c", 0.1, rng.random((64, 1)))

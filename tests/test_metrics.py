@@ -84,6 +84,18 @@ class TestMatchEvents:
         est = EventList([Event("c", 1.15, 2.15, "A"), Event("c", 0.95, 1.95, "A")])
         assert len(match_events(ref, est)) == 2
 
+    def test_long_augmenting_chain(self):
+        # ref i fits est i and i+1 and is matched greedily to est i; the
+        # last ref fits only est 0, so the final augmenting path runs
+        # through all 2000 events of one (clip, class) group.
+        n = 2000
+        est = [Event("c", 1.0 + 0.15 * j, 1.5 + 0.15 * j, "A") for j in range(n)]
+        ref = [Event("c", 1.075 + 0.15 * i, 1.575 + 0.15 * i, "A") for i in range(n - 1)]
+        ref.append(Event("c", 0.925, 1.425, "A"))
+        pairs = match_events(EventList(ref), EventList(est))
+        assert len(pairs) == n
+        assert len({j for _, j in pairs}) == n
+
     def test_exhaustive_oracle(self, rng):
         cfg = CollarConfig()
         for _ in range(200):
