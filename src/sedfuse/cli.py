@@ -418,42 +418,33 @@ def cmd_score(args) -> int:
     decode_cfg = _decode_cfg_from_args(args)
     out = _out_dir(args)
 
-    f1_reports = {}
-    psds1_reports = {}
-    psds2_reports = {}
     name = args.system_name
+    # One parse serves both the F1 decode and the PSDS sweep.
+    if need_grids or not args.est:
+        grids = parse_framegrids(run.reads(args.grids), vocab)
+    f1_reports = {}
     if "f1" in want:
         if args.est:
             est = parse_events(run.reads(args.est), vocab)
         else:
-            grids = parse_framegrids(run.reads(args.grids), vocab)
             est = decode_many(grids, decode_cfg, vocab)
         f1_reports[name] = event_f1(ref, est, CollarConfig(), vocab)
+    psds_reports = {"psds1": {}, "psds2": {}}
     if need_grids:
-        grids = parse_framegrids(run.reads(args.grids), vocab)
         if args.psds_config and len(want & {"psds1", "psds2"}) > 1:
             raise ValidationError(
                 "--psds-config overrides a single variant; use --metric psds1 or psds2"
             )
-        cfgs, keys = [], []
-        if "psds1" in want:
-            cfgs.append(_psds_cfg_from_args(args, PSDS1, run))
-            keys.append("psds1")
-        if "psds2" in want:
-            cfgs.append(_psds_cfg_from_args(args, PSDS2, run))
-            keys.append("psds2")
-        reports = psds_many(grids, ref, decode_cfg, cfgs, vocab)
-        for key, report in zip(keys, reports):
-            if key == "psds1":
-                psds1_reports[name] = report
-            else:
-                psds2_reports[name] = report
+        keys = [key for key in ("psds1", "psds2") if key in want]
+        defaults = {"psds1": PSDS1, "psds2": PSDS2}
+        cfgs = [_psds_cfg_from_args(args, defaults[key], run) for key in keys]
+        for key, report in zip(keys, psds_many(grids, ref, decode_cfg, cfgs, vocab)):
+            psds_reports[key][name] = report
 
-    tables = report_tables(f1_reports, psds1_reports, psds2_reports)
+    tables = report_tables(f1_reports, psds_reports["psds1"], psds_reports["psds2"])
     payload = tables.to_dict()
     payload["psds_detail"] = {
-        "psds1": {k: v.to_dict() for k, v in psds1_reports.items()},
-        "psds2": {k: v.to_dict() for k, v in psds2_reports.items()},
+        key: {k: v.to_dict() for k, v in reports.items()} for key, reports in psds_reports.items()
     }
     atomic_write_text(run.writes(out / "report.json"), json.dumps(payload, indent=2) + "\n")
     atomic_write_text(run.writes(out / "report.txt"), tables.to_text())

@@ -121,8 +121,8 @@ class FrameGrid:
 
     def __post_init__(self):
         _check_name(self.clip_id, "clip id")
-        if not (float(self.hop_seconds) > 0.0):
-            raise ValidationError(f"{self.clip_id}: hop_seconds must be > 0")
+        if not (0.0 < float(self.hop_seconds) < np.inf):
+            raise ValidationError(f"{self.clip_id}: hop_seconds must be finite and > 0")
         self.hop_seconds = float(self.hop_seconds)
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -132,7 +132,7 @@ class FrameGrid:
             t, c = np.argwhere(bad)[0]
             raise ValidationError(
                 f"{self.clip_id}: frame {t}, class column {c}: "
-                f"value {arr[t, c]!r} outside [0, 1]"
+                f"value {fmt_float(arr[t, c])} outside [0, 1]"
             )
         arr.setflags(write=False)
         self.values = arr
@@ -160,8 +160,8 @@ class BinaryGrid:
 
     def __post_init__(self):
         _check_name(self.clip_id, "clip id")
-        if not (float(self.hop_seconds) > 0.0):
-            raise ValidationError(f"{self.clip_id}: hop_seconds must be > 0")
+        if not (0.0 < float(self.hop_seconds) < np.inf):
+            raise ValidationError(f"{self.clip_id}: hop_seconds must be finite and > 0")
         self.hop_seconds = float(self.hop_seconds)
         arr = np.array(self.values, copy=True)
         if arr.dtype != np.bool_:
@@ -466,11 +466,34 @@ def _load_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
             yield line_no, record
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# The JSON type of every record field in the JSONL formats. Deeper checks
+# (names, ranges, posterior cells) belong to the domain types.
+_STRING = (lambda v: isinstance(v, str), "a string")
+_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+            "a list of strings")
+_FIELD_TYPES = {
+    "clip_id": _STRING, "source_id": _STRING, "parent_clip_id": _STRING,
+    "mixture_id": _STRING, "classes": _STRINGS, "sources": _STRINGS,
+    "hop_seconds": (_is_number, "a number"),
+    "posteriors": (lambda v: isinstance(v, list), "a list of frame rows"),
+    "probs": (lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+              "an object of numbers"),
+}
+
+
 def _record_fields(path, line_no, record: dict, fields: Sequence[str]) -> list:
+    """The named fields of one record, each checked against its JSON type."""
     out = []
     for name in fields:
         if name not in record:
             raise ParseError(path, line_no, f"missing field {name!r}")
+        is_valid, kind = _FIELD_TYPES[name]
+        if not is_valid(record[name]):
+            raise ParseError(path, line_no, f"field {name!r} must be {kind}")
         out.append(record[name])
     return out
 
@@ -483,18 +506,26 @@ def first_record(path: str | os.PathLike, fields: Sequence[str]) -> list:
 
 
 def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[FrameGrid]:
-    """Read posterior grids; columns are reordered to the vocabulary order."""
+    """Read posterior grids with unique clip ids; columns follow the vocabulary."""
     grids: list[FrameGrid] = []
+    seen: set[str] = set()
     for line_no, record in _load_jsonl(path):
         clip_id, hop, classes, posteriors = _record_fields(
             path, line_no, record, ("clip_id", "hop_seconds", "classes", "posteriors")
         )
-        classes = list(classes)
+        if clip_id in seen:
+            raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
+        seen.add(clip_id)
         if sorted(classes) != sorted(vocab.classes):
             raise VocabularyError(
                 f"{path}:{line_no}: class set {classes} does not match vocabulary"
             )
-        arr = np.asarray(posteriors, dtype=np.float64)
+        try:
+            arr = np.asarray(posteriors, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ParseError(
+                path, line_no, "posteriors must be a rectangular matrix of numbers"
+            ) from None
         if arr.ndim != 2 or arr.shape[1] != len(classes):
             raise ParseError(
                 path, line_no, f"posteriors must be T x {len(classes)}, got shape {arr.shape}"

@@ -11,7 +11,7 @@ Three fusion families over M aligned model dumps:
   kept for fidelity (binarizing faithful output at t/M equals binarizing
   normalized output at t);
 * baselines: equal-weight average and per-class logistic regression fused
-  at frame level, trained with deterministic full-batch gradient descent.
+  at frame level, trained with deterministic damped Newton (IRLS).
 
 All math is pure and deterministic with fixed summation order.
 """
@@ -108,23 +108,11 @@ def _objective_score(
 
 def frame_bce(grids: Sequence[FrameGrid], truth: EventList, vocab: ClassVocabulary) -> float:
     """Mean binary cross-entropy of posteriors against rasterized truth."""
-    by_clip = truth.by_clip()
-    total = 0.0
-    count = 0
-    for grid in grids:
-        target = rasterize(
-            EventList(by_clip.get(grid.clip_id, [])),
-            grid.hop_seconds,
-            grid.n_frames,
-            vocab,
-            clip_id=grid.clip_id,
-        ).values
-        p = np.clip(grid.values, _BCE_EPS, 1.0 - _BCE_EPS)
-        total += float(-np.sum(np.where(target, np.log(p), np.log1p(-p))))
-        count += target.size
-    if count == 0:
+    if not grids:
         raise ValidationError("no frames to score")
-    return total / count
+    x, y = _frame_matrix([grids], truth, vocab)
+    p = np.clip(x[:, 0, :], _BCE_EPS, 1.0 - _BCE_EPS)
+    return float(-np.mean(np.where(y, np.log(p), np.log1p(-p))))
 
 
 def fit_alpha(
@@ -361,12 +349,8 @@ def logistic_loss_and_grad(
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    t = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
 
 
 @dataclass
@@ -384,6 +368,7 @@ class LogisticFusionModel:
     iterations: np.ndarray  # (C,)
     final_loss: np.ndarray  # (C,)
     fallback: np.ndarray  # (C,) bool
+    grad_norm: np.ndarray  # (C,) final gradient norm over (w, b)
 
     def __post_init__(self):
         if not (np.isfinite(self.weights).all() and np.isfinite(self.bias).all()):
@@ -396,34 +381,29 @@ class LogisticFusionModel:
             "iterations": self.iterations.tolist(),
             "final_loss": self.final_loss.tolist(),
             "fallback": self.fallback.tolist(),
+            "grad_norm": self.grad_norm.tolist(),
         }
 
 
 def _frame_matrix(
-    model_grids: Sequence[Sequence[FrameGrid]],
-    truth: EventList | None,
-    vocab: ClassVocabulary,
-) -> tuple[np.ndarray, np.ndarray | None]:
+    model_grids: Sequence[Sequence[FrameGrid]], truth: EventList, vocab: ClassVocabulary
+) -> tuple[np.ndarray, np.ndarray]:
     """Stack posteriors into (frames, models, classes) and rasterize targets."""
-    clips = _aligned_clip_sets(model_grids)
-    by_clip = truth.by_clip() if truth is not None else None
+    by_clip = truth.by_clip()
     feats, targets = [], []
-    for group in clips:
+    for group in _aligned_clip_sets(model_grids):
+        ref = group[0]
         feats.append(np.stack([g.values for g in group], axis=1))
-        if by_clip is not None:
-            ref = group[0]
-            targets.append(
-                rasterize(
-                    EventList(by_clip.get(ref.clip_id, [])),
-                    ref.hop_seconds,
-                    ref.n_frames,
-                    vocab,
-                    clip_id=ref.clip_id,
-                ).values
-            )
-    x = np.concatenate(feats, axis=0)
-    y = np.concatenate(targets, axis=0).astype(np.float64) if targets else None
-    return x, y
+        targets.append(
+            rasterize(
+                EventList(by_clip.get(ref.clip_id, [])),
+                ref.hop_seconds,
+                ref.n_frames,
+                vocab,
+                clip_id=ref.clip_id,
+            ).values
+        )
+    return np.concatenate(feats, axis=0), np.concatenate(targets, axis=0).astype(np.float64)
 
 
 def fit_logistic_fusion(
@@ -436,10 +416,10 @@ def fit_logistic_fusion(
 ) -> LogisticFusionModel:
     """Per-class logistic regression on frame posteriors.
 
-    Deterministic full-batch gradient descent from zero initialization;
-    the step size is set from a per-class curvature bound so every step
-    descends. A class converges when its loss improves by less than
-    ``tol``.
+    Deterministic damped Newton (IRLS) on the weights and bias from zero
+    initialization: each step solves the Hessian system, then halves until
+    the loss does not rise, so descent is monotone. A class converges when
+    its loss improves by less than ``tol``.
     """
     if not dev_truth.events:
         raise ValidationError("development truth is empty")
@@ -453,45 +433,43 @@ def fit_logistic_fusion(
     iterations = np.zeros(n_classes, dtype=np.int64)
     final_loss = np.zeros(n_classes)
     fallback = np.zeros(n_classes, dtype=bool)
+    grad_norm = np.zeros(n_classes)
+    # Step damping only: keeps the Hessian solvable where p(1 - p) vanishes.
+    ridge = 1e-10 * np.eye(n_models + 1)
 
     for c in range(n_classes):
-        x = np.ascontiguousarray(x_all[:, :, c])
         y = y_all[:, c]
         if y.min() == y.max():
             fallback[c] = True
             weights[c] = 1.0 / n_models
-            final_loss[c] = float("nan")
+            final_loss[c] = grad_norm[c] = float("nan")
             continue
-        x_aug = np.concatenate([x, np.ones((len(x), 1))], axis=1)
-        hessian_bound = 0.25 * float(
-            np.linalg.eigvalsh(x_aug.T @ x_aug / len(x_aug))[-1]
-        )
-        lr = 1.0 / max(hessian_bound, 1e-12)
-        w = np.zeros(n_models)
-        b = 0.0
-        loss, grad_w, grad_b = logistic_loss_and_grad(w, b, x, y)
+        # The bias is the weight of a constant column: theta = (w, b).
+        x = np.column_stack([x_all[:, :, c], np.ones(len(y))])
+        theta = np.zeros(n_models + 1)
+        loss, grad, _ = logistic_loss_and_grad(theta, 0.0, x, y)
         for it in range(1, max_iter + 1):
-            # Monotone backtracking step: halve until the loss decreases,
-            # then let the step grow again for the flat late stage.
+            p = _sigmoid(x @ theta)
+            step = np.linalg.solve((x.T * (p * (1.0 - p))) @ x / len(y) + ridge, grad)
+            # Halve the Newton step until the loss does not rise; a step
+            # that underflows to zero passes, so the loop ends.
             while True:
-                w2 = w - lr * grad_w
-                b2 = b - lr * grad_b
-                new_loss, new_gw, new_gb = logistic_loss_and_grad(w2, b2, x, y)
-                if new_loss <= loss or lr < 1e-300:
+                new_loss, new_grad, _ = logistic_loss_and_grad(theta - step, 0.0, x, y)
+                if new_loss <= loss:
                     break
-                lr *= 0.5
+                step *= 0.5
             improvement = loss - new_loss
-            w, b, loss, grad_w, grad_b = w2, b2, new_loss, new_gw, new_gb
-            lr *= 2.0
+            theta, loss, grad = theta - step, new_loss, new_grad
             iterations[c] = it
             if improvement < tol:
                 break
-        weights[c] = w
-        bias[c] = b
+        weights[c], bias[c] = theta[:-1], theta[-1]
         final_loss[c] = loss
+        grad_norm[c] = float(np.linalg.norm(grad))
 
     return LogisticFusionModel(
-        tuple(model_names), vocab.classes, weights, bias, iterations, final_loss, fallback
+        tuple(model_names), vocab.classes, weights, bias, iterations, final_loss, fallback,
+        grad_norm,
     )
 
 

@@ -139,6 +139,66 @@ class TestVocabularyPeek:
         assert f"{bad}:1:" in err and "Traceback" not in err
 
 
+GOOD_GRID = (
+    '{"clip_id": "c0", "hop_seconds": 0.1, "classes": ["a", "b"], "posteriors": [[0.5, 0.5]]}'
+)
+
+
+class TestMalformedGrids:
+    """Each malformed grid record exits 2 naming path:line, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param(
+                '"hop_seconds": 0.1, "classes": ["a", "b"], "posteriors": [[0.5, 0.5], [0.5]]',
+                id="ragged-posteriors",
+            ),
+            pytest.param(
+                '"hop_seconds": 0.1, "classes": ["a", "b"], "posteriors": [[0.5, "x"]]',
+                id="non-numeric-cell",
+            ),
+            pytest.param(
+                '"hop_seconds": "fast", "classes": ["a", "b"], "posteriors": [[0.5, 0.5]]',
+                id="non-numeric-hop",
+            ),
+            pytest.param(
+                '"hop_seconds": 0.1, "classes": "ab", "posteriors": [[0.5, 0.5]]',
+                id="classes-string",
+            ),
+            pytest.param(
+                '"hop_seconds": Infinity, "classes": ["a", "b"], "posteriors": [[0.5, 0.5]]',
+                id="infinite-hop",
+            ),
+        ],
+    )
+    def test_bad_field_exits_2(self, tmp_path, capsys, record):
+        bad = tmp_path / "grids.jsonl"
+        bad.write_text(GOOD_GRID + '\n{"clip_id": "c1", ' + record + "}\n")
+        assert run("decode", "--grids", bad, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2:" in err and "Traceback" not in err
+
+    def test_classes_string_on_first_line_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "grids.jsonl"
+        bad.write_text(GOOD_GRID.replace('["a", "b"]', '"ab"') + "\n")
+        assert run("decode", "--grids", bad, "--out", tmp_path / "o") == 2
+        assert f"{bad}:1:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("metric", ["f1", "all"])
+    def test_duplicate_clip_id_exits_2(self, tmp_path, capsys, metric):
+        bad = tmp_path / "grids.jsonl"
+        bad.write_text(GOOD_GRID + "\n" + GOOD_GRID + "\n")
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("filename\tonset\toffset\tevent_label\nc0\t0.0\t0.1\ta\n")
+        assert run("decode", "--grids", bad, "--out", tmp_path / "d") == 2
+        assert run(
+            "score", "--ref", ref, "--grids", bad, "--metric", metric, "--out", tmp_path / "s"
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{bad}:2: duplicate clip id 'c0'") == 2
+
+
 class TestFuse:
     def test_classwise_beta_zero_equals_average(self, dataset, tmp_path):
         table = tmp_path / "f1_table.json"
@@ -287,6 +347,25 @@ class TestDecodeScore:
         report = json.loads((out / "report.json").read_text())
         assert report["overall"]["system"]["psds1"] == pytest.approx(1.0, abs=1e-9)
         assert report["overall"]["system"]["psds2"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_score_all_parses_grids_once(self, dataset, tmp_path, monkeypatch):
+        import sedfuse.cli
+
+        calls = []
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args[0])
+            return parse_framegrids(*args, **kwargs)
+
+        monkeypatch.setattr(sedfuse.cli, "parse_framegrids", counting_parse)
+        rc = run(
+            "score", "--ref", dataset / "events.tsv", "--grids", dataset / "grids_model_1.jsonl",
+            "--metric", "all", "--out", tmp_path / "o",
+        )
+        assert rc == 0
+        assert len(calls) == 1
+        manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+        assert len(manifest["inputs"]) == len(set(manifest["inputs"]))
 
     def test_report_json_reparses_equal(self, dataset, tmp_path):
         out = tmp_path / "score"

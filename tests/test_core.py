@@ -231,8 +231,9 @@ class TestGridsJSONL:
             '{"clip_id":"c1","hop_seconds":0.1,"classes":["Cat","Dog","Dishes","Speech"],'
             '"posteriors":[[0.1,0.2,0.3,1.2]]}\n'
         )
-        with pytest.raises(ValidationError, match="c1"):
+        with pytest.raises(ValidationError, match="c1") as err:
             parse_framegrids(path, vocab4)
+        assert "value 1.2 outside [0, 1]" in str(err.value)  # not np.float64(1.2)
 
     def test_order_preserved(self, tmp_path, vocab4, rng):
         grids = [
@@ -300,6 +301,13 @@ class TestTagsJSONL:
         with pytest.raises(VocabularyError):
             parse_tags(path, vocab4)
 
+    def test_probs_must_be_an_object_of_numbers(self, tmp_path, vocab4):
+        path = tmp_path / "tags.jsonl"
+        for probs in ('[0.5, 0.5]', '{"Cat": "high"}'):
+            path.write_text(f'{{"source_id":"s1","parent_clip_id":"m1","probs":{probs}}}\n')
+            with pytest.raises(ParseError, match="'probs'"):
+                parse_tags(path, vocab4)
+
     def test_probability_range(self):
         with pytest.raises(ValidationError):
             TagPrediction("s", "m", {"Cat": 1.5})
@@ -321,6 +329,14 @@ class TestManifestJSONL:
         )
         with pytest.raises(ParseError):
             parse_manifest(path)
+
+    def test_typed_fields(self, tmp_path):
+        path = tmp_path / "sep_manifest.jsonl"
+        for record in ('{"mixture_id":"m1","sources":"ab"}', '{"mixture_id":["m1"],"sources":[]}'):
+            path.write_text(record + "\n")
+            with pytest.raises(ParseError) as err:
+                parse_manifest(path)
+            assert err.value.line_no == 1
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "sep_manifest.jsonl"

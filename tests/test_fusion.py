@@ -22,6 +22,7 @@ from sedfuse.fusion import (
     logistic_loss_and_grad,
     sweep_beta,
 )
+from sedfuse.synth import ModelSkill, ScenarioConfig, gen_truth, simulate_model
 
 VOCAB2 = ClassVocabulary(("a", "b"))
 
@@ -350,13 +351,57 @@ class TestLogisticFusion:
         expected = (oracle[0].values[:, 1] + noise[0].values[:, 1]) / 2
         np.testing.assert_allclose(fused.values[:, 1], expected, atol=1e-15)
 
+    def test_separable_class_converges_with_finite_weights(self, rng):
+        # a perfect oracle separates class "a" exactly: the optimum lies at
+        # infinity, so only the loss-based stop can end the fit
+        truth, oracle, noise = _oracle_pair_setup(rng)
+        for model_grids in ([oracle], [oracle, noise]):
+            model = fit_logistic_fusion(model_grids, truth, VOCAB2)
+            assert np.isfinite(model.weights).all() and np.isfinite(model.bias).all()
+            assert model.iterations[0] <= 25
+            assert model.final_loss[0] <= 1e-6
+            assert model.grad_norm[0] <= 1e-6
+
+    def test_newton_reaches_gradient_descent_loss(self):
+        vocab = ClassVocabulary(("a", "b", "c"))
+        cfg = ScenarioConfig(
+            seed=7, n_clips=12, frames_per_clip=128, classes=vocab.classes,
+            events_per_clip=(1, 3), duration_seconds=(0.25, 3.0),
+        )
+        truth, _ = gen_truth(cfg)
+        skills = [
+            ModelSkill.uniform(3, miss_rate=0.1, false_alarm_rate=0.02,
+                               jitter_frames=2, sharpness=6.0),
+            ModelSkill.uniform(3, miss_rate=0.3, false_alarm_rate=0.01,
+                               jitter_frames=0, sharpness=3.0),
+            ModelSkill.uniform(3, miss_rate=0.05, false_alarm_rate=0.05,
+                               jitter_frames=4, sharpness=10.0),
+        ]
+        model_grids = [
+            simulate_model(truth, skill, cfg, seed=11 + m) for m, skill in enumerate(skills)
+        ]
+        model = fit_logistic_fusion(model_grids, truth, vocab)
+        # final losses of the earlier full-batch gradient-descent fitter
+        # (97, 141 and 160 iterations) on this fixture
+        gradient_descent = [0.05654017531242072, 0.07100542765012696, 0.06781436730099756]
+        assert not model.fallback.any()
+        assert (model.final_loss <= gradient_descent).all()
+        assert (model.grad_norm <= 1e-6).all()
+
+    def test_metadata_reports_convergence(self, rng):
+        truth, oracle, noise = _oracle_pair_setup(rng)
+        meta = fit_logistic_fusion([oracle, noise], truth, VOCAB2).metadata()
+        assert set(meta) >= {"iterations", "final_loss", "grad_norm", "fallback"}
+        assert meta["grad_norm"][0] <= 1e-6
+        assert math.isnan(meta["grad_norm"][1])  # class "b" fell back
+
     def test_apply_zero_model_gives_half(self, rng):
         from sedfuse.fusion import LogisticFusionModel
 
         lm = LogisticFusionModel(
             ("m1", "m2"), VOCAB2.classes,
             np.zeros((2, 2)), np.zeros(2),
-            np.zeros(2, dtype=np.int64), np.zeros(2), np.zeros(2, dtype=bool),
+            np.zeros(2, dtype=np.int64), np.zeros(2), np.zeros(2, dtype=bool), np.zeros(2),
         )
         out = apply_logistic_fusion(lm, [random_grid(rng), random_grid(rng)])
         np.testing.assert_allclose(out.values, 0.5, atol=1e-15)
@@ -368,7 +413,7 @@ class TestLogisticFusion:
         b = rng.normal(size=2)
         lm = LogisticFusionModel(
             ("m1", "m2", "m3"), VOCAB2.classes, w, b,
-            np.zeros(2, dtype=np.int64), np.zeros(2), np.zeros(2, dtype=bool),
+            np.zeros(2, dtype=np.int64), np.zeros(2), np.zeros(2, dtype=bool), np.zeros(2),
         )
         grids = [random_grid(rng) for _ in range(3)]
         out = apply_logistic_fusion(lm, grids)
