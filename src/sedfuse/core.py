@@ -17,6 +17,7 @@ write/parse round trip is value-exact.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import tempfile
@@ -294,7 +295,7 @@ class TagPrediction:
         for name, p in self.probs.items():
             if not (0.0 <= p <= 1.0):
                 raise ValidationError(
-                    f"{self.source_id}: probability {p!r} for {name!r} outside [0, 1]"
+                    f"{self.source_id}: probability {fmt_float(p)} for {name!r} outside [0, 1]"
                 )
 
     def validate_vocab(self, vocab: ClassVocabulary) -> None:
@@ -521,8 +522,11 @@ def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[Fr
                 f"{path}:{line_no}: class set {classes} does not match vocabulary"
             )
         try:
+            # Exact cell types: numpy would read "0.9" and true as numbers.
+            if not set(map(type, itertools.chain.from_iterable(posteriors))) <= {float, int}:
+                raise TypeError
             arr = np.asarray(posteriors, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ParseError(
                 path, line_no, "posteriors must be a rectangular matrix of numbers"
             ) from None

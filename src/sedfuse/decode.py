@@ -8,7 +8,8 @@ and any threshold ``t > 0``, ``median_w(p) >= t`` equals
 ``majority_w(p >= t)``: median filtering commutes with thresholding
 (Fitch, Coyle & Gallagher, IEEE TASSP 32(6), 1984). So ``decode`` equals
 ``extract_events(median_smooth(binarize(grid)))``, and a threshold sweep
-such as PSDS smooths once. ``rasterize`` inverts ``extract_events`` for
+such as PSDS smooths once and reads all thresholds' runs from level
+crossings (``_level_runs``). ``rasterize`` inverts ``extract_events`` for
 frame-aligned events and produces frame targets for fusion fitting.
 """
 
@@ -29,6 +30,7 @@ from .core import (
     EventList,
     FrameGrid,
     ValidationError,
+    fmt_float,
 )
 
 
@@ -50,12 +52,12 @@ class PostProcessConfig:
         object.__setattr__(self, "class_median_windows", dict(self.class_median_windows))
         for t in [self.default_threshold, *self.class_thresholds.values()]:
             if not (0.0 < float(t) < 1.0):
-                raise ValidationError(f"threshold {t!r} outside (0, 1)")
+                raise ValidationError(f"threshold {fmt_float(t)} outside (0, 1)")
         for w in [self.default_median_window, *self.class_median_windows.values()]:
             if not (isinstance(w, (int, np.integer)) and w >= 1):
                 raise ValidationError(f"median window {w!r} must be a positive integer")
             if w % 2 == 0:
-                raise ValidationError(f"median window {w!r} must be odd")
+                raise ValidationError(f"median window {int(w)} must be odd")
 
     def threshold_for(self, class_name: str) -> float:
         return float(self.class_thresholds.get(class_name, self.default_threshold))
@@ -169,6 +171,37 @@ def _active_runs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     row, start = np.nonzero(delta == 1)
     _, end = np.nonzero(delta == -1)
     return row // n_classes, row % n_classes, start, end
+
+
+def _level_runs(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(k, start, end_exclusive) of the maximal runs of ``levels > k`` for every
+    level k, along a 1-D array of levels with 0 beyond both ends; ordered by k,
+    then start.
+
+    A step up from lo to hi at i starts a run at i for each k in [lo, hi); a
+    step down from hi to lo ends one there, so the n-th start and the n-th end
+    of one k bound the same run. k keeps the dtype of ``levels``: a 16-bit or
+    narrower one gets numpy's radix sort."""
+    edges = np.zeros(len(levels) + 2, dtype=levels.dtype)
+    edges[1:-1] = levels
+    before, after = edges[:-1], edges[1:]
+    up = np.flatnonzero(after > before)
+    down = np.flatnonzero(after < before)
+    k, start = _steps_by_level(before[up], after[up], up)
+    _, end = _steps_by_level(after[down], before[down], down)
+    return k, start, end
+
+
+def _steps_by_level(
+    lo: np.ndarray, hi: np.ndarray, at: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(k, at) for every k in [lo, hi) of each step, stably sorted by k."""
+    counts = (hi - lo).astype(np.int64)
+    step = np.repeat(np.arange(len(at)), counts)
+    first = np.cumsum(counts) - counts
+    k = (lo[step] + (np.arange(len(step)) - first[step])).astype(lo.dtype)
+    order = np.argsort(k, kind="stable")
+    return k[order], at[step[order]]
 
 
 def _events(grids, vocab: ClassVocabulary, clip, cls, start, end) -> EventList:

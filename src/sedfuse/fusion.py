@@ -31,6 +31,7 @@ from .core import (
     FrameGrid,
     ValidationError,
     atomic_write_text,
+    fmt_float,
 )
 from .decode import PostProcessConfig, decode_many, rasterize
 from .metrics import CollarConfig, F1Report, event_f1
@@ -69,7 +70,7 @@ def combine_pair(p_a: FrameGrid, p_b: FrameGrid, alpha: float) -> FrameGrid:
     """Elementwise convex combination ``alpha * p_a + (1 - alpha) * p_b``."""
     _require_aligned([p_a, p_b])
     if not (0.0 <= alpha <= 1.0):
-        raise ValidationError(f"alpha {alpha!r} outside [0, 1]")
+        raise ValidationError(f"alpha {fmt_float(alpha)} outside [0, 1]")
     # Endpoint and equal-input short circuits keep those cases bit-exact.
     if alpha == 1.0 or np.array_equal(p_a.values, p_b.values):
         return FrameGrid(p_a.clip_id, p_a.hop_seconds, p_a.values)
@@ -226,7 +227,7 @@ def classwise_weights(
 ) -> FusionWeights:
     """Per-class softmax of ``beta * F1`` over models (max-subtracted)."""
     if not np.isfinite(beta):
-        raise ValidationError(f"beta must be finite, got {beta!r}")
+        raise ValidationError(f"beta must be finite, got {fmt_float(beta)}")
     scaled = beta * table.values
     scaled = scaled - scaled.max(axis=0, keepdims=True)
     expd = np.exp(scaled)

@@ -7,6 +7,15 @@ classifies detections with intersection criteria (detection tolerance,
 ground-truth coverage, cross-trigger tolerance), builds per-class ROC
 staircases of true-positive rate against effective false-positive rate
 per hour, and integrates the across-class effective curve up to ``e_max``.
+
+The sweep smooths each dump once and reads every operating point's
+detections from level crossings: each smoothed value ``s`` is quantized
+once per class to ``searchsorted(ops, s, "right")``, and since ``ops`` is
+strictly increasing, ``s >= ops[k]`` holds exactly when that level exceeds
+``k``. A step up from level ``lo`` to ``hi`` starts a run at every
+operating point in ``[lo, hi)`` and a step down ends one, so one pass per
+class gives each operating point the detections that decoding at its
+threshold would give, in (clip, onset) order.
 """
 
 from __future__ import annotations
@@ -16,8 +25,8 @@ import numpy as np
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from .core import ClassVocabulary, EventList, FrameGrid, ValidationError
-from .decode import PostProcessConfig, _active_runs, _running_median, _stack_by_frames
+from .core import ClassVocabulary, EventList, FrameGrid, ValidationError, fmt_float
+from .decode import PostProcessConfig, _level_runs, _running_median, _stack_by_frames
 
 
 # ---------------------------------------------------------------------------
@@ -40,7 +49,7 @@ class CollarConfig:
     def __post_init__(self):
         for v in (self.onset_collar, self.offset_collar_min, self.offset_collar_ratio):
             if v < 0:
-                raise ValidationError(f"collar value {v!r} must be >= 0")
+                raise ValidationError(f"collar value {fmt_float(v)} must be >= 0")
 
 
 def events_compatible(ref_onset, ref_offset, est_onset, est_offset, cfg: CollarConfig) -> bool:
@@ -227,7 +236,7 @@ class PSDSConfig:
         object.__setattr__(self, "operating_points", tuple(float(t) for t in self.operating_points))
         for name, v in (("dtc", self.dtc), ("gtc", self.gtc), ("cttc", self.cttc)):
             if not (0.0 < v <= 1.0):
-                raise ValidationError(f"{name}={v!r} outside (0, 1]")
+                raise ValidationError(f"{name}={fmt_float(v)} outside (0, 1]")
         if self.alpha_ct < 0 or self.alpha_st < 0:
             raise ValidationError("alpha_ct and alpha_st must be >= 0")
         if not self.e_max > 0:
@@ -393,41 +402,51 @@ def psds_many(
     fp = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
     ct = np.zeros((n_cfg, n_op, n_classes, n_classes), dtype=np.int64)
 
-    # Threshold decomposition: smooth once, then each operating point only compares.
+    # Smooth once, then sweep level crossings (module docstring). Clip j's levels
+    # sit at levels[first[j]:first[j] + frames[j]], then a 0 that ends its runs.
     windows = decode_cfg.window_vector(vocab)
-    stacks = [(idx, _running_median(stack, windows)) for idx, stack in _stack_by_frames(grids)]
+    frames = np.array([g.n_frames for g in grids])
+    first = np.cumsum(frames + 1) - (frames + 1)
+    stacks = [
+        (first[idx][:, None] + np.arange(stack.shape[1]), _running_median(stack, windows))
+        for idx, stack in _stack_by_frames(grids)
+    ]
     hops = np.array([g.hop_seconds for g in grids])
-    for oi, threshold in enumerate(ops):
-        parts = []
-        for idx, smoothed in stacks:
-            clip, cls, start, end = _active_runs(smoothed >= threshold)
-            k = idx[clip]
-            parts.append((cls, start * hops[k] + bases[k], end * hops[k] + bases[k]))
-        cls, onsets, offsets = (np.concatenate(arrays) for arrays in zip(*parts))
-        # _Coverage needs each class's detections sorted by onset.
-        order = np.lexsort((onsets, cls))
-        bounds = np.searchsorted(cls[order], np.arange(n_classes + 1))
-        for c in range(n_classes):
-            sel = order[bounds[c] : bounds[c + 1]]
-            on, off = onsets[sel], offsets[sel]
-            lengths = off - on
-            ratio_same = gt_cov[c].intersect(on, off) / lengths
-            for gi, cfg in enumerate(psds_cfgs):
-                passing = ratio_same >= cfg.dtc
-                fp[gi, oi, c] = int(np.sum(~passing))
-                if n_ref[c] > 0 and passing.any():
-                    det_cov = _Coverage(on[passing], off[passing])
+    ops_arr = np.asarray(ops)
+    levels = np.zeros(int(np.sum(frames + 1)), dtype=np.min_scalar_type(n_op))
+    for c in range(n_classes):
+        for pos, smoothed in stacks:
+            levels[pos] = np.searchsorted(ops_arr, smoothed[:, :, c], side="right")
+        # By operating point, then clip, then onset: _Coverage needs onset order.
+        op, start, end = _level_runs(levels)
+        clip = np.searchsorted(first, start, side="right") - 1
+        on = (start - first[clip]) * hops[clip] + bases[clip]
+        off = (end - first[clip]) * hops[clip] + bases[clip]
+        lengths = off - on
+        bounds = np.searchsorted(op, np.arange(n_op + 1))
+        ratio_same = gt_cov[c].intersect(on, off) / lengths
+        for gi, cfg in enumerate(psds_cfgs):
+            passing = ratio_same >= cfg.dtc
+            fp[gi, :, c] = np.bincount(op[~passing], minlength=n_op)
+            # One _Coverage per operating point, over its passing detections.
+            for oi in range(n_op):
+                kept = bounds[oi] + np.flatnonzero(passing[bounds[oi] : bounds[oi + 1]])
+                if n_ref[c] > 0 and len(kept):
+                    det_cov = _Coverage(on[kept], off[kept])
                     covered = det_cov.intersect(gt_on_arr[c], gt_off_arr[c])
                     tp[gi, oi, c] = int(
                         np.sum(covered / (gt_off_arr[c] - gt_on_arr[c]) >= cfg.gtc)
                     )
-                if cfg.alpha_ct > 0 and (~passing).any():
-                    f_on, f_off, f_len = on[~passing], off[~passing], lengths[~passing]
-                    for c2 in evaluated:
-                        if c2 == c:
-                            continue
-                        ratio_cross = gt_cov[c2].intersect(f_on, f_off) / f_len
-                        ct[gi, oi, c, c2] = int(np.sum(ratio_cross >= cfg.cttc))
+            if cfg.alpha_ct > 0:
+                failing = ~passing
+                f_on, f_off, f_len, f_op = on[failing], off[failing], lengths[failing], op[failing]
+                for c2 in evaluated:
+                    if c2 == c:
+                        continue
+                    ratio_cross = gt_cov[c2].intersect(f_on, f_off) / f_len
+                    ct[gi, :, c, c2] = np.bincount(
+                        f_op[ratio_cross >= cfg.cttc], minlength=n_op
+                    )
 
     reports = []
     for gi, cfg in enumerate(psds_cfgs):

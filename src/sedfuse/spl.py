@@ -21,6 +21,7 @@ from .core import (
     TagPrediction,
     ValidationError,
     atomic_write_text,
+    fmt_float,
 )
 
 
@@ -46,7 +47,7 @@ class PseudoLabel:
 
     def __post_init__(self):
         if not (0.0 <= self.confidence <= 1.0):
-            raise ValidationError(f"confidence {self.confidence!r} outside [0, 1]")
+            raise ValidationError(f"confidence {fmt_float(self.confidence)} outside [0, 1]")
         if self.verdict is Verdict.SINGLE_EVENT and not self.event_class:
             raise ValidationError("single-event pseudo-label needs a class")
         if self.verdict is not Verdict.SINGLE_EVENT and self.event_class is not None:
@@ -82,7 +83,7 @@ def assign_pseudo_label(
     in A).
     """
     if not (0.0 < tau < 1.0):
-        raise ValidationError(f"tau {tau!r} outside (0, 1)")
+        raise ValidationError(f"tau {fmt_float(tau)} outside (0, 1)")
     tag.validate_vocab(vocab)
     active = [c for c in vocab.classes if tag.probs[c] >= tau]
     if len(active) == 1:

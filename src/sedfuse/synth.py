@@ -28,6 +28,7 @@ from .core import (
     TagPrediction,
     ValidationError,
     WeakLabelSet,
+    fmt_float,
 )
 
 STREAM_TRUTH = 0
@@ -150,7 +151,7 @@ class ModelSkill:
             raise ValidationError("per-class skill tuples must share one length")
         for r in (*self.miss_rate, *self.false_alarm_rate):
             if not (0.0 <= r <= 1.0):
-                raise ValidationError(f"rate {r!r} outside [0, 1]")
+                raise ValidationError(f"rate {fmt_float(r)} outside [0, 1]")
         for j in self.jitter_frames:
             if j < 0:
                 raise ValidationError("jitter must be >= 0 frames")
@@ -192,7 +193,7 @@ class SeparationSkill:
     def __post_init__(self):
         for p in (self.clean, self.leakage, self.residual, self.tagging_error):
             if not (0.0 <= p <= 1.0):
-                raise ValidationError(f"probability {p!r} outside [0, 1]")
+                raise ValidationError(f"probability {fmt_float(p)} outside [0, 1]")
         if self.clean + self.leakage + self.residual <= 0:
             raise ValidationError("outcome probabilities sum to zero")
 

@@ -159,6 +159,19 @@ class TestMalformedGrids:
                 id="non-numeric-cell",
             ),
             pytest.param(
+                '"hop_seconds": 0.1, "classes": ["a", "b"], "posteriors": [["0.9", true]]',
+                id="numeric-string-and-boolean-cells",
+            ),
+            pytest.param(
+                '"hop_seconds": 0.1, "classes": ["a", "b"], "posteriors": [[0.5, 0.5], 7]',
+                id="non-list-row",
+            ),
+            pytest.param(
+                '"hop_seconds": 0.1, "classes": ["a", "b"], "posteriors": [[1'
+                + "0" * 400 + ", 0]]",
+                id="integer-beyond-float",
+            ),
+            pytest.param(
                 '"hop_seconds": "fast", "classes": ["a", "b"], "posteriors": [[0.5, 0.5]]',
                 id="non-numeric-hop",
             ),
@@ -178,6 +191,13 @@ class TestMalformedGrids:
         assert run("decode", "--grids", bad, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert f"{bad}:2:" in err and "Traceback" not in err
+
+    def test_integer_cells_decode(self, tmp_path):
+        grids = tmp_path / "grids.jsonl"
+        grids.write_text(GOOD_GRID.replace("[[0.5, 0.5]]", "[[0, 1], [1, 1]]") + "\n")
+        out = tmp_path / "o"
+        assert run("decode", "--grids", grids, "--median-windows", "1", "--out", out) == 0
+        assert len(parse_events(out / "events.tsv")) == 2
 
     def test_classes_string_on_first_line_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "grids.jsonl"

@@ -1,4 +1,4 @@
-"""Domain types and file round trips."""
+"""Domain types, file round trips and validation messages."""
 
 import numpy as np
 import pytest
@@ -25,6 +25,11 @@ from sedfuse.core import (
     write_tags,
     write_weak_labels,
 )
+from sedfuse.decode import PostProcessConfig
+from sedfuse.fusion import ClassF1Table, classwise_weights, combine_pair
+from sedfuse.metrics import CollarConfig, PSDSConfig
+from sedfuse.spl import PseudoLabel, Verdict, assign_pseudo_label
+from sedfuse.synth import ModelSkill, SeparationSkill
 
 
 class TestVocabulary:
@@ -342,3 +347,41 @@ class TestManifestJSONL:
         path = tmp_path / "sep_manifest.jsonl"
         path.write_text("")
         assert len(parse_manifest(path)) == 0
+
+
+F64 = np.float64
+GRID = FrameGrid("c", 0.1, np.full((2, 2), 0.5))
+TAG = TagPrediction("s", "m", {"a": 0.5, "other": 0.5})
+F1_TABLE = ClassF1Table(("m1", "m2"), ("a",), [[0.5], [0.6]])
+
+
+@pytest.mark.parametrize(
+    "raise_it, shown",
+    [
+        pytest.param(lambda: PostProcessConfig(default_threshold=F64(1.5)), "threshold 1.5",
+                     id="decode-threshold"),
+        pytest.param(lambda: PostProcessConfig(default_median_window=np.int64(4)),
+                     "median window 4 must", id="decode-window"),
+        pytest.param(lambda: combine_pair(GRID, GRID, F64(1.5)), "alpha 1.5", id="pair-alpha"),
+        pytest.param(lambda: classwise_weights(F1_TABLE, F64("nan")), "got nan",
+                     id="classwise-beta"),
+        pytest.param(lambda: CollarConfig(onset_collar=F64(-0.5)), "collar value -0.5",
+                     id="collar"),
+        pytest.param(lambda: PSDSConfig(gtc=F64(1.5)), "gtc=1.5", id="psds-gtc"),
+        pytest.param(lambda: PseudoLabel(Verdict.OTHER, F64(1.5)), "confidence 1.5",
+                     id="spl-confidence"),
+        pytest.param(lambda: assign_pseudo_label(TAG, F64(1.5), ClassVocabulary(("a",))),
+                     "tau 1.5", id="spl-tau"),
+        pytest.param(lambda: ModelSkill((F64(1.5),), (0.0,), (0,), (1.0,)), "rate 1.5",
+                     id="synth-rate"),
+        pytest.param(lambda: SeparationSkill(clean=F64(1.5)), "probability 1.5",
+                     id="synth-probability"),
+        pytest.param(lambda: TagPrediction("s", "m", {"a": F64(1.5)}), "probability 1.5",
+                     id="tag-probability"),
+    ],
+)
+def test_messages_print_numpy_numbers_plainly(raise_it, shown):
+    with pytest.raises(ValidationError) as err:
+        raise_it()
+    assert shown in str(err.value)
+    assert "np." not in str(err.value)

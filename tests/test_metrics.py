@@ -1,12 +1,15 @@
-"""Collar F1 (with an exhaustive matching oracle) and PSDS."""
+"""Collar F1 (with an exhaustive matching oracle) and PSDS (with a brute-force oracle)."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, ValidationError
-from sedfuse.decode import PostProcessConfig
+from sedfuse.decode import PostProcessConfig, decode_many
 from sedfuse.metrics import (
     PSDS1,
     PSDS2,
@@ -18,6 +21,7 @@ from sedfuse.metrics import (
     psds,
     psds_many,
     report_tables,
+    _roc_report,
 )
 
 V1 = ClassVocabulary(("A",))
@@ -371,6 +375,116 @@ class TestPSDS:
         assert 0.0 <= report.psds <= 1.0
         for _, efpr, _ in report.class_rocs["A"]:
             assert efpr >= 0.0
+
+
+def covered(a, b, intervals):
+    """|[a, b) ∩ union of intervals|, merging the intervals in a plain loop."""
+    union = []
+    for s, e in sorted(intervals):
+        if union and s <= union[-1][1]:
+            union[-1][1] = max(union[-1][1], e)
+        else:
+            union.append([s, e])
+    return sum(max(0.0, min(b, e) - max(a, s)) for s, e in union)
+
+
+def brute_force_psds(grids, ref, pp, cfgs, vocab):
+    """Decode at each operating point on its own and classify every detection
+    against the PSDS criteria one at a time; the counts then go through the
+    scorer's own ``_roc_report``, which the sweep does not touch."""
+    ops = cfgs[0].operating_points
+    classes = vocab.classes
+    gt = {}
+    for ev in ref:
+        gt.setdefault((ev.clip_id, ev.event_label), []).append((ev.onset, ev.offset))
+    n_ref = np.array([sum(ev.event_label == c for ev in ref) for c in classes])
+    gt_dur = np.array(
+        [sum(ev.offset - ev.onset for ev in ref if ev.event_label == c) for c in classes],
+        dtype=float,
+    )
+    total_dur = sum(g.duration_seconds for g in grids)
+    reports = []
+    for cfg in cfgs:
+        tp = np.zeros((len(ops), len(classes)), dtype=np.int64)
+        fp = np.zeros_like(tp)
+        ct = np.zeros((len(ops), len(classes), len(classes)), dtype=np.int64)
+        for oi, threshold in enumerate(ops):
+            passing = {}
+            at_threshold = dataclasses.replace(pp, default_threshold=threshold)
+            for d in decode_many(grids, at_threshold, vocab):
+                c, length = classes.index(d.event_label), d.offset - d.onset
+                key = (d.clip_id, d.event_label)
+                if covered(d.onset, d.offset, gt.get(key, [])) / length >= cfg.dtc:
+                    passing.setdefault(key, []).append((d.onset, d.offset))
+                    continue
+                fp[oi, c] += 1
+                for c2, other in enumerate(classes):
+                    other_gt = gt.get((d.clip_id, other), [])
+                    if c2 != c and covered(d.onset, d.offset, other_gt) / length >= cfg.cttc:
+                        ct[oi, c, c2] += 1
+            for ev in ref:
+                dets = passing.get((ev.clip_id, ev.event_label), [])
+                if covered(ev.onset, ev.offset, dets) / (ev.offset - ev.onset) >= cfg.gtc:
+                    tp[oi, classes.index(ev.event_label)] += 1
+        evaluated = np.flatnonzero(n_ref > 0)
+        reports.append(
+            _roc_report(cfg, ops, vocab, evaluated, n_ref, gt_dur, total_dur, tp, fp, ct)
+        )
+    return reports
+
+
+POSTERIOR = st.integers(0, 20).map(lambda k: k / 20)
+WINDOW = st.integers(0, 3).map(lambda k: 2 * k + 1)
+# One point; a subset of the posterior grid, so cells land on thresholds; 319
+# points, more than an 8-bit level holds (16k / 320 is the same double as k / 20).
+OPERATING_POINTS = st.one_of(
+    st.just((0.5,)),
+    st.lists(st.integers(1, 19), min_size=1, unique=True).map(
+        lambda ks: tuple(k / 20 for k in sorted(ks))
+    ),
+    st.just(tuple(k / 320 for k in range(1, 320))),
+)
+
+
+@st.composite
+def psds_setups(draw):
+    """A few clips with dyadic hops and mixed frame counts, reference events on a
+    quarter-second grid (so every time and coverage is exact), per-class windows."""
+    vocab = ClassVocabulary(tuple("abc"[: draw(st.integers(1, 3))]))
+    pp = PostProcessConfig(
+        default_median_window=draw(WINDOW),
+        class_median_windows=draw(st.dictionaries(st.sampled_from(vocab.classes), WINDOW)),
+    )
+    grids, events = [], []
+    for i in range(draw(st.integers(1, 4))):
+        hop = draw(st.sampled_from((0.25, 0.5, 1.0)))
+        frames = draw(st.integers(1, 12))
+        row = st.lists(POSTERIOR, min_size=len(vocab), max_size=len(vocab))
+        values = draw(st.lists(row, min_size=frames, max_size=frames))
+        grids.append(FrameGrid(f"c{i}", hop, np.array(values)))
+        quarters = int(frames * hop * 4)
+        for _ in range(draw(st.integers(1 if i == 0 else 0, 3))):
+            onset = draw(st.integers(0, quarters - 1))
+            offset = draw(st.integers(onset + 1, quarters))
+            label = draw(st.sampled_from(vocab.classes))
+            events.append(Event(f"c{i}", onset / 4, offset / 4, label))
+    return grids, EventList(events), pp, vocab
+
+
+class TestPSDSOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(setup=psds_setups(), ops=OPERATING_POINTS)
+    def test_sweep_equals_brute_force(self, setup, ops):
+        grids, ref, pp, vocab = setup
+        cfgs = [
+            PSDSConfig.from_dict({**base.to_dict(), "operating_points": ops})
+            for base in (PSDS1, PSDS2)
+        ]
+        assert cfgs[1].alpha_ct > 0
+        got = psds_many(grids, ref, pp, cfgs, vocab)
+        for report, oracle in zip(got, brute_force_psds(grids, ref, pp, cfgs, vocab)):
+            assert report.class_rocs == oracle.class_rocs
+            assert report.psds == oracle.psds
 
 
 class TestReportTables:
