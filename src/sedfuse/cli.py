@@ -34,6 +34,7 @@ from .core import (
     ValidationError,
     atomic_write_text,
     first_record,
+    load_json_object,
     parse_events,
     parse_framegrids,
     parse_manifest,
@@ -56,7 +57,6 @@ from .fusion import (
     fit_logistic_fusion,
     fuse_average,
     fuse_classwise,
-    save_curve,
     sweep_beta,
     _aligned_clip_sets,
 )
@@ -304,11 +304,8 @@ def cmd_fuse(args) -> int:
                 raise ValidationError("--alpha fit needs --truth to score against")
             truth = parse_events(run.reads(args.truth), vocab)
             fit = fit_alpha(pairs, truth, decode_cfg, vocab)
-            save_curve(
-                run.writes(out / "curves.json"),
-                "alpha", fit.alpha, fit.objective, fit.curve,
-            )
-            alpha = fit.alpha
+            fit.save(run.writes(out / "curves.json"))
+            alpha = fit.best
         else:
             try:
                 alpha = float(args.alpha)
@@ -346,11 +343,8 @@ def cmd_fuse(args) -> int:
                 raise ValidationError("beta sweeps need --truth to score against")
             truth = parse_events(run.reads(args.truth), vocab)
             sweep = sweep_beta(model_grids, table, truth, betas, decode_cfg, vocab)
-            save_curve(
-                run.writes(out / "curves.json"),
-                "beta", sweep.beta, sweep.objective, sweep.curve,
-            )
-            beta = sweep.beta
+            sweep.save(run.writes(out / "curves.json"))
+            beta = sweep.best
         weights = classwise_weights(table, beta)
         fused = [
             fuse_classwise(group, weights) for group in _aligned_clip_sets(model_grids)
@@ -455,8 +449,7 @@ def cmd_score(args) -> int:
 
 def _psds_cfg_from_args(args, default: PSDSConfig, run: _Run) -> PSDSConfig:
     if args.psds_config:
-        with open(run.reads(args.psds_config), "r", encoding="utf-8") as fh:
-            return PSDSConfig.from_dict(json.load(fh))
+        return load_json_object(run.reads(args.psds_config), PSDSConfig.from_dict)
     return default
 
 
@@ -518,10 +511,8 @@ def cmd_experiment(args) -> int:
         sweep = sweep_beta(
             model_grids, f1_table, truth, DEFAULT_BETA_SWEEP, decode_cfg, vocab, collar
         )
-        save_curve(
-            run.writes(out / "curves.json"), "beta", sweep.beta, sweep.objective, sweep.curve
-        )
-        weights = classwise_weights(f1_table, sweep.beta)
+        sweep.save(run.writes(out / "curves.json"))
+        weights = classwise_weights(f1_table, sweep.best)
         fused["classwise"] = [fuse_classwise(g, weights) for g in clip_groups]
 
         stage = "decode+score"
@@ -552,7 +543,7 @@ def cmd_experiment(args) -> int:
                                       "rate": acc_sel.rate},
         }
         report["beta_sweep"] = {
-            "best": sweep.beta,
+            "best": sweep.best,
             "objective": sweep.objective,
             "curve": [[b, s] for b, s in sweep.curve],
         }
@@ -566,7 +557,7 @@ def cmd_experiment(args) -> int:
             f"\nSPL: selected {summary.selected_total}/{summary.total_sources} sources "
             f"(rate {summary.selection_rate:.3f}); "
             f"tag accuracy all={acc_all.rate:.3f} selected={acc_sel.rate:.3f}\n"
-            f"beta sweep best={sweep.beta}\n"
+            f"beta sweep best={sweep.best}\n"
         )
         atomic_write_text(run.writes(out / "report.txt"), text)
         print(text, end="")

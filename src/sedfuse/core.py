@@ -22,7 +22,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -445,6 +445,35 @@ def write_weak_labels(weak: WeakLabelSet, vocab: ClassVocabulary, path: str | os
         ordered = sorted(classes, key=vocab.index)
         lines.append(f"{clip_id}\t{','.join(ordered)}")
     atomic_write_text(path, "\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# JSON config files
+# ---------------------------------------------------------------------------
+
+_Built = TypeVar("_Built")
+
+
+def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -> _Built:
+    """Read a JSON file whose top level is an object and ``build`` from it.
+
+    Invalid JSON and a top level that is not an object raise ``ParseError``;
+    a missing key or a wrongly typed value met by ``build`` raises a
+    ``ValidationError`` that names the file.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    if not isinstance(data, dict):
+        raise ParseError(path, 1, "top level must be a JSON object")
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise ValidationError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ frame-aligned events and produces frame targets for fusion fitting.
 from __future__ import annotations
 
 import functools
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -31,6 +30,7 @@ from .core import (
     FrameGrid,
     ValidationError,
     fmt_float,
+    load_json_object,
 )
 
 
@@ -55,7 +55,8 @@ class PostProcessConfig:
                 raise ValidationError(f"threshold {fmt_float(t)} outside (0, 1)")
         for w in [self.default_median_window, *self.class_median_windows.values()]:
             if not (isinstance(w, (int, np.integer)) and w >= 1):
-                raise ValidationError(f"median window {w!r} must be a positive integer")
+                shown = w.item() if isinstance(w, np.generic) else w
+                raise ValidationError(f"median window {shown!r} must be a positive integer")
             if w % 2 == 0:
                 raise ValidationError(f"median window {int(w)} must be odd")
 
@@ -82,8 +83,7 @@ class PostProcessConfig:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "PostProcessConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+        return load_json_object(path, cls.from_dict)
 
     def to_dict(self) -> dict:
         return {

@@ -13,6 +13,11 @@ Three fusion families over M aligned model dumps:
 * baselines: equal-weight average and per-class logistic regression fused
   at frame level, trained with deterministic damped Newton (IRLS).
 
+Pair (weights ``[alpha, 1 - alpha]``) and class-wise fusion share one kernel,
+``_fuse_weighted``, and ``fit_alpha`` and ``sweep_beta`` one development loop.
+The average keeps ``np.mean``: through the kernel, 44% of seed-42 cells move
+by up to 2.2e-16, and the frozen average F1 rests on ``np.mean``.
+
 All math is pure and deterministic with fixed summation order.
 """
 
@@ -21,7 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -32,6 +37,7 @@ from .core import (
     ValidationError,
     atomic_write_text,
     fmt_float,
+    load_json_object,
 )
 from .decode import PostProcessConfig, decode_many, rasterize
 from .metrics import CollarConfig, F1Report, event_f1
@@ -62,34 +68,75 @@ def _require_aligned(grids: Sequence[FrameGrid]) -> FrameGrid:
 
 
 # ---------------------------------------------------------------------------
+# The weighted-fusion kernel
+# ---------------------------------------------------------------------------
+
+
+def _fuse_weighted(
+    clips: Sequence[Sequence[FrameGrid]], weights: np.ndarray
+) -> list[FrameGrid]:
+    """Fuse aligned clip groups with ``(M, C)`` weights whose columns sum to one.
+
+    Anchored form ``g_1 + sum_{m>1} W[m] * (g_m - g_1)``, clipped to [0, 1]:
+    it equals the convex sum ``sum_m W[m] * g_m`` and fuses M copies of one
+    grid back to that grid bit-exactly. A model whose weight row is exactly
+    1.0 everywhere (alpha 0 or 1, a single model) is returned as is.
+    """
+    sole = np.flatnonzero((weights == 1.0).all(axis=1))
+    fused = []
+    for group in clips:
+        first = group[0]
+        if weights.shape != (len(group), first.n_classes):
+            raise ValidationError(
+                f"{weights.shape[0]} x {weights.shape[1]} weights for "
+                f"{len(group)} grids of {first.n_classes} classes"
+            )
+        if sole.size:
+            values = group[sole[0]].values
+        else:
+            values = first.values
+            for m in range(1, len(group)):
+                values = values + weights[m] * (group[m].values - first.values)
+            values = np.clip(values, 0.0, 1.0)
+        fused.append(FrameGrid(first.clip_id, first.hop_seconds, values))
+    return fused
+
+
+# ---------------------------------------------------------------------------
 # Pair combination
 # ---------------------------------------------------------------------------
 
 
-def combine_pair(p_a: FrameGrid, p_b: FrameGrid, alpha: float) -> FrameGrid:
-    """Elementwise convex combination ``alpha * p_a + (1 - alpha) * p_b``."""
-    _require_aligned([p_a, p_b])
+def _pair_weights(alpha: float, n_classes: int) -> np.ndarray:
     if not (0.0 <= alpha <= 1.0):
         raise ValidationError(f"alpha {fmt_float(alpha)} outside [0, 1]")
-    # Endpoint and equal-input short circuits keep those cases bit-exact.
-    if alpha == 1.0 or np.array_equal(p_a.values, p_b.values):
-        return FrameGrid(p_a.clip_id, p_a.hop_seconds, p_a.values)
-    if alpha == 0.0:
-        return FrameGrid(p_b.clip_id, p_b.hop_seconds, p_b.values)
-    mixed = np.clip(alpha * p_a.values + (1.0 - alpha) * p_b.values, 0.0, 1.0)
-    return FrameGrid(p_a.clip_id, p_a.hop_seconds, mixed)
+    return np.array([[alpha] * n_classes, [1.0 - alpha] * n_classes])
+
+
+def combine_pair(p_a: FrameGrid, p_b: FrameGrid, alpha: float) -> FrameGrid:
+    """Elementwise convex combination ``alpha * p_a + (1 - alpha) * p_b``."""
+    first = _require_aligned([p_a, p_b])
+    return _fuse_weighted([(p_a, p_b)], _pair_weights(alpha, first.n_classes))[0]
 
 
 @dataclass
-class AlphaFit:
-    """Fitted pair weight with the full search curve (higher = better)."""
+class CurveFit:
+    """A parameter fitted on a development set with its (value, score) curve (higher = better)."""
 
-    alpha: float
+    parameter: str
+    best: float
     objective: str
     curve: list[tuple[float, float]]
 
-    def best_score(self) -> float:
-        return max(s for _, s in self.curve)
+    def save(self, path: str | os.PathLike) -> None:
+        """curves.json: the fitted parameter with its (value, score) sweep."""
+        record = {
+            "parameter": self.parameter,
+            "objective": self.objective,
+            "best": self.best,
+            "curve": [[p, s] for p, s in self.curve],
+        }
+        atomic_write_text(path, json.dumps(record, indent=2) + "\n")
 
 
 def _objective_score(
@@ -116,6 +163,21 @@ def frame_bce(grids: Sequence[FrameGrid], truth: EventList, vocab: ClassVocabula
     return float(-np.mean(np.where(y, np.log(p), np.log1p(-p))))
 
 
+def _dev_curve(
+    clips: Sequence[Sequence[FrameGrid]], params: Sequence[float],
+    weights_for: Callable[[float], np.ndarray], dev_truth: EventList,
+    decode_cfg: PostProcessConfig, vocab: ClassVocabulary, objective: str, collar: CollarConfig,
+) -> list[tuple[float, float]]:
+    """Fuse the development dump with ``weights_for(p)`` for each parameter and score it."""
+    if not dev_truth.events:
+        raise ValidationError("development truth is empty")
+    curve = []
+    for p in params:
+        fused = _fuse_weighted(clips, weights_for(p))
+        curve.append((p, _objective_score(fused, dev_truth, decode_cfg, vocab, objective, collar)))
+    return curve
+
+
 def fit_alpha(
     dev_pairs: Sequence[tuple[FrameGrid, FrameGrid]],
     dev_truth: EventList,
@@ -123,7 +185,7 @@ def fit_alpha(
     vocab: ClassVocabulary,
     objective: str = OBJECTIVE_MACRO_F1,
     collar: CollarConfig = CollarConfig(),
-) -> AlphaFit:
+) -> CurveFit:
     """Grid-search alpha over {0.00, 0.01, ..., 1.00} on a development set.
 
     Ties are broken toward 0.5, then toward the smaller alpha, so a flat
@@ -131,19 +193,18 @@ def fit_alpha(
     """
     if not dev_pairs:
         raise ValidationError("development set is empty")
-    if not dev_truth.events:
-        raise ValidationError("development truth is empty")
-    curve: list[tuple[float, float]] = []
-    for i in range(101):
-        alpha = i / 100.0
-        combined = [combine_pair(a, b, alpha) for a, b in dev_pairs]
-        curve.append(
-            (alpha, _objective_score(combined, dev_truth, decode_cfg, vocab, objective, collar))
-        )
+    for pair in dev_pairs:
+        _require_aligned(pair)
+    n_classes = dev_pairs[0][0].n_classes
+    curve = _dev_curve(
+        dev_pairs, [i / 100.0 for i in range(101)],
+        lambda alpha: _pair_weights(alpha, n_classes),
+        dev_truth, decode_cfg, vocab, objective, collar,
+    )
     best_score = max(s for _, s in curve)
     candidates = [a for a, s in curve if s == best_score]
     alpha = min(candidates, key=lambda a: (abs(a - 0.5), a))
-    return AlphaFit(alpha, objective, curve)
+    return CurveFit("alpha", alpha, objective, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +256,9 @@ class ClassF1Table:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ClassF1Table":
-        with open(path, "r", encoding="utf-8") as fh:
-            record = json.load(fh)
-        return cls(tuple(record["models"]), tuple(record["classes"]), record["f1"])
+        return load_json_object(
+            path, lambda r: cls(tuple(r["models"]), tuple(r["classes"]), r["f1"])
+        )
 
 
 @dataclass
@@ -214,12 +275,18 @@ class FusionWeights:
         arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 2:
             raise ValidationError("weights must be an M x C matrix")
+        if not np.isfinite(arr).all():
+            raise ValidationError("weights must be finite")
+        if (arr < 0.0).any():
+            raise ValidationError("weights must be non-negative")
+        sums = arr.sum(axis=0)
+        off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+        if off.size:
+            raise ValidationError(
+                f"weight column {off[0]} sums to {fmt_float(sums[off[0]])}, not 1"
+            )
         arr.setflags(write=False)
         self.values = arr
-
-    @property
-    def n_models(self) -> int:
-        return self.values.shape[0]
 
 
 def classwise_weights(
@@ -241,26 +308,11 @@ def fuse_classwise(grids: Sequence[FrameGrid], weights: FusionWeights) -> FrameG
     ``normalized`` mode is the convex combination (fusing identical grids
     returns the grid unchanged); ``faithful`` mode divides the result by M.
     """
-    first = _require_aligned(grids)
-    if weights.n_models != len(grids):
-        raise ValidationError(
-            f"{weights.n_models} weight rows for {len(grids)} grids"
-        )
-    if weights.values.shape[1] != first.n_classes:
-        raise ValidationError(
-            f"{weights.values.shape[1]} weight columns for {first.n_classes} classes"
-        )
-    # Anchored form: g1 + sum_m w_m * (g_m - g1). With weight columns
-    # summing to one this equals the weighted sum, and fusing M copies of
-    # the same grid reproduces it bit-exactly.
-    anchor = grids[0].values
-    out = anchor.copy()
-    for m in range(1, len(grids)):
-        out += weights.values[m][None, :] * (grids[m].values - anchor)
-    out = np.clip(out, 0.0, 1.0)
+    _require_aligned(grids)
+    fused = _fuse_weighted([grids], weights.values)[0]
     if weights.mode == "faithful":
-        out = out / len(grids)
-    return FrameGrid(first.clip_id, first.hop_seconds, out)
+        return FrameGrid(fused.clip_id, fused.hop_seconds, fused.values / len(grids))
+    return fused
 
 
 def fuse_average(grids: Sequence[FrameGrid]) -> FrameGrid:
@@ -268,15 +320,6 @@ def fuse_average(grids: Sequence[FrameGrid]) -> FrameGrid:
     first = _require_aligned(grids)
     mean = np.clip(np.mean([g.values for g in grids], axis=0), 0.0, 1.0)
     return FrameGrid(first.clip_id, first.hop_seconds, mean)
-
-
-@dataclass
-class BetaSweep:
-    """Best beta under the development objective with the full curve."""
-
-    beta: float
-    objective: str
-    curve: list[tuple[float, float]]
 
 
 def sweep_beta(
@@ -287,25 +330,18 @@ def sweep_beta(
     decode_cfg: PostProcessConfig,
     vocab: ClassVocabulary,
     collar: CollarConfig = CollarConfig(),
-    mode: str = "normalized",
-) -> BetaSweep:
+) -> CurveFit:
     """Decode and score each beta on the development set; ties pick min beta."""
     if not betas:
         raise ValidationError("beta list is empty")
-    if not dev_truth.events:
-        raise ValidationError("development truth is empty")
-    clips = _aligned_clip_sets(model_grids)
-    curve: list[tuple[float, float]] = []
-    for beta in betas:
-        weights = classwise_weights(f1_table, beta, mode)
-        fused = [fuse_classwise(per_clip, weights) for per_clip in clips]
-        score = event_f1(
-            dev_truth, decode_many(fused, decode_cfg, vocab), collar, vocab
-        ).macro_f1
-        curve.append((float(beta), score))
+    curve = _dev_curve(
+        _aligned_clip_sets(model_grids), [float(b) for b in betas],
+        lambda beta: classwise_weights(f1_table, beta).values,
+        dev_truth, decode_cfg, vocab, OBJECTIVE_MACRO_F1, collar,
+    )
     best_score = max(s for _, s in curve)
     best_beta = min(b for b, s in curve if s == best_score)
-    return BetaSweep(best_beta, OBJECTIVE_MACRO_F1, curve)
+    return CurveFit("beta", best_beta, OBJECTIVE_MACRO_F1, curve)
 
 
 def _aligned_clip_sets(
@@ -495,22 +531,3 @@ def apply_logistic_fusion(
         else:
             out[:, c] = _sigmoid(stack[:, :, c] @ model.weights[c] + model.bias[c])
     return FrameGrid(first.clip_id, first.hop_seconds, out)
-
-
-# ---------------------------------------------------------------------------
-# Curve serialization
-# ---------------------------------------------------------------------------
-
-
-def save_curve(
-    path: str | os.PathLike, parameter: str, best: float, objective: str,
-    curve: Sequence[tuple[float, float]],
-) -> None:
-    """curves.json: the fitted parameter with its (value, score) sweep."""
-    record = {
-        "parameter": parameter,
-        "objective": objective,
-        "best": best,
-        "curve": [[p, s] for p, s in curve],
-    }
-    atomic_write_text(path, json.dumps(record, indent=2) + "\n")

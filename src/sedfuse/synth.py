@@ -12,7 +12,6 @@ sharpness: active frames draw ``u ** (1/s)``, inactive frames
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -29,6 +28,7 @@ from .core import (
     ValidationError,
     WeakLabelSet,
     fmt_float,
+    load_json_object,
 )
 
 STREAM_TRUTH = 0
@@ -644,5 +644,4 @@ def scenario_from_dict(data: Mapping) -> Scenario:
 
 
 def load_scenario(path: str | os.PathLike) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return scenario_from_dict(json.load(fh))
+    return load_json_object(path, scenario_from_dict)

@@ -219,6 +219,41 @@ class TestMalformedGrids:
         assert err.count(f"{bad}:2: duplicate clip id 'c0'") == 2
 
 
+class TestMalformedConfigs:
+    """Each malformed JSON config exits 2 naming its path, never a traceback."""
+
+    @pytest.mark.parametrize(
+        "flag, text, shown",
+        [
+            pytest.param("--decode-config", "{nope", "{path}:1: invalid JSON", id="decode-syntax"),
+            pytest.param("--decode-config", "[1, 2]", "{path}:1: top level must be a JSON object",
+                         id="decode-list"),
+            pytest.param("--f1-table", "{nope", "{path}:1: invalid JSON", id="f1-table-syntax"),
+            pytest.param("--f1-table", '{"models": ["m1"]}', "{path}: missing key 'classes'",
+                         id="f1-table-missing-key"),
+            pytest.param("--psds-config", '{"dtc": 0.7, "bogus": 1}', "{path}: ",
+                         id="psds-unknown-key"),
+            pytest.param("--config", '{"seed": "x"}', "{path}: ", id="scenario-seed"),
+        ],
+    )
+    def test_exits_2_with_path(self, tmp_path, capsys, flag, text, shown):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        grids = tmp_path / "grids.jsonl"
+        grids.write_text(GOOD_GRID + "\n")
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("filename\tonset\toffset\tevent_label\nc0\t0.0\t0.1\ta\n")
+        command = {
+            "--decode-config": ["decode", "--grids", grids],
+            "--f1-table": ["fuse", "--mode", "classwise", "--beta", "1", "--grids", grids],
+            "--psds-config": ["score", "--ref", ref, "--grids", grids, "--metric", "psds1"],
+            "--config": ["simulate"],
+        }[flag]
+        assert run(*command, flag, config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert shown.format(path=config) in err and "Traceback" not in err
+
+
 class TestFuse:
     def test_classwise_beta_zero_equals_average(self, dataset, tmp_path):
         table = tmp_path / "f1_table.json"

@@ -362,6 +362,10 @@ F1_TABLE = ClassF1Table(("m1", "m2"), ("a",), [[0.5], [0.6]])
                      id="decode-threshold"),
         pytest.param(lambda: PostProcessConfig(default_median_window=np.int64(4)),
                      "median window 4 must", id="decode-window"),
+        pytest.param(lambda: PostProcessConfig(default_median_window=F64(7.0)),
+                     "median window 7.0 must", id="decode-float-window"),
+        pytest.param(lambda: PostProcessConfig(default_median_window="7"),
+                     "median window '7' must", id="decode-string-window"),
         pytest.param(lambda: combine_pair(GRID, GRID, F64(1.5)), "alpha 1.5", id="pair-alpha"),
         pytest.param(lambda: classwise_weights(F1_TABLE, F64("nan")), "got nan",
                      id="classwise-beta"),

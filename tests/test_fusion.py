@@ -4,11 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from sedfuse.decode import PostProcessConfig, decode_many, rasterize
 from sedfuse.fusion import (
-    AlphaFit,
     ClassF1Table,
     FusionWeights,
     apply_logistic_fusion,
@@ -192,6 +194,64 @@ class TestFuseClasswise:
                 classwise_weights(table, 0.0),
             )
 
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([[0.5], [0.5], [0.5]], id="column-sums-to-1.5"),
+            pytest.param([[0.5], [0.5 + 1e-8]], id="column-off-by-1e-8"),
+            pytest.param([[float("nan")], [1.0]], id="nan"),
+            pytest.param([[float("inf")], [1.0]], id="inf"),
+            pytest.param([[-0.5], [1.5]], id="negative"),
+        ],
+    )
+    def test_weights_must_be_convex(self, values):
+        with pytest.raises(ValidationError):
+            FusionWeights(values, 0.0)
+
+    def test_weights_sum_tolerance(self):
+        FusionWeights([[0.5], [0.5 + 1e-12]], 0.0)
+
+
+@st.composite
+def _fusion_case(draw):
+    """M aligned grids and (M, C) weights on the simplex, sometimes one model's alone."""
+    m, c, t = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    cells = hnp.arrays(np.float64, (t, c), elements=st.floats(0.0, 1.0))
+    grids = [FrameGrid("c", 0.1, draw(cells)) for _ in range(m)]
+    sole = draw(st.none() | st.integers(0, m - 1))
+    if sole is None:
+        # integer draws make zero weights and one-hot columns common
+        raw = draw(hnp.arrays(np.int64, (m, c), elements=st.integers(0, 4))).astype(float)
+        raw[draw(st.integers(0, m - 1))] += 1.0
+        weights = raw / raw.sum(axis=0)
+    else:
+        weights = np.zeros((m, c))
+        weights[sole] = 1.0
+    return grids, weights, sole
+
+
+class TestFusionKernel:
+    @settings(max_examples=200, deadline=None)
+    @given(case=_fusion_case(), alpha=st.floats(0.0, 1.0))
+    def test_kernel_properties(self, case, alpha):
+        grids, weights, sole = case
+        out = fuse_classwise(grids, FusionWeights(weights, 0.0)).values
+        t, c = out.shape
+        oracle = np.zeros((t, c))
+        for m, g in enumerate(grids):
+            for i in range(t):
+                for j in range(c):
+                    oracle[i, j] += weights[m, j] * g.values[i, j]
+        np.testing.assert_allclose(out, oracle, rtol=0.0, atol=1e-12)
+        assert ((out >= 0.0) & (out <= 1.0)).all()
+        if sole is not None:
+            assert np.array_equal(out, grids[sole].values)
+        a, b = grids[0], grids[-1]
+        pair = FusionWeights([[alpha] * c, [1.0 - alpha] * c], 0.0)
+        assert np.array_equal(
+            combine_pair(a, b, alpha).values, fuse_classwise([a, b], pair).values
+        )
+
 
 class TestFuseAverage:
     def test_single_grid_identity(self, rng):
@@ -237,7 +297,7 @@ class TestFitAlpha:
             PostProcessConfig(default_median_window=1), VOCAB2,
             objective="frame-bce",
         )
-        assert fit.alpha == 0.0
+        assert fit.best == 0.0
 
     def test_flat_curve_tie_breaks_to_half(self, rng):
         truth, oracle, _ = _oracle_pair_setup(rng)
@@ -247,7 +307,7 @@ class TestFitAlpha:
         )
         scores = {s for _, s in fit.curve}
         assert len(scores) == 1
-        assert fit.alpha == 0.5
+        assert fit.best == 0.5
 
     def test_alpha_attains_curve_max(self, rng):
         truth, oracle, noise = _oracle_pair_setup(rng)
@@ -257,7 +317,7 @@ class TestFitAlpha:
             objective="frame-bce",
         )
         best = max(s for _, s in fit.curve)
-        got = dict(fit.curve)[fit.alpha]
+        got = dict(fit.curve)[fit.best]
         assert got == best
 
     def test_fine_grid_oracle(self, rng):
@@ -286,7 +346,7 @@ class TestFitAlpha:
             return frame_bce([combine_pair(a, b, alpha) for a, b in pairs], truth, vocab)
 
         fine = min((bce_at(i / 1000.0), i / 1000.0) for i in range(1001))
-        assert abs(fit.alpha - fine[1]) <= 0.05
+        assert abs(fit.best - fine[1]) <= 0.05
 
     def test_empty_dev_set(self):
         with pytest.raises(ValidationError):
@@ -435,7 +495,7 @@ class TestSweepBeta:
         truth, model_grids, table = self._setup(rng)
         cfg = PostProcessConfig(default_median_window=1)
         sweep = sweep_beta(model_grids, table, truth, [0.0], cfg, VOCAB2)
-        assert sweep.beta == 0.0
+        assert sweep.best == 0.0
         avg = [fuse_average(list(pair)) for pair in zip(*model_grids)]
         from sedfuse.metrics import CollarConfig, event_f1
 
@@ -448,7 +508,7 @@ class TestSweepBeta:
         cfg = PostProcessConfig(default_median_window=1)
         sweep = sweep_beta(model_grids, table, truth, [4.0, 0.0, 2.0], cfg, VOCAB2)
         assert len({s for _, s in sweep.curve}) == 1
-        assert sweep.beta == 0.0
+        assert sweep.best == 0.0
 
     def test_empty_betas(self, rng):
         truth, model_grids, table = self._setup(rng)
