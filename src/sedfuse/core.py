@@ -17,12 +17,13 @@ write/parse round trip is value-exact.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -343,18 +344,48 @@ class SeparationManifest:
 
 
 # ---------------------------------------------------------------------------
+# Reading text files
+# ---------------------------------------------------------------------------
+
+
+@contextlib.contextmanager
+def _open_utf8(path: str | os.PathLike) -> Iterator[TextIO]:
+    """Open a text file; bytes that are not UTF-8 raise ``ParseError`` at their line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            pass
+        else:
+            return
+    # The decoder reads ahead, so find the first bad byte in the whole file.
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise ParseError(path, line, f"not UTF-8: byte {exc.start} ({exc.reason})") from None
+    raise ParseError(path, 1, "not UTF-8")
+
+
+# ---------------------------------------------------------------------------
 # Atomic file writing
 # ---------------------------------------------------------------------------
 
 
-def atomic_write_text(path: str | os.PathLike, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> None:
+    """Write via a temp file in the target directory, then rename.
+
+    ``text`` is a string or an iterable of strings, written one at a time.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -370,7 +401,7 @@ def atomic_write_text(path: str | os.PathLike, text: str) -> None:
 def parse_events(path: str | os.PathLike, vocab: ClassVocabulary | None = None) -> EventList:
     """Read a 4-column annotation TSV; row order is preserved."""
     events: list[Event] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         header = fh.readline().rstrip("\n")
         if tuple(header.split("\t")) != EVENTS_HEADER:
             expected = "\t".join(EVENTS_HEADER)
@@ -414,7 +445,7 @@ def write_events(events: EventList, path: str | os.PathLike) -> None:
 def parse_weak_labels(path: str | os.PathLike, vocab: ClassVocabulary) -> WeakLabelSet:
     """Read clip-level labels; duplicate class names in a row collapse."""
     labels: dict[str, frozenset[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         header = fh.readline().rstrip("\n")
         if tuple(header.split("\t")) != WEAK_HEADER:
             expected = "\t".join(WEAK_HEADER)
@@ -461,7 +492,7 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
     a missing key or a wrongly typed value met by ``build`` raises a
     ``ValidationError`` that names the file.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
@@ -474,6 +505,8 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
         raise ValidationError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{path}: {exc}") from None
+    except ValidationError as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +515,7 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
 
 
 def _load_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    with _open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -574,20 +607,24 @@ def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[Fr
 def write_framegrids(
     grids: Sequence[FrameGrid], vocab: ClassVocabulary, path: str | os.PathLike
 ) -> None:
-    lines = []
-    for grid in grids:
-        if grid.n_classes != len(vocab):
-            raise ValidationError(
-                f"{grid.clip_id}: grid has {grid.n_classes} columns, vocabulary has {len(vocab)}"
-            )
-        record = {
-            "clip_id": grid.clip_id,
-            "hop_seconds": grid.hop_seconds,
-            "classes": list(vocab.classes),
-            "posteriors": grid.values.tolist(),
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    """One line per grid, encoded as it is written, so a dump is never one string."""
+
+    def lines() -> Iterator[str]:
+        for grid in grids:
+            if grid.n_classes != len(vocab):
+                raise ValidationError(
+                    f"{grid.clip_id}: grid has {grid.n_classes} columns, "
+                    f"vocabulary has {len(vocab)}"
+                )
+            record = {
+                "clip_id": grid.clip_id,
+                "hop_seconds": grid.hop_seconds,
+                "classes": list(vocab.classes),
+                "posteriors": grid.values.tolist(),
+            }
+            yield json.dumps(record, separators=(",", ":")) + "\n"
+
+    atomic_write_text(path, lines())
 
 
 # ---------------------------------------------------------------------------

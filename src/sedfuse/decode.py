@@ -1,21 +1,25 @@
 """Turn frame posteriors into event lists.
 
-Each class column is smoothed by a centered running median of the class
-window (frames beyond the clip edges count as 0, which biases against
-spurious clip-edge events), thresholded with ``>=`` (so 0.5 is active at
-the 0.5 operating point), and its runs become events. For an odd window
-and any threshold ``t > 0``, ``median_w(p) >= t`` equals
+Each class column is thresholded with ``>=`` (so 0.5 is active at the 0.5
+operating point), smoothed by a centered running median of the class
+window (frames beyond the clip edges count as inactive, which biases
+against spurious clip-edge events), and its runs become events. For an odd
+window and any threshold ``t > 0``, ``median_w(p) >= t`` equals
 ``majority_w(p >= t)``: median filtering commutes with thresholding
-(Fitch, Coyle & Gallagher, IEEE TASSP 32(6), 1984). So ``decode`` equals
-``extract_events(median_smooth(binarize(grid)))``, and a threshold sweep
-such as PSDS smooths once and reads all thresholds' runs from level
-crossings (``_level_runs``). ``rasterize`` inverts ``extract_events`` for
-frame-aligned events and produces frame targets for fusion fitting.
+(Fitch, Coyle & Gallagher, IEEE TASSP 32(6), 1984). So decoding binarizes
+first and runs the median network on booleans (``_decode_stack``), which
+equals smoothing the posteriors and thresholding them after, and ``decode``
+equals ``extract_events(median_smooth(binarize(grid)))``. A threshold sweep
+such as PSDS smooths the posteriors once and reads all thresholds' runs
+from level crossings (``_level_runs``). ``rasterize`` inverts
+``extract_events`` for frame-aligned events and produces frame targets for
+fusion fitting.
 """
 
 from __future__ import annotations
 
 import functools
+import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -50,13 +54,15 @@ class PostProcessConfig:
     def __post_init__(self):
         object.__setattr__(self, "class_thresholds", dict(self.class_thresholds))
         object.__setattr__(self, "class_median_windows", dict(self.class_median_windows))
+        # A bool is an int, and a JSON config may hold strings: check the types first.
         for t in [self.default_threshold, *self.class_thresholds.values()]:
-            if not (0.0 < float(t) < 1.0):
+            if isinstance(t, bool) or not isinstance(t, numbers.Real):
+                raise ValidationError(f"threshold {_shown(t)!r} must be a number")
+            if not (0.0 < t < 1.0):
                 raise ValidationError(f"threshold {fmt_float(t)} outside (0, 1)")
         for w in [self.default_median_window, *self.class_median_windows.values()]:
-            if not (isinstance(w, (int, np.integer)) and w >= 1):
-                shown = w.item() if isinstance(w, np.generic) else w
-                raise ValidationError(f"median window {shown!r} must be a positive integer")
+            if isinstance(w, bool) or not (isinstance(w, numbers.Integral) and w >= 1):
+                raise ValidationError(f"median window {_shown(w)!r} must be a positive integer")
             if w % 2 == 0:
                 raise ValidationError(f"median window {int(w)} must be odd")
 
@@ -94,6 +100,11 @@ class PostProcessConfig:
         }
 
 
+def _shown(value):
+    """A config value as the user wrote it: numpy scalars as plain numbers."""
+    return value.item() if isinstance(value, np.generic) else value
+
+
 def _check_columns(grid: FrameGrid | BinaryGrid, vocab: ClassVocabulary) -> None:
     if grid.n_classes != len(vocab):
         raise ValidationError(
@@ -108,12 +119,22 @@ def binarize(grid: FrameGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) ->
     return BinaryGrid(grid.clip_id, grid.hop_seconds, active)
 
 
-def _stack_by_frames(grids: Sequence[FrameGrid]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group clips by frame count: (clip indices, fresh (N, T, C) stack) pairs."""
+def _frame_groups(grids: Sequence[FrameGrid], max_cells: int | None = None) -> list[np.ndarray]:
+    """Indices of the clips of each frame count, in input order; with ``max_cells``,
+    each group is cut into blocks of whole clips holding at most that many cells."""
     groups: dict[int, list[int]] = {}
     for k, grid in enumerate(grids):
         groups.setdefault(grid.n_frames, []).append(k)
-    return [(np.asarray(idx), np.stack([grids[k].values for k in idx])) for idx in groups.values()]
+    blocks = []
+    for idx in groups.values():
+        size = len(idx) if max_cells is None else max(1, max_cells // grids[idx[0]].values.size)
+        blocks += [np.asarray(idx[i : i + size]) for i in range(0, len(idx), size)]
+    return blocks
+
+
+def _stack_by_frames(grids: Sequence[FrameGrid]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Group clips by frame count: (clip indices, fresh (N, T, C) stack) pairs."""
+    return [(idx, np.stack([grids[k].values for k in idx])) for idx in _frame_groups(grids)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -166,11 +187,15 @@ def _active_runs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     """(clip, class, start, end_exclusive) of the maximal runs of an (N, T, C)
     boolean stack, ordered by clip, then class, then start."""
     n, t, n_classes = active.shape
-    rows = active.transpose(0, 2, 1).reshape(-1, t)
-    delta = np.diff(rows.astype(np.int8), axis=1, prepend=0, append=0)
-    row, start = np.nonzero(delta == 1)
-    _, end = np.nonzero(delta == -1)
-    return row // n_classes, row % n_classes, start, end
+    rows = np.zeros((n, n_classes, t + 1), dtype=bool)  # a False after each row ends its runs
+    rows[:, :, :t] = active.transpose(0, 2, 1)
+    flat = rows.reshape(-1)
+    change = flat.copy()
+    change[1:] ^= flat[:-1]
+    edge = np.flatnonzero(change)  # rises and falls alternate: each run's start, then its end
+    rise, fall = edge[0::2], edge[1::2]
+    row = rise // (t + 1)
+    return row // n_classes, row % n_classes, rise - row * (t + 1), fall - row * (t + 1)
 
 
 def _level_runs(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -204,10 +229,31 @@ def _steps_by_level(
     return k[order], at[step[order]]
 
 
+def _decode_stack(
+    stack: np.ndarray, thresholds: np.ndarray, windows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The decode kernel: (clip, class, start, end_exclusive) runs of an (N, T, C)
+    posterior stack, binarized, then median-smoothed (module docstring)."""
+    return _active_runs(_running_median(stack >= thresholds, windows))
+
+
+def _run_times(
+    hops: np.ndarray, clip: np.ndarray, start: np.ndarray, end: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Run [a, b) of clip k spans (a*hop_k, b*hop_k) seconds."""
+    onset, offset = start * hops[clip], end * hops[clip]
+    if not np.isfinite(offset).all():
+        i = np.flatnonzero(~np.isfinite(offset))[0]
+        raise ValidationError(
+            f"non-finite event time: frame {end[i]} at hop {fmt_float(hops[clip[i]])} s"
+        )
+    return onset, offset
+
+
 def _events(grids, vocab: ClassVocabulary, clip, cls, start, end) -> EventList:
     """Run [a, b) of clip k becomes the event (a*hop_k, b*hop_k)."""
-    hops = np.array([g.hop_seconds for g in grids])[clip]
-    runs = zip(clip.tolist(), cls.tolist(), (start * hops).tolist(), (end * hops).tolist())
+    onset, offset = _run_times(np.array([g.hop_seconds for g in grids]), clip, start, end)
+    runs = zip(clip.tolist(), cls.tolist(), onset.tolist(), offset.tolist())
     return EventList([Event(grids[k].clip_id, a, b, vocab.classes[c]) for k, c, a, b in runs])
 
 
@@ -225,7 +271,7 @@ def extract_events(bgrid: BinaryGrid, vocab: ClassVocabulary) -> EventList:
 
 
 def decode(grid: FrameGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) -> EventList:
-    """Median-smooth, threshold and extract events for one clip."""
+    """Threshold, median-smooth and extract events for one clip."""
     return decode_many([grid], cfg, vocab)
 
 
@@ -239,7 +285,7 @@ def decode_many(
     thresholds = cfg.threshold_vector(vocab)
     parts = []
     for idx, stack in _stack_by_frames(grids):
-        clip, cls, start, end = _active_runs(_running_median(stack, windows) >= thresholds)
+        clip, cls, start, end = _decode_stack(stack, thresholds, windows)
         parts.append((idx[clip], cls, start, end))
     if not parts:
         return EventList([])

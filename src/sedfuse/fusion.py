@@ -14,9 +14,13 @@ Three fusion families over M aligned model dumps:
   at frame level, trained with deterministic damped Newton (IRLS).
 
 Pair (weights ``[alpha, 1 - alpha]``) and class-wise fusion share one kernel,
-``_fuse_weighted``, and ``fit_alpha`` and ``sweep_beta`` one development loop.
-The average keeps ``np.mean``: through the kernel, 44% of seed-42 cells move
-by up to 2.2e-16, and the frozen average F1 rests on ``np.mean``.
+``_fuse_into``, and ``fit_alpha`` and ``sweep_beta`` one development loop,
+``_dev_curve``. The loop stacks the development dump once; for each
+parameter it fuses into one reused buffer, decodes with the decode kernel
+(binarize, then the median on booleans) and scores the runs with the array
+matcher of :mod:`sedfuse.metrics`, so no ``Event`` object is built. The
+average keeps ``np.mean``: through the kernel, 44% of seed-42 cells move by
+up to 2.2e-16, and the frozen average F1 rests on ``np.mean``.
 
 All math is pure and deterministic with fixed summation order.
 """
@@ -39,8 +43,15 @@ from .core import (
     fmt_float,
     load_json_object,
 )
-from .decode import PostProcessConfig, decode_many, rasterize
-from .metrics import CollarConfig, F1Report, event_f1
+from .decode import (
+    PostProcessConfig,
+    _check_columns,
+    _decode_stack,
+    _frame_groups,
+    _run_times,
+    rasterize,
+)
+from .metrics import CollarConfig, F1Report, _collar_f1, _event_arrays
 
 DEFAULT_BETA_SWEEP = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
 
@@ -82,24 +93,46 @@ def _fuse_weighted(
     grid back to that grid bit-exactly. A model whose weight row is exactly
     1.0 everywhere (alpha 0 or 1, a single model) is returned as is.
     """
-    sole = np.flatnonzero((weights == 1.0).all(axis=1))
+    sole = _sole_model(weights)
     fused = []
     for group in clips:
         first = group[0]
-        if weights.shape != (len(group), first.n_classes):
-            raise ValidationError(
-                f"{weights.shape[0]} x {weights.shape[1]} weights for "
-                f"{len(group)} grids of {first.n_classes} classes"
-            )
-        if sole.size:
-            values = group[sole[0]].values
+        _check_weights(weights, len(group), first.n_classes)
+        if sole is not None:
+            values = group[sole].values
         else:
-            values = first.values
-            for m in range(1, len(group)):
-                values = values + weights[m] * (group[m].values - first.values)
-            values = np.clip(values, 0.0, 1.0)
+            diffs = [g.values - first.values for g in group[1:]]
+            values = _fuse_into(np.empty_like(first.values), first.values, diffs, weights)
         fused.append(FrameGrid(first.clip_id, first.hop_seconds, values))
     return fused
+
+
+def _sole_model(weights: np.ndarray) -> int | None:
+    """The model whose weight row is exactly 1.0 everywhere, if any."""
+    if len(weights) == 1:  # the anchored form is g_1, whatever the weight
+        return 0
+    sole = np.flatnonzero((weights == 1.0).all(axis=1))
+    return int(sole[0]) if sole.size else None
+
+
+def _check_weights(weights: np.ndarray, n_models: int, n_classes: int) -> None:
+    if weights.shape != (n_models, n_classes):
+        raise ValidationError(
+            f"{weights.shape[0]} x {weights.shape[1]} weights for "
+            f"{n_models} grids of {n_classes} classes"
+        )
+
+
+def _fuse_into(
+    out: np.ndarray, base: np.ndarray, diffs: Sequence[np.ndarray], weights: np.ndarray
+) -> np.ndarray:
+    """The kernel: ``out = clip(base + W[1] * diffs[0] + W[2] * diffs[1] + ..., 0, 1)``,
+    summed left to right; ``diffs[m - 1]`` is ``g_{m+1} - g_1``, classes on the last axis."""
+    np.multiply(diffs[0], weights[1], out=out)
+    np.add(base, out, out=out)
+    for m in range(2, len(weights)):
+        out += weights[m] * diffs[m - 1]
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -139,21 +172,6 @@ class CurveFit:
         atomic_write_text(path, json.dumps(record, indent=2) + "\n")
 
 
-def _objective_score(
-    combined: Sequence[FrameGrid],
-    truth: EventList,
-    decode_cfg: PostProcessConfig,
-    vocab: ClassVocabulary,
-    objective: str,
-    collar: CollarConfig,
-) -> float:
-    if objective == OBJECTIVE_MACRO_F1:
-        return event_f1(truth, decode_many(combined, decode_cfg, vocab), collar, vocab).macro_f1
-    if objective == OBJECTIVE_FRAME_BCE:
-        return -frame_bce(combined, truth, vocab)
-    raise ValidationError(f"unknown objective {objective!r}")
-
-
 def frame_bce(grids: Sequence[FrameGrid], truth: EventList, vocab: ClassVocabulary) -> float:
     """Mean binary cross-entropy of posteriors against rasterized truth."""
     if not grids:
@@ -163,18 +181,67 @@ def frame_bce(grids: Sequence[FrameGrid], truth: EventList, vocab: ClassVocabula
     return float(-np.mean(np.where(y, np.log(p), np.log1p(-p))))
 
 
+# Cells fused per block of a development sweep: bounds its per-parameter buffers.
+_SWEEP_BLOCK_CELLS = 1 << 18
+
+
 def _dev_curve(
     clips: Sequence[Sequence[FrameGrid]], params: Sequence[float],
     weights_for: Callable[[float], np.ndarray], dev_truth: EventList,
     decode_cfg: PostProcessConfig, vocab: ClassVocabulary, objective: str, collar: CollarConfig,
 ) -> list[tuple[float, float]]:
-    """Fuse the development dump with ``weights_for(p)`` for each parameter and score it."""
+    """Fuse the development dump with ``weights_for(p)`` for each parameter and score it.
+
+    For the collar F1, the dump is stacked once, in blocks of clips of one
+    frame count, with each ``g_m - g_1``. Each parameter fuses a block into
+    one reused buffer, decodes it with the decode kernel and matches the
+    runs as arrays: the score equals decoding and matching the grids of
+    ``_fuse_weighted``.
+    """
+    if not clips:
+        raise ValidationError("development set is empty")
     if not dev_truth.events:
         raise ValidationError("development truth is empty")
+    if objective == OBJECTIVE_FRAME_BCE:
+        return [(p, -frame_bce(_fuse_weighted(clips, weights_for(p)), dev_truth, vocab))
+                for p in params]
+    if objective != OBJECTIVE_MACRO_F1:
+        raise ValidationError(f"unknown objective {objective!r}")
+    firsts = [group[0] for group in clips]
+    for grid in firsts:
+        _check_columns(grid, vocab)
+    n_models = len(clips[0])
+    blocks = []
+    for idx in _frame_groups(firsts, _SWEEP_BLOCK_CELLS):
+        base = np.stack([clips[k][0].values for k in idx])
+        diffs = [np.stack([clips[k][m].values for k in idx]) for m in range(1, n_models)]
+        for diff in diffs:
+            np.subtract(diff, base, out=diff)
+        blocks.append((idx, base, diffs))
+    buffer = np.empty(max(base.size for _, base, _ in blocks))
+    clip_numbers: dict[str, int] = {}
+    dump_clip = np.array([clip_numbers.setdefault(g.clip_id, len(clip_numbers)) for g in firsts])
+    truth = _event_arrays(dev_truth, clip_numbers, {c: i for i, c in enumerate(vocab.classes)})
+    hops = np.array([g.hop_seconds for g in firsts])
+    thresholds, windows = decode_cfg.threshold_vector(vocab), decode_cfg.window_vector(vocab)
+
     curve = []
     for p in params:
-        fused = _fuse_weighted(clips, weights_for(p))
-        curve.append((p, _objective_score(fused, dev_truth, decode_cfg, vocab, objective, collar)))
+        weights = weights_for(p)
+        _check_weights(weights, n_models, len(vocab))
+        sole = _sole_model(weights)
+        runs = []
+        for idx, base, diffs in blocks:
+            if sole is None:
+                stack = _fuse_into(buffer[: base.size].reshape(base.shape), base, diffs, weights)
+            else:
+                stack = np.stack([clips[k][sole].values for k in idx])
+            clip, cls, start, end = _decode_stack(stack, thresholds, windows)
+            runs.append((idx[clip], cls, start, end))
+        clip, cls, start, end = (np.concatenate(arrays) for arrays in zip(*runs))
+        onset, offset = _run_times(hops, clip, start, end)
+        detected = (dump_clip[clip] * len(vocab) + cls, onset, offset)
+        curve.append((p, _collar_f1(truth, detected, collar, vocab).macro_f1))
     return curve
 
 

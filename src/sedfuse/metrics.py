@@ -2,7 +2,10 @@
 
 Collar F1 matches detections to references per (clip, class) with a
 maximum-cardinality bipartite matching, so the score is order-independent
-and checkable against brute force. PSDS sweeps decision thresholds,
+and checkable against brute force. One matcher, ``_collar_matches``, works
+on ``(key, onset, offset)`` event arrays; ``match_events`` and ``event_f1``
+wrap it, and the development sweeps of :mod:`sedfuse.fusion` call it on
+decoded runs directly. PSDS sweeps decision thresholds,
 classifies detections with intersection criteria (detection tolerance,
 ground-truth coverage, cross-trigger tolerance), builds per-class ROC
 staircases of true-positive rate against effective false-positive rate
@@ -52,12 +55,13 @@ class CollarConfig:
                 raise ValidationError(f"collar value {fmt_float(v)} must be >= 0")
 
 
-def events_compatible(ref_onset, ref_offset, est_onset, est_offset, cfg: CollarConfig) -> bool:
-    """Collar predicate for a single (reference, estimate) pair."""
-    offset_collar = max(cfg.offset_collar_min, cfg.offset_collar_ratio * (ref_offset - ref_onset))
-    return (
-        abs(est_onset - ref_onset) <= cfg.onset_collar
-        and abs(est_offset - ref_offset) <= offset_collar
+def events_compatible(ref_onset, ref_offset, est_onset, est_offset, cfg: CollarConfig):
+    """Collar predicate for a (reference, estimate) pair; elementwise on arrays."""
+    offset_collar = np.maximum(
+        cfg.offset_collar_min, cfg.offset_collar_ratio * (ref_offset - ref_onset)
+    )
+    return (np.abs(est_onset - ref_onset) <= cfg.onset_collar) & (
+        np.abs(est_offset - ref_offset) <= offset_collar
     )
 
 
@@ -93,6 +97,74 @@ def _kuhn_matching(adjacency: Sequence[Sequence[int]], n_right: int) -> list[int
     return match_left
 
 
+# Events as arrays: (key, onset, offset), where the key numbers the (clip, class) group.
+_EventArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _event_arrays(
+    events: EventList, clips: dict[str, int], classes: dict[str, int]
+) -> _EventArrays:
+    """Key ``events`` by the class numbers and by clip numbers, which a new clip extends."""
+    clip = [clips.setdefault(ev.clip_id, len(clips)) for ev in events]
+    cls = [classes[ev.event_label] for ev in events]
+    return (
+        np.array(clip, dtype=np.int64) * len(classes) + np.array(cls, dtype=np.int64),
+        np.array([ev.onset for ev in events], dtype=np.float64),
+        np.array([ev.offset for ev in events], dtype=np.float64),
+    )
+
+
+def _lex(key: np.ndarray, value: np.ndarray) -> np.ndarray:
+    """(key, value) pairs as complex numbers, which numpy sorts and searches
+    lexicographically: by real part, then imaginary part."""
+    out = np.empty(len(key), dtype=np.complex128)
+    out.real, out.imag = key, value
+    return out
+
+
+def _collar_matches(
+    ref: _EventArrays, est: _EventArrays, cfg: CollarConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Maximum-cardinality one-to-one matching within each key: (ref, est) index arrays.
+
+    Each reference is joined to the estimates of its key whose onset lies
+    within twice the onset collar, with slack for rounding, and
+    ``events_compatible`` keeps the edges. An edge whose two ends have no
+    other edge is matched; Kuhn's algorithm matches each key's other edges.
+    """
+    ref_key, ref_on, ref_off = ref
+    est_key, est_on, est_off = est
+    est_pos = _lex(est_key, est_on)
+    by_key = np.argsort(est_pos, kind="stable")
+    sorted_est = est_pos[by_key]
+    reach = 2.0 * cfg.onset_collar + 1e-9 * np.abs(ref_on)
+    lo = np.searchsorted(sorted_est, _lex(ref_key, ref_on - reach), side="left")
+    counts = np.searchsorted(sorted_est, _lex(ref_key, ref_on + reach), side="right") - lo
+    # Candidate i of reference r sits at sorted position lo[r] + i.
+    r = np.repeat(np.arange(len(ref_key)), counts)
+    e = by_key[np.arange(len(r)) + np.repeat(lo - (np.cumsum(counts) - counts), counts)]
+    keep = events_compatible(ref_on[r], ref_off[r], est_on[e], est_off[e], cfg)
+    r, e = r[keep], e[keep]
+
+    alone = (np.bincount(r)[r] == 1) & (np.bincount(e)[e] == 1)
+    pairs = [(r[alone], e[alone])]
+    r, e = r[~alone], e[~alone]
+    order = np.argsort(ref_key[r], kind="stable")
+    r, e = r[order], e[order]
+    cuts = np.flatnonzero(np.diff(ref_key[r])) + 1
+    for group_r, group_e in zip(np.split(r, cuts), np.split(e, cuts)):
+        if not len(group_r):
+            continue
+        left, u = np.unique(group_r, return_inverse=True)
+        right, v = np.unique(group_e, return_inverse=True)
+        adjacency: list[list[int]] = [[] for _ in left]
+        for a, b in zip(u.tolist(), v.tolist()):
+            adjacency[a].append(b)
+        match = np.array(_kuhn_matching(adjacency, len(right)))
+        pairs.append((left[match >= 0], right[match[match >= 0]]))
+    return np.concatenate([p[0] for p in pairs]), np.concatenate([p[1] for p in pairs])
+
+
 def match_events(
     ref: EventList, est: EventList, cfg: CollarConfig = CollarConfig()
 ) -> list[tuple[int, int]]:
@@ -101,36 +173,12 @@ def match_events(
     Returns (ref_index, est_index) pairs into the two input lists; each
     event is matched at most once.
     """
-    ref_groups: dict[tuple[str, str], list[int]] = {}
-    for i, ev in enumerate(ref):
-        ref_groups.setdefault((ev.clip_id, ev.event_label), []).append(i)
-    est_groups: dict[tuple[str, str], list[int]] = {}
-    for j, ev in enumerate(est):
-        est_groups.setdefault((ev.clip_id, ev.event_label), []).append(j)
-
-    pairs: list[tuple[int, int]] = []
-    for key, ref_idx in ref_groups.items():
-        est_idx = est_groups.get(key)
-        if not est_idx:
-            continue
-        adjacency = []
-        for i in ref_idx:
-            r = ref.events[i]
-            adjacency.append(
-                [
-                    k
-                    for k, j in enumerate(est_idx)
-                    if events_compatible(
-                        r.onset, r.offset, est.events[j].onset, est.events[j].offset, cfg
-                    )
-                ]
-            )
-        match_left = _kuhn_matching(adjacency, len(est_idx))
-        for u, v in enumerate(match_left):
-            if v != -1:
-                pairs.append((ref_idx[u], est_idx[v]))
-    pairs.sort()
-    return pairs
+    clips: dict[str, int] = {}
+    classes = {name: c for c, name in enumerate(sorted(ref.label_set() | est.label_set()))}
+    matched = _collar_matches(
+        _event_arrays(ref, clips, classes), _event_arrays(est, clips, classes), cfg
+    )
+    return sorted(zip(*(m.tolist() for m in matched)))
 
 
 @dataclass(frozen=True)
@@ -185,23 +233,25 @@ def event_f1(
         vocab = ClassVocabulary(tuple(sorted(ref.label_set() | est.label_set())))
     ref.validate_vocab(vocab)
     est.validate_vocab(vocab)
-    matched = match_events(ref, est, cfg)
-    tp_per_class: dict[str, int] = {name: 0 for name in vocab.classes}
-    for i, _ in matched:
-        tp_per_class[ref.events[i].event_label] += 1
-    ref_counts = {name: 0 for name in vocab.classes}
-    est_counts = {name: 0 for name in vocab.classes}
-    for ev in ref:
-        ref_counts[ev.event_label] += 1
-    for ev in est:
-        est_counts[ev.event_label] += 1
+    clips: dict[str, int] = {}
+    classes = {name: c for c, name in enumerate(vocab.classes)}
+    return _collar_f1(
+        _event_arrays(ref, clips, classes), _event_arrays(est, clips, classes), cfg, vocab
+    )
+
+
+def _collar_f1(
+    ref: _EventArrays, est: _EventArrays, cfg: CollarConfig, vocab: ClassVocabulary
+) -> F1Report:
+    """``event_f1`` of event arrays keyed ``clip * len(vocab) + class``."""
+    n_classes = len(vocab)
+    matched, _ = _collar_matches(ref, est, cfg)
+    tp = np.bincount(ref[0][matched] % n_classes, minlength=n_classes).tolist()
+    n_ref = np.bincount(ref[0] % n_classes, minlength=n_classes).tolist()
+    n_est = np.bincount(est[0] % n_classes, minlength=n_classes).tolist()
     per_class = {
-        name: _prf(
-            tp_per_class[name],
-            est_counts[name] - tp_per_class[name],
-            ref_counts[name] - tp_per_class[name],
-        )
-        for name in vocab.classes
+        name: _prf(tp[c], n_est[c] - tp[c], n_ref[c] - tp[c])
+        for c, name in enumerate(vocab.classes)
     }
     macro = sum(s.f1 for s in per_class.values()) / len(per_class)
     return F1Report(per_class, macro)
@@ -302,15 +352,10 @@ class _Coverage:
         if len(starts) == 0:
             return cls(np.empty(0), np.empty(0))
         order = np.argsort(starts, kind="stable")
-        starts, ends = starts[order], ends[order]
-        merged_s, merged_e = [starts[0]], [ends[0]]
-        for s, e in zip(starts[1:], ends[1:]):
-            if s <= merged_e[-1]:
-                merged_e[-1] = max(merged_e[-1], e)
-            else:
-                merged_s.append(s)
-                merged_e.append(e)
-        return cls(np.asarray(merged_s), np.asarray(merged_e))
+        # An interval starts a new union piece where it begins after every earlier end.
+        starts, reach = starts[order], np.maximum.accumulate(ends[order])
+        first = np.flatnonzero(np.r_[True, starts[1:] > reach[:-1]])
+        return cls(starts[first], reach[np.r_[first[1:], len(starts)] - 1])
 
     def covered_before(self, x: np.ndarray) -> np.ndarray:
         j = np.searchsorted(self.starts, x, side="right")

@@ -234,6 +234,12 @@ class TestMalformedConfigs:
             pytest.param("--psds-config", '{"dtc": 0.7, "bogus": 1}', "{path}: ",
                          id="psds-unknown-key"),
             pytest.param("--config", '{"seed": "x"}', "{path}: ", id="scenario-seed"),
+            pytest.param("--decode-config",
+                         '{"default_median_window": true, "default_threshold": "0.5"}',
+                         "{path}: threshold '0.5' must be a number", id="decode-types"),
+            pytest.param("--decode-config", '{"default_median_window": true}',
+                         "{path}: median window True must be a positive integer",
+                         id="decode-bool-window"),
         ],
     )
     def test_exits_2_with_path(self, tmp_path, capsys, flag, text, shown):
@@ -252,6 +258,36 @@ class TestMalformedConfigs:
         assert run(*command, flag, config, "--out", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert shown.format(path=config) in err and "Traceback" not in err
+
+
+class TestNotUTF8:
+    """A file that is not UTF-8 exits 2 naming its path and line, never a traceback."""
+
+    def _exits_2_at(self, capsys, path, line, *argv):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert f"{path}:{line}: not UTF-8" in err and "Traceback" not in err
+
+    def test_decode_config(self, dataset, tmp_path, capsys):
+        config = tmp_path / "decode.json"
+        config.write_bytes(b"\xff\xfe{}")
+        self._exits_2_at(
+            capsys, config, 1, "decode", "--grids", dataset / "grids_model_1.jsonl",
+            "--decode-config", config, "--out", tmp_path / "o",
+        )
+
+    def test_grids(self, tmp_path, capsys):
+        grids = tmp_path / "grids.jsonl"
+        grids.write_bytes(GOOD_GRID.encode() + b"\n\xff\xfe{}\n")
+        self._exits_2_at(capsys, grids, 2, "decode", "--grids", grids, "--out", tmp_path / "o")
+
+    def test_events(self, dataset, tmp_path, capsys):
+        ref = tmp_path / "events.tsv"
+        ref.write_bytes(b"filename\tonset\toffset\tevent_label\n\xff\xfe\t0.0\t0.1\tevent_00\n")
+        self._exits_2_at(
+            capsys, ref, 2, "score", "--ref", ref, "--grids", dataset / "grids_model_1.jsonl",
+            "--metric", "f1", "--out", tmp_path / "o",
+        )
 
 
 class TestFuse:

@@ -1,5 +1,7 @@
 """Domain types, file round trips and validation messages."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -281,6 +283,61 @@ class TestGridsJSONL:
         for a, b in zip(grids, back):
             np.testing.assert_array_equal(a.values, b.values)
             assert a.hop_seconds == b.hop_seconds
+
+
+    def test_written_bytes_are_one_json_line_per_grid(self, tmp_path, vocab4, rng):
+        grids = [FrameGrid(f"c{i}", 0.1, rng.random((5, 4))) for i in range(3)]
+        path = tmp_path / "grids.jsonl"
+        write_framegrids(grids, vocab4, path)
+        expected = "".join(
+            json.dumps(
+                {"clip_id": g.clip_id, "hop_seconds": g.hop_seconds,
+                 "classes": list(vocab4.classes), "posteriors": g.values.tolist()},
+                separators=(",", ":"),
+            ) + "\n"
+            for g in grids
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
+
+    def test_failed_write_leaves_no_file(self, tmp_path, vocab4, rng):
+        grids = [FrameGrid("c0", 0.1, rng.random((5, 4))), FrameGrid("c1", 0.1, rng.random((5, 3)))]
+        with pytest.raises(ValidationError):
+            write_framegrids(grids, vocab4, tmp_path / "grids.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNotUTF8:
+    """A byte that is not UTF-8 is a ParseError at its line, in every text format."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_events_line(self, tmp_path, newline):
+        path = tmp_path / "events.tsv"
+        rows = ["filename\tonset\toffset\tevent_label", "c\t0.0\t1.0\tCat", "c\t1.0\t2.0\tDog"]
+        path.write_bytes(newline.join(rows).encode() + newline.encode() + b"c\xff\t0.0\t1.0\tCat\n")
+        with pytest.raises(ParseError) as err:
+            parse_events(path)
+        assert err.value.line_no == 4
+
+    def test_grids_line(self, tmp_path, vocab4, rng):
+        path = tmp_path / "grids.jsonl"
+        write_framegrids([FrameGrid("c", 0.1, rng.random((3, 4)))], vocab4, path)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe{}\n")
+        with pytest.raises(ParseError) as err:
+            parse_framegrids(path, vocab4)
+        assert err.value.line_no == 2
+
+    def test_weak_labels_and_json_config(self, tmp_path, vocab4):
+        weak = tmp_path / "weak.tsv"
+        weak.write_bytes(b"filename\tevent_labels\n\xe9\tCat\n")
+        with pytest.raises(ParseError) as err:
+            parse_weak_labels(weak, vocab4)
+        assert err.value.line_no == 2
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{"default_threshold":\n 0.5\xff}')
+        with pytest.raises(ParseError) as err:
+            PostProcessConfig.load(config)
+        assert err.value.line_no == 2
 
 
 class TestTagsJSONL:

@@ -6,8 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sedfuse.core import BinaryGrid, ClassVocabulary, Event, EventList, FrameGrid, ValidationError
+from hypothesis.extra import numpy as hnp
+
 from sedfuse.decode import (
     PostProcessConfig,
+    _active_runs,
+    _decode_stack,
     _running_median,
     binarize,
     decode,
@@ -61,6 +65,20 @@ class TestConfig:
     def test_threshold_range(self):
         with pytest.raises(ValidationError):
             PostProcessConfig(default_threshold=0.0)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            pytest.param({"default_median_window": True}, id="bool-window"),
+            pytest.param({"class_median_windows": {"x": False}}, id="bool-class-window"),
+            pytest.param({"default_threshold": "0.5"}, id="string-threshold"),
+            pytest.param({"class_thresholds": {"x": True}}, id="bool-class-threshold"),
+            pytest.param({"default_threshold": None}, id="null-threshold"),
+        ],
+    )
+    def test_wrong_types_rejected(self, kwargs):
+        with pytest.raises(ValidationError):
+            PostProcessConfig(**kwargs)
 
     def test_per_class_lookup(self):
         cfg = PostProcessConfig(class_thresholds={"x": 0.7}, class_median_windows={"x": 3})
@@ -179,6 +197,24 @@ class TestExtractEvents:
             np.testing.assert_array_equal(back.values, values)
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(hnp.arrays(bool, hnp.array_shapes(min_dims=3, max_dims=3, max_side=7)))
+    def test_active_runs_oracle(self, active):
+        n, t, n_classes = active.shape
+        runs = []
+        for k in range(n):
+            for c in range(n_classes):
+                f = 0
+                while f < t:
+                    end = f
+                    while end < t and active[k, end, c]:
+                        end += 1
+                    if end > f:
+                        runs.append((k, c, f, end))
+                    f = end + 1
+        assert list(zip(*(a.tolist() for a in _active_runs(active)))) == runs
+
+
 class TestRasterize:
     def test_hand_case(self):
         out = rasterize(EventList([Event("c", 0.1, 0.4, "x")]), 0.1, 7, V1)
@@ -241,6 +277,18 @@ class TestDecode:
             median_smooth(binarize(grid, cfg, vocab), cfg, vocab), vocab
         )
         assert decode(grid, cfg, vocab) == staged
+
+    @settings(max_examples=300, deadline=None)
+    @given(setup=decode_setups(), data=st.data())
+    def test_smoothing_posteriors_first_gives_the_same_runs(self, setup, data):
+        # Threshold decomposition: the running median of the posteriors is >= t
+        # exactly where the majority of the binarized window is active.
+        vocab, cfg = setup
+        stack = draw_grid(data.draw, len(vocab)).values[None]
+        windows, thresholds = cfg.window_vector(vocab), cfg.threshold_vector(vocab)
+        smoothed_first = _active_runs(_running_median(stack.copy(), windows) >= thresholds)
+        for got, want in zip(_decode_stack(stack, thresholds, windows), smoothed_first):
+            np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=100, deadline=None)
     @given(setup=decode_setups(), data=st.data())

@@ -8,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sedfuse import metrics
 from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from sedfuse.decode import PostProcessConfig, decode_many, rasterize
 from sedfuse.fusion import (
+    DEFAULT_BETA_SWEEP,
+    OBJECTIVE_FRAME_BCE,
+    OBJECTIVE_MACRO_F1,
     ClassF1Table,
     FusionWeights,
+    _fuse_weighted,
+    _pair_weights,
     apply_logistic_fusion,
     classwise_weights,
     combine_pair,
@@ -24,6 +30,7 @@ from sedfuse.fusion import (
     logistic_loss_and_grad,
     sweep_beta,
 )
+from sedfuse.metrics import CollarConfig, event_f1
 from sedfuse.synth import ModelSkill, ScenarioConfig, gen_truth, simulate_model
 
 VOCAB2 = ClassVocabulary(("a", "b"))
@@ -210,6 +217,11 @@ class TestFuseClasswise:
 
     def test_weights_sum_tolerance(self):
         FusionWeights([[0.5], [0.5 + 1e-12]], 0.0)
+
+    def test_single_model_within_tolerance_is_returned(self, rng):
+        g = random_grid(rng, c=1)
+        out = fuse_classwise([g], FusionWeights([[1.0 - 1e-12]], 0.0))
+        assert np.array_equal(out.values, g.values)
 
 
 @st.composite
@@ -514,6 +526,106 @@ class TestSweepBeta:
         truth, model_grids, table = self._setup(rng)
         with pytest.raises(ValidationError):
             sweep_beta(model_grids, table, truth, [], PostProcessConfig(), VOCAB2)
+
+
+@st.composite
+def _sweep_case(draw):
+    """A development set for the sweeps: 1-3 models, clips of mixed frame counts,
+    per-class thresholds and odd windows, truth events that may overlap, and truth
+    on a clip that is absent from the dump."""
+    n_models, n_classes = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    vocab = ClassVocabulary(tuple("abc"[:n_classes]))
+    frames = draw(st.lists(st.sampled_from((6, 9, 16)), min_size=1, max_size=4))
+    # A 0.1 grid, so that posteriors and fused values meet the thresholds exactly.
+    cells = st.integers(0, 10).map(lambda k: k / 10)
+    clips = [
+        [FrameGrid(f"clip{k}", 0.1, draw(hnp.arrays(np.float64, (t, n_classes), elements=cells)))
+         for _ in range(n_models)]
+        for k, t in enumerate(frames)
+    ]
+    where = st.sampled_from([(f"clip{k}", t) for k, t in enumerate(frames)] + [("absent", 12)])
+    truth = []
+    for clip_id, t in draw(st.lists(where, min_size=1, max_size=10)):
+        start = draw(st.integers(0, t - 1))
+        end = draw(st.integers(start + 1, t))
+        truth.append(Event(clip_id, start * 0.1, end * 0.1, draw(st.sampled_from(vocab.classes))))
+    threshold, window = st.integers(1, 9).map(lambda k: k / 10), st.sampled_from((1, 3, 5))
+    overridden = draw(st.lists(st.sampled_from(vocab.classes), unique=True))
+    cfg = PostProcessConfig(
+        default_threshold=draw(threshold), default_median_window=draw(window),
+        class_thresholds={c: draw(threshold) for c in overridden},
+        class_median_windows={c: draw(window) for c in overridden},
+    )
+    collar = draw(st.sampled_from((CollarConfig(), CollarConfig(0.35, 0.35, 0.5))))
+    return clips, EventList(truth), cfg, vocab, collar
+
+
+def _composed_score(clips, weights, truth, cfg, vocab, collar, objective=OBJECTIVE_MACRO_F1):
+    """The sweep's score of one weight matrix, by the slow composition."""
+    fused = _fuse_weighted(clips, weights)
+    if objective == OBJECTIVE_FRAME_BCE:
+        return -frame_bce(fused, truth, vocab)
+    return event_f1(truth, decode_many(fused, cfg, vocab), collar, vocab).macro_f1
+
+
+class TestSweepEqualsComposition:
+    """The stacked sweeps score each parameter exactly as fusing, decoding and
+    matching ``Event`` lists would."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_sweep_case(), objective=st.sampled_from((OBJECTIVE_MACRO_F1, OBJECTIVE_FRAME_BCE)))
+    def test_fit_alpha(self, case, objective):
+        clips, truth, cfg, vocab, collar = case
+        pairs = [(group[0], group[-1]) for group in clips]
+        fit = fit_alpha(pairs, truth, cfg, vocab, objective, collar)
+        expected = [
+            (alpha, _composed_score(pairs, _pair_weights(alpha, len(vocab)), truth, cfg, vocab,
+                                    collar, objective))
+            for alpha in (i / 100.0 for i in range(101))
+        ]
+        assert fit.curve == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=_sweep_case(), data=st.data())
+    def test_sweep_beta(self, case, data):
+        clips, truth, cfg, vocab, collar = case
+        n_models = len(clips[0])
+        f1 = data.draw(hnp.arrays(np.float64, (n_models, len(vocab)), elements=st.floats(0, 1)))
+        table = ClassF1Table(tuple(f"m{m}" for m in range(n_models)), vocab.classes, f1)
+        model_grids = [[group[m] for group in clips] for m in range(n_models)]
+        sweep = sweep_beta(model_grids, table, truth, DEFAULT_BETA_SWEEP, cfg, vocab, collar)
+        expected = [
+            (beta, _composed_score(clips, classwise_weights(table, beta).values, truth, cfg,
+                                   vocab, collar))
+            for beta in DEFAULT_BETA_SWEEP
+        ]
+        assert sweep.curve == expected
+
+    def test_shared_candidates_go_through_kuhn(self, monkeypatch):
+        # One detection lies within the collar of two overlapping references, so
+        # the matcher must resolve a component of degree 2 with Kuhn's algorithm.
+        values = np.zeros((40, 1))
+        values[10:20] = 1.0
+        grids = [FrameGrid("c", 0.1, values), FrameGrid("c", 0.1, values)]
+        truth = EventList([Event("c", 1.0, 2.0, "a"), Event("c", 1.1, 2.1, "a")])
+        vocab = ClassVocabulary(("a",))
+        cfg = PostProcessConfig(default_median_window=3)
+        calls = []
+
+        def counting(adjacency, n_right):
+            calls.append((len(adjacency), n_right))
+            return kuhn(adjacency, n_right)
+
+        kuhn = metrics._kuhn_matching
+        monkeypatch.setattr(metrics, "_kuhn_matching", counting)
+        fit = fit_alpha([tuple(grids)], truth, cfg, vocab)
+        assert set(calls) == {(2, 1)}  # two references, one detection
+        precision, recall = 1.0, 0.5
+        assert {s for _, s in fit.curve} == {2 * precision * recall / (precision + recall)}
+        assert fit.curve == [
+            (a, _composed_score([grids], _pair_weights(a, 1), truth, cfg, vocab, CollarConfig()))
+            for a, _ in fit.curve
+        ]
 
 
 class TestF1TableIO:

@@ -21,6 +21,7 @@ from sedfuse.metrics import (
     psds,
     psds_many,
     report_tables,
+    _Coverage,
     _roc_report,
 )
 
@@ -128,6 +129,60 @@ class TestMatchEvents:
             assert len(match_events(ref, est, cfg)) == oracle_max_matching(
                 tuple(tuple(a) for a in adjacency), n_est
             )
+
+
+    def test_mixed_groups_oracle(self, rng):
+        # Several clips and classes with dense, overlapping events: candidates are
+        # often shared, so components of every degree reach the matcher.
+        cfg = CollarConfig()
+        keys = [("c0", "A"), ("c0", "B"), ("c1", "A"), ("c2", "B")]
+
+        def events(n):
+            picks = rng.integers(0, len(keys), n)
+            return EventList([
+                Event(keys[k][0], float(o), float(o) + 0.3 + float(d), keys[k][1])
+                for k, o, d in zip(picks, rng.random(n) * 2, rng.random(n))
+            ])
+
+        for _ in range(200):
+            ref, est = events(int(rng.integers(0, 16))), events(int(rng.integers(0, 16)))
+            pairs = match_events(ref, est, cfg)
+            assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+            for i, j in pairs:
+                r, e = ref.events[i], est.events[j]
+                assert (r.clip_id, r.event_label) == (e.clip_id, e.event_label)
+                assert events_compatible(r.onset, r.offset, e.onset, e.offset, cfg)
+            best = 0
+            for key in keys:
+                ref_idx = [i for i, r in enumerate(ref) if (r.clip_id, r.event_label) == key]
+                est_idx = [j for j, e in enumerate(est) if (e.clip_id, e.event_label) == key]
+                adjacency = tuple(
+                    tuple(
+                        k for k, j in enumerate(est_idx)
+                        if events_compatible(ref.events[i].onset, ref.events[i].offset,
+                                             est.events[j].onset, est.events[j].offset, cfg)
+                    )
+                    for i in ref_idx
+                )
+                best += oracle_max_matching(adjacency, len(est_idx))
+            assert len(pairs) == best
+
+
+class TestCoverage:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(1, 6)), max_size=12))
+    def test_union_equals_loop_merge(self, spans):
+        # Integer quarters, so touching and nested intervals are common.
+        starts = np.array([a / 4 for a, _ in spans], dtype=float)
+        ends = np.array([(a + n) / 4 for a, n in spans], dtype=float)
+        union = []
+        for a, b in sorted(zip(starts.tolist(), ends.tolist())):
+            if union and a <= union[-1][1]:
+                union[-1][1] = max(union[-1][1], b)
+            else:
+                union.append([a, b])
+        cov = _Coverage.from_intervals(starts, ends)
+        assert [list(p) for p in zip(cov.starts.tolist(), cov.ends.tolist())] == union
 
 
 class TestEventF1:
