@@ -85,25 +85,6 @@ EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 
 
-@dataclasses.dataclass
-class RunManifest:
-    """What ran, with what, producing what; written next to every output."""
-
-    subcommand: str
-    arguments: dict
-    inputs: list[str]
-    outputs: list[str]
-    seed: int | None
-    tool_version: str
-    wall_clock_seconds: float
-
-    def write(self, out_dir: Path) -> None:
-        atomic_write_text(
-            out_dir / "run_manifest.json",
-            json.dumps(dataclasses.asdict(self), indent=2) + "\n",
-        )
-
-
 class _Run:
     """Collects inputs/outputs during a subcommand for the manifest."""
 
@@ -129,16 +110,17 @@ class _Run:
         return path
 
     def finish(self, out_dir: Path, seed: int | None = None) -> None:
-        manifest = RunManifest(
-            self.subcommand,
-            self.arguments,
-            self.inputs,
-            self.outputs,
-            seed,
-            __version__,
-            time.perf_counter() - self.started,
-        )
-        manifest.write(out_dir)
+        """Write ``run_manifest.json``: what ran, with what, producing what."""
+        manifest = {
+            "subcommand": self.subcommand,
+            "arguments": self.arguments,
+            "inputs": self.inputs,
+            "outputs": self.outputs,
+            "seed": seed,
+            "tool_version": __version__,
+            "wall_clock_seconds": time.perf_counter() - self.started,
+        }
+        atomic_write_text(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _out_dir(args) -> Path:
@@ -401,12 +383,10 @@ def cmd_score(args) -> int:
 
     if args.grids:
         vocab = _vocab_from_grids_file(args.grids)
-    else:
-        ref_probe = parse_events(args.ref)
-        est_probe = parse_events(args.est)
-        names = sorted(ref_probe.label_set() | est_probe.label_set())
-        vocab = ClassVocabulary(tuple(names))
-    ref = parse_events(run.reads(args.ref), vocab)
+        ref = parse_events(run.reads(args.ref), vocab)
+    else:  # F1 of two event files, whose labels make the vocabulary
+        ref, est = parse_events(run.reads(args.ref)), parse_events(run.reads(args.est))
+        vocab = ClassVocabulary(tuple(sorted(ref.label_set() | est.label_set())))
     if not ref.events:
         raise ValidationError(f"{args.ref}: reference event list is empty")
     decode_cfg = _decode_cfg_from_args(args)
@@ -418,9 +398,9 @@ def cmd_score(args) -> int:
         grids = parse_framegrids(run.reads(args.grids), vocab)
     f1_reports = {}
     if "f1" in want:
-        if args.est:
+        if args.grids and args.est:
             est = parse_events(run.reads(args.est), vocab)
-        else:
+        elif args.grids:
             est = decode_many(grids, decode_cfg, vocab)
         f1_reports[name] = event_f1(ref, est, CollarConfig(), vocab)
     psds_reports = {"psds1": {}, "psds2": {}}
@@ -572,6 +552,13 @@ def cmd_experiment(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _add_decode_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--decode-config", dest="decode_config")
+    p.add_argument("--thresholds", type=float, help="global decision threshold override")
+    p.add_argument("--median-windows", dest="median_windows", type=int,
+                   help="global median window override")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sedfuse",
@@ -603,18 +590,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", help="classwise scale: one value or a comma list to sweep")
     p.add_argument("--f1-table", dest="f1_table", help="f1_table.json for classwise mode")
     p.add_argument("--truth", help="events.tsv for logistic fitting / beta sweeps")
-    p.add_argument("--decode-config", dest="decode_config")
-    p.add_argument("--thresholds", type=float, help="global decision threshold override")
-    p.add_argument("--median-windows", dest="median_windows", type=int,
-                   help="global median window override")
+    _add_decode_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_fuse)
 
     p = sub.add_parser("decode", help="posteriors -> events.tsv")
     p.add_argument("--grids", required=True)
-    p.add_argument("--decode-config", dest="decode_config")
-    p.add_argument("--thresholds", type=float)
-    p.add_argument("--median-windows", dest="median_windows", type=int)
+    _add_decode_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
@@ -624,9 +606,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grids", help="posterior grids (for PSDS, or to decode for F1)")
     p.add_argument("--metric", default="all", choices=["f1", "psds1", "psds2", "all"])
     p.add_argument("--psds-config", dest="psds_config", help="psds_cfg.json override")
-    p.add_argument("--decode-config", dest="decode_config")
-    p.add_argument("--thresholds", type=float)
-    p.add_argument("--median-windows", dest="median_windows", type=int)
+    _add_decode_args(p)
     p.add_argument("--system-name", dest="system_name", default="system")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_score)
@@ -634,9 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="full synthetic pipeline + report grid")
     p.add_argument("--config", help="scenario.json (defaults used when omitted)")
     p.add_argument("--seed", type=int)
-    p.add_argument("--decode-config", dest="decode_config")
-    p.add_argument("--thresholds", type=float)
-    p.add_argument("--median-windows", dest="median_windows", type=int)
+    _add_decode_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
 

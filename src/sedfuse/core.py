@@ -20,6 +20,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
@@ -69,6 +70,16 @@ def _check_name(name: str, kind: str) -> None:
 def fmt_float(x: float) -> str:
     """Shortest decimal string that parses back to the exact same float."""
     return repr(float(x))
+
+
+def config_number(value, what: str, integer: bool = False) -> float | int:
+    """``value`` as a float (with ``integer``, an int). Config values are checked,
+    not coerced: a bool, a string such as "0.5" and, with ``integer``, 42.9 raise."""
+    kind, name = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        shown = value.item() if isinstance(value, np.generic) else value
+        raise ValidationError(f"{what} {shown!r} must be {name}")
+    return int(value) if integer else float(value)
 
 
 @dataclass(frozen=True)

@@ -1,19 +1,18 @@
 """Turn frame posteriors into event lists.
 
-Each class column is thresholded with ``>=`` (so 0.5 is active at the 0.5
-operating point), smoothed by a centered running median of the class
-window (frames beyond the clip edges count as inactive, which biases
-against spurious clip-edge events), and its runs become events. For an odd
-window and any threshold ``t > 0``, ``median_w(p) >= t`` equals
-``majority_w(p >= t)``: median filtering commutes with thresholding
-(Fitch, Coyle & Gallagher, IEEE TASSP 32(6), 1984). So decoding binarizes
-first and runs the median network on booleans (``_decode_stack``), which
-equals smoothing the posteriors and thresholding them after, and ``decode``
-equals ``extract_events(median_smooth(binarize(grid)))``. A threshold sweep
-such as PSDS smooths the posteriors once and reads all thresholds' runs
-from level crossings (``_level_runs``). ``rasterize`` inverts
-``extract_events`` for frame-aligned events and produces frame targets for
-fusion fitting.
+One kernel, ``_smoothed_levels``, decodes every dump: each cell counts the
+operating points its posterior reaches (``>=``, so 0.5 is active at the 0.5
+operating point), and a centered running median of the class window smooths
+the counts (frames beyond the clip edges count 0, which biases against
+spurious clip-edge events). Runs are then read from the smoothed counts:
+count > 0 at one threshold (``_active_runs``), count > k at the k-th of a
+sweep such as PSDS (``_level_runs``). Counting is non-decreasing in the
+posterior and maps the zero padding to 0, so it commutes with the median
+(threshold decomposition: Fitch, Coyle & Gallagher, IEEE TASSP 32(6), 1984):
+the runs equal those of smoothing the posteriors and thresholding them
+after, and ``decode`` equals ``extract_events(median_smooth(binarize(grid)))``.
+``rasterize`` inverts ``extract_events`` for frame-aligned events and
+produces frame targets for fusion fitting.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import functools
 import numbers
 import os
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .core import (
     EventList,
     FrameGrid,
     ValidationError,
+    config_number,
     fmt_float,
     load_json_object,
 )
@@ -56,9 +56,7 @@ class PostProcessConfig:
         object.__setattr__(self, "class_median_windows", dict(self.class_median_windows))
         # A bool is an int, and a JSON config may hold strings: check the types first.
         for t in [self.default_threshold, *self.class_thresholds.values()]:
-            if isinstance(t, bool) or not isinstance(t, numbers.Real):
-                raise ValidationError(f"threshold {_shown(t)!r} must be a number")
-            if not (0.0 < t < 1.0):
+            if not (0.0 < config_number(t, "threshold") < 1.0):
                 raise ValidationError(f"threshold {fmt_float(t)} outside (0, 1)")
         for w in [self.default_median_window, *self.class_median_windows.values()]:
             if isinstance(w, bool) or not (isinstance(w, numbers.Integral) and w >= 1):
@@ -132,9 +130,9 @@ def _frame_groups(grids: Sequence[FrameGrid], max_cells: int | None = None) -> l
     return blocks
 
 
-def _stack_by_frames(grids: Sequence[FrameGrid]) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Group clips by frame count: (clip indices, fresh (N, T, C) stack) pairs."""
-    return [(idx, np.stack([grids[k].values for k in idx])) for idx in _frame_groups(grids)]
+def _stack_by_frames(grids: Sequence[FrameGrid]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Group clips by frame count: (clip indices, fresh (N, T, C) stack) pairs, one at a time."""
+    return ((idx, np.stack([grids[k].values for k in idx])) for idx in _frame_groups(grids))
 
 
 @functools.lru_cache(maxsize=None)
@@ -183,9 +181,23 @@ def _running_median(stack: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _smoothed_levels(stack: np.ndarray, ops: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """The decode kernel: per cell of an (N, T, C) posterior stack, how many rows of
+    the increasing operating points ``ops`` ((K, C) or (K, 1)) it reaches, then
+    median-smoothed along T (module docstring)."""
+    # zeros_like keeps the stack's layout: parsed grids are column-major.
+    levels = np.zeros_like(stack, dtype=np.min_scalar_type(len(ops)))
+    for row in ops:
+        levels += stack >= row
+    return _running_median(levels, windows)
+
+
 def _active_runs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(clip, class, start, end_exclusive) of the maximal runs of an (N, T, C)
-    boolean stack, ordered by clip, then class, then start."""
+    """(clip, class, start, end_exclusive) of the maximal runs of the nonzero cells
+    of an (N, T, C) stack, ordered by clip, then class, then start.
+
+    The reader for one level: there it is about 3.5x faster than ``_level_runs``,
+    and the development sweeps read hundreds of one-threshold blocks."""
     n, t, n_classes = active.shape
     rows = np.zeros((n, n_classes, t + 1), dtype=bool)  # a False after each row ends its runs
     rows[:, :, :t] = active.transpose(0, 2, 1)
@@ -227,14 +239,6 @@ def _steps_by_level(
     k = (lo[step] + (np.arange(len(step)) - first[step])).astype(lo.dtype)
     order = np.argsort(k, kind="stable")
     return k[order], at[step[order]]
-
-
-def _decode_stack(
-    stack: np.ndarray, thresholds: np.ndarray, windows: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The decode kernel: (clip, class, start, end_exclusive) runs of an (N, T, C)
-    posterior stack, binarized, then median-smoothed (module docstring)."""
-    return _active_runs(_running_median(stack >= thresholds, windows))
 
 
 def _run_times(
@@ -285,7 +289,7 @@ def decode_many(
     thresholds = cfg.threshold_vector(vocab)
     parts = []
     for idx, stack in _stack_by_frames(grids):
-        clip, cls, start, end = _decode_stack(stack, thresholds, windows)
+        clip, cls, start, end = _active_runs(_smoothed_levels(stack, thresholds[None], windows))
         parts.append((idx[clip], cls, start, end))
     if not parts:
         return EventList([])

@@ -17,10 +17,10 @@ Pair (weights ``[alpha, 1 - alpha]``) and class-wise fusion share one kernel,
 ``_fuse_into``, and ``fit_alpha`` and ``sweep_beta`` one development loop,
 ``_dev_curve``. The loop stacks the development dump once; for each
 parameter it fuses into one reused buffer, decodes with the decode kernel
-(binarize, then the median on booleans) and scores the runs with the array
-matcher of :mod:`sedfuse.metrics`, so no ``Event`` object is built. The
-average keeps ``np.mean``: through the kernel, 44% of seed-42 cells move by
-up to 2.2e-16, and the frozen average F1 rests on ``np.mean``.
+and scores the runs with the array matcher of :mod:`sedfuse.metrics`, so no
+``Event`` object is built. The average keeps ``np.mean``: through the
+kernel, 44% of seed-42 cells move by up to 2.2e-16, and the frozen average
+F1 rests on ``np.mean``.
 
 All math is pure and deterministic with fixed summation order.
 """
@@ -45,10 +45,11 @@ from .core import (
 )
 from .decode import (
     PostProcessConfig,
+    _active_runs,
     _check_columns,
-    _decode_stack,
     _frame_groups,
     _run_times,
+    _smoothed_levels,
     rasterize,
 )
 from .metrics import CollarConfig, F1Report, _collar_f1, _event_arrays
@@ -223,7 +224,7 @@ def _dev_curve(
     dump_clip = np.array([clip_numbers.setdefault(g.clip_id, len(clip_numbers)) for g in firsts])
     truth = _event_arrays(dev_truth, clip_numbers, {c: i for i, c in enumerate(vocab.classes)})
     hops = np.array([g.hop_seconds for g in firsts])
-    thresholds, windows = decode_cfg.threshold_vector(vocab), decode_cfg.window_vector(vocab)
+    thresholds, windows = decode_cfg.threshold_vector(vocab)[None], decode_cfg.window_vector(vocab)
 
     curve = []
     for p in params:
@@ -236,7 +237,7 @@ def _dev_curve(
                 stack = _fuse_into(buffer[: base.size].reshape(base.shape), base, diffs, weights)
             else:
                 stack = np.stack([clips[k][sole].values for k in idx])
-            clip, cls, start, end = _decode_stack(stack, thresholds, windows)
+            clip, cls, start, end = _active_runs(_smoothed_levels(stack, thresholds, windows))
             runs.append((idx[clip], cls, start, end))
         clip, cls, start, end = (np.concatenate(arrays) for arrays in zip(*runs))
         onset, offset = _run_times(hops, clip, start, end)

@@ -11,25 +11,25 @@ ground-truth coverage, cross-trigger tolerance), builds per-class ROC
 staircases of true-positive rate against effective false-positive rate
 per hour, and integrates the across-class effective curve up to ``e_max``.
 
-The sweep smooths each dump once and reads every operating point's
-detections from level crossings: each smoothed value ``s`` is quantized
-once per class to ``searchsorted(ops, s, "right")``, and since ``ops`` is
-strictly increasing, ``s >= ops[k]`` holds exactly when that level exceeds
-``k``. A step up from level ``lo`` to ``hi`` starts a run at every
-operating point in ``[lo, hi)`` and a step down ends one, so one pass per
-class gives each operating point the detections that decoding at its
+The sweep decodes each dump once with the decode kernel of
+:mod:`sedfuse.decode`: each cell counts the operating points it reaches,
+the class median smooths the counts, and since ``ops`` is strictly
+increasing, a smoothed count exceeds ``k`` exactly where decoding at
+``ops[k]`` is active. A step up from count ``lo`` to ``hi`` starts a run at
+every operating point in ``[lo, hi)`` and a step down ends one, so one pass
+per class gives each operating point the detections that decoding at its
 threshold would give, in (clip, onset) order.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
-from .core import ClassVocabulary, EventList, FrameGrid, ValidationError, fmt_float
-from .decode import PostProcessConfig, _level_runs, _running_median, _stack_by_frames
+import numpy as np
+
+from .core import ClassVocabulary, EventList, FrameGrid, ValidationError, config_number, fmt_float
+from .decode import PostProcessConfig, _level_runs, _run_times, _smoothed_levels, _stack_by_frames
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,13 @@ class PSDSConfig:
     operating_points: tuple[float, ...] = field(default_factory=default_operating_points)
 
     def __post_init__(self):
-        object.__setattr__(self, "operating_points", tuple(float(t) for t in self.operating_points))
+        # A bool is an int, and a JSON config may hold strings: check the types first.
+        for name in ("dtc", "gtc", "cttc", "alpha_ct", "alpha_st", "e_max"):
+            config_number(getattr(self, name), name)
+        if not isinstance(self.operating_points, (list, tuple, np.ndarray)):
+            raise ValidationError("operating_points must be a list of numbers")
+        pts = tuple(config_number(t, "operating point") for t in self.operating_points)
+        object.__setattr__(self, "operating_points", pts)
         for name, v in (("dtc", self.dtc), ("gtc", self.gtc), ("cttc", self.cttc)):
             if not (0.0 < v <= 1.0):
                 raise ValidationError(f"{name}={fmt_float(v)} outside (0, 1]")
@@ -291,7 +297,6 @@ class PSDSConfig:
             raise ValidationError("alpha_ct and alpha_st must be >= 0")
         if not self.e_max > 0:
             raise ValidationError("e_max must be > 0")
-        pts = self.operating_points
         if not pts:
             raise ValidationError("operating_points must be non-empty")
         if any(not (0.0 < t < 1.0) for t in pts):
@@ -301,21 +306,13 @@ class PSDSConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PSDSConfig":
-        kwargs = dict(data)
-        if "operating_points" in kwargs:
-            kwargs["operating_points"] = tuple(kwargs["operating_points"])
-        return cls(**kwargs)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValidationError(f"unknown PSDS config keys {unknown}")
+        return cls(**data)
 
     def to_dict(self) -> dict:
-        return {
-            "dtc": self.dtc,
-            "gtc": self.gtc,
-            "cttc": self.cttc,
-            "alpha_ct": self.alpha_ct,
-            "alpha_st": self.alpha_st,
-            "e_max": self.e_max,
-            "operating_points": list(self.operating_points),
-        }
+        return {**asdict(self), "operating_points": list(self.operating_points)}
 
 
 PSDS1 = PSDSConfig(dtc=0.7, gtc=0.7, cttc=0.3, alpha_ct=0.0, alpha_st=1.0, e_max=100.0)
@@ -421,22 +418,15 @@ def psds_many(
     bases = np.arange(len(grids), dtype=np.float64) * band
 
     n_classes = len(vocab)
-    gt_on: list[list[float]] = [[] for _ in range(n_classes)]
-    gt_off: list[list[float]] = [[] for _ in range(n_classes)]
-    for ev in ref:
-        c = vocab.index(ev.event_label)
-        base = bases[clip_index[ev.clip_id]]
-        gt_on[c].append(ev.onset + base)
-        gt_off[c].append(ev.offset + base)
-    gt_on_arr = [np.asarray(v) for v in gt_on]
-    gt_off_arr = [np.asarray(v) for v in gt_off]
-    gt_cov = [
-        _Coverage.from_intervals(gt_on_arr[c], gt_off_arr[c]) for c in range(n_classes)
-    ]
-    n_ref = np.array([len(v) for v in gt_on], dtype=np.int64)
-    gt_dur = np.array(
-        [float(np.sum(gt_off_arr[c] - gt_on_arr[c])) for c in range(n_classes)]
-    )
+    ref_cls = np.array([vocab.index(ev.event_label) for ev in ref])
+    ref_base = bases[[clip_index[ev.clip_id] for ev in ref]]
+    ref_on = np.array([ev.onset for ev in ref]) + ref_base
+    ref_off = np.array([ev.offset for ev in ref]) + ref_base
+    gt_on_arr = [ref_on[ref_cls == c] for c in range(n_classes)]
+    gt_off_arr = [ref_off[ref_cls == c] for c in range(n_classes)]
+    gt_cov = [_Coverage.from_intervals(on, off) for on, off in zip(gt_on_arr, gt_off_arr)]
+    n_ref = np.bincount(ref_cls, minlength=n_classes)
+    gt_dur = np.array([float(np.sum(off - on)) for on, off in zip(gt_on_arr, gt_off_arr)])
     evaluated = np.flatnonzero(n_ref > 0)
 
     ops = psds_cfgs[0].operating_points
@@ -447,26 +437,28 @@ def psds_many(
     fp = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
     ct = np.zeros((n_cfg, n_op, n_classes, n_classes), dtype=np.int64)
 
-    # Smooth once, then sweep level crossings (module docstring). Clip j's levels
+    # Decode once, then sweep level crossings (module docstring). Clip j's levels
     # sit at levels[first[j]:first[j] + frames[j]], then a 0 that ends its runs.
     windows = decode_cfg.window_vector(vocab)
     frames = np.array([g.n_frames for g in grids])
     first = np.cumsum(frames + 1) - (frames + 1)
+    op_column = np.asarray(ops)[:, None]  # one pass per operating point covers every class
     stacks = [
-        (first[idx][:, None] + np.arange(stack.shape[1]), _running_median(stack, windows))
+        (first[idx][:, None] + np.arange(stack.shape[1]),
+         _smoothed_levels(stack, op_column, windows))
         for idx, stack in _stack_by_frames(grids)
     ]
     hops = np.array([g.hop_seconds for g in grids])
-    ops_arr = np.asarray(ops)
     levels = np.zeros(int(np.sum(frames + 1)), dtype=np.min_scalar_type(n_op))
     for c in range(n_classes):
         for pos, smoothed in stacks:
-            levels[pos] = np.searchsorted(ops_arr, smoothed[:, :, c], side="right")
+            levels[pos] = smoothed[:, :, c]
         # By operating point, then clip, then onset: _Coverage needs onset order.
         op, start, end = _level_runs(levels)
         clip = np.searchsorted(first, start, side="right") - 1
-        on = (start - first[clip]) * hops[clip] + bases[clip]
-        off = (end - first[clip]) * hops[clip] + bases[clip]
+        on, off = _run_times(hops, clip, start - first[clip], end - first[clip])
+        on += bases[clip]
+        off += bases[clip]
         lengths = off - on
         bounds = np.searchsorted(op, np.arange(n_op + 1))
         ratio_same = gt_cov[c].intersect(on, off) / lengths
@@ -535,14 +527,8 @@ def _roc_report(
     stairs = []
     for j in range(len(evaluated)):
         order = np.lexsort((tpr[:, j], efpr[:, j]))
-        x = efpr[order, j]
-        y = np.maximum.accumulate(tpr[order, j])
-        stairs.append((x, y))
-
-    grid_vals = [np.array([0.0, cfg.e_max])]
-    for x, _ in stairs:
-        grid_vals.append(x[x <= cfg.e_max])
-    grid = np.unique(np.concatenate(grid_vals))
+        stairs.append((efpr[order, j], np.maximum.accumulate(tpr[order, j])))
+    grid = np.unique(np.concatenate([[0.0, cfg.e_max], *(x[x <= cfg.e_max] for x, _ in stairs)]))
 
     step_tpr = np.zeros((len(grid), len(evaluated)))
     for j, (x, y) in enumerate(stairs):
@@ -555,13 +541,9 @@ def _roc_report(
     area = float(np.sum(np.diff(grid) * etpr[:-1]))
     value = area / cfg.e_max
 
-    effective_curve = [
-        (float(grid[i]), float(mean_tpr[i]), float(std_tpr[i])) for i in range(len(grid))
-    ]
+    effective_curve = list(zip(grid.tolist(), mean_tpr.tolist(), std_tpr.tolist()))
     class_rocs = {
-        vocab.classes[c]: [
-            (float(ops[oi]), float(efpr[oi, j]), float(tpr[oi, j])) for oi in range(n_op)
-        ]
+        vocab.classes[c]: list(zip(ops, efpr[:, j].tolist(), tpr[:, j].tolist()))
         for j, c in enumerate(evaluated)
     }
     return PSDSReport(value, effective_curve, class_rocs)

@@ -12,6 +12,7 @@ sharpness: active frames draw ``u ** (1/s)``, inactive frames
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -27,6 +28,7 @@ from .core import (
     TagPrediction,
     ValidationError,
     WeakLabelSet,
+    config_number,
     fmt_float,
     load_json_object,
 )
@@ -192,7 +194,7 @@ class SeparationSkill:
 
     def __post_init__(self):
         for p in (self.clean, self.leakage, self.residual, self.tagging_error):
-            if not (0.0 <= p <= 1.0):
+            if not (0.0 <= config_number(p, "probability") <= 1.0):
                 raise ValidationError(f"probability {fmt_float(p)} outside [0, 1]")
         if self.clean + self.leakage + self.residual <= 0:
             raise ValidationError("outcome probabilities sum to zero")
@@ -584,44 +586,60 @@ def _skill_from_dict(data: Mapping, classes: Sequence[str]) -> ModelSkill:
         if name not in classes:
             raise ValidationError(f"skill override for unknown class {name!r}")
 
-    def column(field_name: str, cast):
+    def column(field_name: str, integer: bool = False):
+        def check(v):  # Scenario.to_dict writes an infinite sharpness as "inf"
+            return math.inf if v == "inf" else config_number(v, field_name, integer)
+
         if field_name in data:  # one value per class, as written by Scenario.to_dict
             values = data[field_name]
             if not isinstance(values, list) or len(values) != len(classes):
                 raise ValidationError(
                     f"skill field {field_name!r} must list {len(classes)} per-class values"
                 )
-            return tuple(cast(v) for v in values)
+            return tuple(map(check, values))
         return tuple(
-            cast(per_class.get(name, {}).get(field_name, defaults[field_name]))
+            check(per_class.get(name, {}).get(field_name, defaults[field_name]))
             for name in classes
         )
 
     return ModelSkill(
-        column("miss_rate", float),
-        column("false_alarm_rate", float),
-        column("jitter_frames", int),
-        column("sharpness", lambda v: float(v)),
+        column("miss_rate"),
+        column("false_alarm_rate"),
+        column("jitter_frames", integer=True),
+        column("sharpness"),
     )
 
 
 def scenario_from_dict(data: Mapping) -> Scenario:
-    """Build a scenario from the scenario.json structure."""
+    """Build a scenario from the scenario.json structure; values are checked, not coerced."""
+
+    def number(key: str, default, integer: bool = False):
+        return config_number(data.get(key, default), key, integer)
+
+    def number_list(key: str, default, integer: bool = False) -> tuple:
+        return tuple(config_number(v, key, integer) for v in data.get(key, default))
+
     classes = data.get("classes")
     if classes is None:
-        classes = default_class_names(int(data.get("n_classes", 10)))
+        classes = default_class_names(number("n_classes", 10, integer=True))
+    elif not isinstance(classes, list):
+        raise ValidationError(f"classes {classes!r} must be a list of names")
+    allow_overlap = data.get("allow_overlap", True)
+    if not isinstance(allow_overlap, bool):
+        raise ValidationError(f"allow_overlap {allow_overlap!r} must be true or false")
     cfg = ScenarioConfig(
-        seed=int(data.get("seed", 42)),
-        n_clips=int(data.get("n_clips", 200)),
-        clip_seconds=float(data.get("clip_seconds", 10.0)),
-        frames_per_clip=int(data.get("frames_per_clip", 512)),
+        seed=number("seed", 42, integer=True),
+        n_clips=number("n_clips", 200, integer=True),
+        clip_seconds=number("clip_seconds", 10.0),
+        frames_per_clip=number("frames_per_clip", 512, integer=True),
         classes=tuple(classes),
-        events_per_clip=tuple(data.get("events_per_clip", (1, 4))),
-        duration_seconds=tuple(data.get("duration_seconds", (0.25, 3.0))),
+        events_per_clip=number_list("events_per_clip", (1, 4), integer=True),
+        duration_seconds=number_list("duration_seconds", (0.25, 3.0)),
         class_duration_seconds={
-            k: tuple(v) for k, v in data.get("class_duration_seconds", {}).items()
+            k: tuple(config_number(x, "class_duration_seconds") for x in v)
+            for k, v in data.get("class_duration_seconds", {}).items()
         },
-        allow_overlap=bool(data.get("allow_overlap", True)),
+        allow_overlap=allow_overlap,
     )
     models = data.get("models")
     if models:
@@ -638,8 +656,8 @@ def scenario_from_dict(data: Mapping) -> Scenario:
         model_names=names,
         model_skills=skills,
         separation=sep,
-        n_sources=int(data.get("n_sources", cfg.events_per_clip[1] + 1)),
-        tau=float(data.get("tau", 0.5)),
+        n_sources=number("n_sources", cfg.events_per_clip[1] + 1, integer=True),
+        tau=number("tau", 0.5),
     )
 
 

@@ -240,6 +240,28 @@ class TestMalformedConfigs:
             pytest.param("--decode-config", '{"default_median_window": true}',
                          "{path}: median window True must be a positive integer",
                          id="decode-bool-window"),
+            pytest.param("--config", '{"n_clips": 2, "allow_overlap": "false"}',
+                         "{path}: allow_overlap 'false' must be true or false",
+                         id="scenario-string-overlap"),
+            pytest.param("--config", '{"n_clips": 2, "classes": "abc"}',
+                         "{path}: classes 'abc' must be a list of names",
+                         id="scenario-string-classes"),
+            pytest.param("--config", '{"n_clips": 2, "seed": 42.9}',
+                         "{path}: seed 42.9 must be an integer", id="scenario-float-seed"),
+            pytest.param("--config", '{"n_clips": true}',
+                         "{path}: n_clips True must be an integer", id="scenario-bool-clips"),
+            pytest.param("--config", '{"n_clips": 2, "clip_seconds": true}',
+                         "{path}: clip_seconds True must be a number", id="scenario-bool-seconds"),
+            pytest.param("--config", '{"n_clips": 2, "models": [{"miss_rate": [true]}], '
+                         '"n_classes": 1}',
+                         "{path}: miss_rate True must be a number", id="skill-bool-rate"),
+            pytest.param("--config",
+                         '{"n_clips": 2, "models": [{"default": {"jitter_frames": 2.5}}]}',
+                         "{path}: jitter_frames 2.5 must be an integer", id="skill-float-jitter"),
+            pytest.param("--config", '{"n_clips": 2, "separation": {"clean": true}}',
+                         "{path}: probability True must be a number", id="separation-bool"),
+            pytest.param("--psds-config", '{"dtc": true}', "{path}: dtc True must be a number",
+                         id="psds-bool-dtc"),
         ],
     )
     def test_exits_2_with_path(self, tmp_path, capsys, flag, text, shown):
@@ -457,6 +479,26 @@ class TestDecodeScore:
         assert len(calls) == 1
         manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
         assert len(manifest["inputs"]) == len(set(manifest["inputs"]))
+
+    def test_score_f1_parses_each_events_file_once(self, dataset, tmp_path, monkeypatch):
+        import sedfuse.cli
+
+        est = tmp_path / "decoded"
+        assert run("decode", "--grids", dataset / "grids_model_1.jsonl", "--out", est) == 0
+        calls = []
+
+        def counting_parse(*args, **kwargs):
+            calls.append(args[0])
+            return parse_events(*args, **kwargs)
+
+        monkeypatch.setattr(sedfuse.cli, "parse_events", counting_parse)
+        rc = run(
+            "score", "--ref", dataset / "events.tsv", "--est", est / "events.tsv",
+            "--metric", "f1", "--out", tmp_path / "o",
+        )
+        assert rc == 0
+        want = [dataset / "events.tsv", est / "events.tsv"]
+        assert sorted(map(str, calls)) == sorted(map(str, want))
 
     def test_report_json_reparses_equal(self, dataset, tmp_path):
         out = tmp_path / "score"

@@ -11,8 +11,8 @@ from hypothesis.extra import numpy as hnp
 from sedfuse.decode import (
     PostProcessConfig,
     _active_runs,
-    _decode_stack,
     _running_median,
+    _smoothed_levels,
     binarize,
     decode,
     decode_many,
@@ -280,15 +280,32 @@ class TestDecode:
 
     @settings(max_examples=300, deadline=None)
     @given(setup=decode_setups(), data=st.data())
-    def test_smoothing_posteriors_first_gives_the_same_runs(self, setup, data):
-        # Threshold decomposition: the running median of the posteriors is >= t
-        # exactly where the majority of the binarized window is active.
+    def test_smoothed_levels_are_levels_of_smoothed_posteriors(self, setup, data):
+        # Threshold decomposition: counting the operating points a cell reaches
+        # commutes with the running median, so smoothing the counts gives the
+        # levels of the smoothed posteriors, ties with an operating point included.
         vocab, cfg = setup
-        stack = draw_grid(data.draw, len(vocab)).values[None]
-        windows, thresholds = cfg.window_vector(vocab), cfg.threshold_vector(vocab)
-        smoothed_first = _active_runs(_running_median(stack.copy(), windows) >= thresholds)
-        for got, want in zip(_decode_stack(stack, thresholds, windows), smoothed_first):
-            np.testing.assert_array_equal(got, want)
+        windows = cfg.window_vector(vocab)
+        ops = data.draw(
+            st.one_of(
+                st.just(cfg.threshold_vector(vocab)[None]),  # decoding: one threshold per class
+                st.sets(THRESHOLD, min_size=1).map(lambda s: np.array(sorted(s))[:, None]),
+                st.just(np.arange(1, 301)[:, None] / 320),  # meets the 0.05 grid; uint16 levels
+            )
+        )
+        shape = (data.draw(st.integers(1, 3)), data.draw(st.integers(1, 20)), len(vocab))
+        stack = data.draw(hnp.arrays(np.float64, shape, elements=POSTERIOR))
+        if data.draw(st.booleans()):  # column-major clips, as parse_framegrids gives them
+            stack = np.stack([np.asfortranarray(clip) for clip in stack])
+        smoothed = _running_median(stack.copy(), windows)
+        per_class = np.broadcast_to(ops, (len(ops), len(vocab)))
+        want = np.stack(
+            [np.searchsorted(per_class[:, c], smoothed[..., c], "right") for c in range(len(vocab))],
+            axis=-1,
+        )
+        got = _smoothed_levels(stack, ops, windows)
+        assert got.dtype == np.min_scalar_type(len(ops))
+        np.testing.assert_array_equal(got, want)
 
     @settings(max_examples=100, deadline=None)
     @given(setup=decode_setups(), data=st.data())

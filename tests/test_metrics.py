@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -421,6 +422,27 @@ class TestPSDS:
             PSDSConfig(operating_points=(0.5, 0.4))
         with pytest.raises(ValidationError):
             PSDSConfig(operating_points=())
+
+    @pytest.mark.parametrize(
+        "data, shown",
+        [
+            pytest.param({"dtc": "0.7"}, "dtc '0.7' must be a number", id="string-dtc"),
+            pytest.param({"dtc": True}, "dtc True must be a number", id="bool-dtc"),
+            pytest.param({"e_max": True}, "e_max True must be a number", id="bool-e-max"),
+            pytest.param({"alpha_ct": None}, "alpha_ct None must be a number", id="null-alpha"),
+            pytest.param({"operating_points": [0.1, "0.2"]},
+                         "operating point '0.2' must be a number", id="string-point"),
+            pytest.param({"operating_points": [0.1, True]},
+                         "operating point True must be a number", id="bool-point"),
+            pytest.param({"operating_points": 0.5}, "operating_points must be a list",
+                         id="scalar-points"),
+            pytest.param({"dtc": 0.7, "bogus": 1}, "unknown PSDS config keys ['bogus']",
+                         id="unknown-key"),
+        ],
+    )
+    def test_config_field_types(self, data, shown):
+        with pytest.raises(ValidationError, match=re.escape(shown)):
+            PSDSConfig.from_dict(data)
 
     def test_psds_within_unit_interval(self, rng):
         vocab = ClassVocabulary(("A", "B"))
