@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 import traceback
@@ -110,7 +111,8 @@ class _Run:
         return path
 
     def finish(self, out_dir: Path, seed: int | None = None) -> None:
-        """Write ``run_manifest.json``: what ran, with what, producing what."""
+        """Write ``run_manifest.json``: what ran, with what, producing what, and
+        the process's peak RSS (not deterministic, so never in ``report.json``)."""
         manifest = {
             "subcommand": self.subcommand,
             "arguments": self.arguments,
@@ -119,6 +121,8 @@ class _Run:
             "seed": seed,
             "tool_version": __version__,
             "wall_clock_seconds": time.perf_counter() - self.started,
+            # Peak RSS of this process so far; ru_maxrss is in KiB on Linux.
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         }
         atomic_write_text(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 

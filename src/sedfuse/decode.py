@@ -11,6 +11,9 @@ posterior and maps the zero padding to 0, so it commutes with the median
 (threshold decomposition: Fitch, Coyle & Gallagher, IEEE TASSP 32(6), 1984):
 the runs equal those of smoothing the posteriors and thresholding them
 after, and ``decode`` equals ``extract_events(median_smooth(binarize(grid)))``.
+Every dump is decoded in blocks of whole clips of one frame count, each at
+most ``_BLOCK_CELLS`` cells, so no float64 copy of a whole dump is made;
+``_level_blocks`` bounds a sweep's expanded level steps the same way.
 ``rasterize`` inverts ``extract_events`` for frame-aligned events and
 produces frame targets for fusion fitting.
 """
@@ -117,21 +120,27 @@ def binarize(grid: FrameGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) ->
     return BinaryGrid(grid.clip_id, grid.hop_seconds, active)
 
 
-def _frame_groups(grids: Sequence[FrameGrid], max_cells: int | None = None) -> list[np.ndarray]:
-    """Indices of the clips of each frame count, in input order; with ``max_cells``,
-    each group is cut into blocks of whole clips holding at most that many cells."""
+# Cells per block of every dump-wide working set: the stacks of ``decode_many``,
+# ``psds_many`` and the development sweeps, and the (k, position) pairs of a PSDS
+# block of operating points. A float64 block is 2 MB, so it stays in cache.
+_BLOCK_CELLS = 1 << 18
+
+
+def _frame_groups(grids: Sequence[FrameGrid]) -> list[np.ndarray]:
+    """Indices of the clips of each frame count, in input order, cut into blocks
+    of whole clips holding at most ``_BLOCK_CELLS`` cells (one clip at least)."""
     groups: dict[int, list[int]] = {}
     for k, grid in enumerate(grids):
         groups.setdefault(grid.n_frames, []).append(k)
     blocks = []
     for idx in groups.values():
-        size = len(idx) if max_cells is None else max(1, max_cells // grids[idx[0]].values.size)
+        size = max(1, _BLOCK_CELLS // grids[idx[0]].values.size)
         blocks += [np.asarray(idx[i : i + size]) for i in range(0, len(idx), size)]
     return blocks
 
 
 def _stack_by_frames(grids: Sequence[FrameGrid]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Group clips by frame count: (clip indices, fresh (N, T, C) stack) pairs, one at a time."""
+    """Blocks of ``_frame_groups``: (clip indices, fresh (N, T, C) stack) pairs, one at a time."""
     return ((idx, np.stack([grids[k].values for k in idx])) for idx in _frame_groups(grids))
 
 
@@ -227,6 +236,27 @@ def _level_runs(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     k, start = _steps_by_level(before[up], after[up], up)
     _, end = _steps_by_level(after[down], before[down], down)
     return k, start, end
+
+
+def _level_blocks(levels: np.ndarray, n_levels: int) -> list[tuple[int, int]]:
+    """Cut the levels ``[0, n_levels)`` into ranges ``[k0, k1)`` whose runs along
+    ``levels`` expand to at most ``_BLOCK_CELLS`` (k, position) pairs in
+    ``_level_runs``, one level at least. ``_level_runs`` of the levels clipped
+    to ``[k0, k1]`` and shifted by ``-k0`` reads that range's runs alone."""
+    edges = np.zeros(len(levels) + 2, dtype=levels.dtype)
+    edges[1:-1] = levels
+    up = np.flatnonzero(edges[1:] > edges[:-1])
+    # Each step up from lo to hi starts a run, which a step down ends, at every k in [lo, hi).
+    runs = np.bincount(edges[up], minlength=n_levels + 1)
+    runs -= np.bincount(edges[up + 1], minlength=n_levels + 1)
+    reach = np.cumsum(2 * np.cumsum(runs[:n_levels]))  # pairs of the levels [0, k]
+    blocks, k0 = [], 0
+    while k0 < n_levels:
+        before = reach[k0 - 1] if k0 else 0
+        k1 = max(k0 + 1, int(np.searchsorted(reach, before + _BLOCK_CELLS, side="right")))
+        blocks.append((k0, k1))
+        k0 = k1
+    return blocks
 
 
 def _steps_by_level(

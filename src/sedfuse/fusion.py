@@ -15,12 +15,15 @@ Three fusion families over M aligned model dumps:
 
 Pair (weights ``[alpha, 1 - alpha]``) and class-wise fusion share one kernel,
 ``_fuse_into``, and ``fit_alpha`` and ``sweep_beta`` one development loop,
-``_dev_curve``. The loop stacks the development dump once; for each
-parameter it fuses into one reused buffer, decodes with the decode kernel
-and scores the runs with the array matcher of :mod:`sedfuse.metrics`, so no
-``Event`` object is built. The average keeps ``np.mean``: through the
-kernel, 44% of seed-42 cells move by up to 2.2e-16, and the frozen average
-F1 rests on ``np.mean``.
+``_dev_curve``. The loop works block by block, each block at most
+``decode._BLOCK_CELLS`` cells: it stacks a block once, then every parameter
+fuses it into one reused buffer and decodes it with the decode kernel, so
+the block stays in cache across the sweep. Each parameter's runs are scored
+with the array matcher of :mod:`sedfuse.metrics`, so no ``Event`` object is
+built. The logistic fit holds one class's design matrix at a time, built
+from the per-clip grids, with boolean targets. The average keeps
+``np.mean``: through the kernel, 44% of seed-42 cells move by up to
+2.2e-16, and the frozen average F1 rests on ``np.mean``.
 
 All math is pure and deterministic with fixed summation order.
 """
@@ -177,13 +180,21 @@ def frame_bce(grids: Sequence[FrameGrid], truth: EventList, vocab: ClassVocabula
     """Mean binary cross-entropy of posteriors against rasterized truth."""
     if not grids:
         raise ValidationError("no frames to score")
-    x, y = _frame_matrix([grids], truth, vocab)
-    p = np.clip(x[:, 0, :], _BCE_EPS, 1.0 - _BCE_EPS)
+    y = _frame_targets(grids, truth, vocab)
+    p = np.clip(np.concatenate([g.values for g in grids]), _BCE_EPS, 1.0 - _BCE_EPS)
     return float(-np.mean(np.where(y, np.log(p), np.log1p(-p))))
 
 
-# Cells fused per block of a development sweep: bounds its per-parameter buffers.
-_SWEEP_BLOCK_CELLS = 1 << 18
+def _frame_targets(
+    grids: Sequence[FrameGrid], truth: EventList, vocab: ClassVocabulary
+) -> np.ndarray:
+    """The rasterized truth of every frame of ``grids``, clip after clip: (frames, C) booleans."""
+    by_clip = truth.by_clip()
+    return np.concatenate([
+        rasterize(EventList(by_clip.get(g.clip_id, [])), g.hop_seconds, g.n_frames, vocab,
+                  clip_id=g.clip_id).values
+        for g in grids
+    ])
 
 
 def _dev_curve(
@@ -193,11 +204,12 @@ def _dev_curve(
 ) -> list[tuple[float, float]]:
     """Fuse the development dump with ``weights_for(p)`` for each parameter and score it.
 
-    For the collar F1, the dump is stacked once, in blocks of clips of one
-    frame count, with each ``g_m - g_1``. Each parameter fuses a block into
-    one reused buffer, decodes it with the decode kernel and matches the
-    runs as arrays: the score equals decoding and matching the grids of
-    ``_fuse_weighted``.
+    For the collar F1, blocks go outside and parameters inside: each block of
+    at most ``decode._BLOCK_CELLS`` cells, clips of one frame count, is
+    stacked once with each ``g_m - g_1``; every parameter fuses it into one
+    reused buffer and decodes it with the decode kernel. Each parameter's
+    runs, concatenated in block order, are then matched as arrays: the score
+    equals decoding and matching the grids of ``_fuse_weighted``.
     """
     if not clips:
         raise ValidationError("development set is empty")
@@ -212,34 +224,34 @@ def _dev_curve(
     for grid in firsts:
         _check_columns(grid, vocab)
     n_models = len(clips[0])
-    blocks = []
-    for idx in _frame_groups(firsts, _SWEEP_BLOCK_CELLS):
+    all_weights = [weights_for(p) for p in params]
+    for weights in all_weights:
+        _check_weights(weights, n_models, len(vocab))
+    thresholds, windows = decode_cfg.threshold_vector(vocab)[None], decode_cfg.window_vector(vocab)
+
+    runs: list[list[tuple[np.ndarray, ...]]] = [[] for _ in params]
+    for idx in _frame_groups(firsts):
         base = np.stack([clips[k][0].values for k in idx])
         diffs = [np.stack([clips[k][m].values for k in idx]) for m in range(1, n_models)]
         for diff in diffs:
             np.subtract(diff, base, out=diff)
-        blocks.append((idx, base, diffs))
-    buffer = np.empty(max(base.size for _, base, _ in blocks))
+        buffer = np.empty_like(base)  # parsed grids are column-major: fuse in their order
+        for weights, param_runs in zip(all_weights, runs):
+            sole = _sole_model(weights)
+            if sole is None:
+                stack = _fuse_into(buffer, base, diffs, weights)
+            else:
+                stack = np.stack([clips[k][sole].values for k in idx])
+            clip, cls, start, end = _active_runs(_smoothed_levels(stack, thresholds, windows))
+            param_runs.append((idx[clip], cls, start, end))
+
     clip_numbers: dict[str, int] = {}
     dump_clip = np.array([clip_numbers.setdefault(g.clip_id, len(clip_numbers)) for g in firsts])
     truth = _event_arrays(dev_truth, clip_numbers, {c: i for i, c in enumerate(vocab.classes)})
     hops = np.array([g.hop_seconds for g in firsts])
-    thresholds, windows = decode_cfg.threshold_vector(vocab)[None], decode_cfg.window_vector(vocab)
-
     curve = []
-    for p in params:
-        weights = weights_for(p)
-        _check_weights(weights, n_models, len(vocab))
-        sole = _sole_model(weights)
-        runs = []
-        for idx, base, diffs in blocks:
-            if sole is None:
-                stack = _fuse_into(buffer[: base.size].reshape(base.shape), base, diffs, weights)
-            else:
-                stack = np.stack([clips[k][sole].values for k in idx])
-            clip, cls, start, end = _active_runs(_smoothed_levels(stack, thresholds, windows))
-            runs.append((idx[clip], cls, start, end))
-        clip, cls, start, end = (np.concatenate(arrays) for arrays in zip(*runs))
+    for p, param_runs in zip(params, runs):
+        clip, cls, start, end = (np.concatenate(arrays) for arrays in zip(*param_runs))
         onset, offset = _run_times(hops, clip, start, end)
         detected = (dump_clip[clip] * len(vocab) + cls, onset, offset)
         curve.append((p, _collar_f1(truth, detected, collar, vocab).macro_f1))
@@ -490,25 +502,14 @@ class LogisticFusionModel:
         }
 
 
-def _frame_matrix(
-    model_grids: Sequence[Sequence[FrameGrid]], truth: EventList, vocab: ClassVocabulary
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stack posteriors into (frames, models, classes) and rasterize targets."""
-    by_clip = truth.by_clip()
-    feats, targets = [], []
-    for group in _aligned_clip_sets(model_grids):
-        ref = group[0]
-        feats.append(np.stack([g.values for g in group], axis=1))
-        targets.append(
-            rasterize(
-                EventList(by_clip.get(ref.clip_id, [])),
-                ref.hop_seconds,
-                ref.n_frames,
-                vocab,
-                clip_id=ref.clip_id,
-            ).values
-        )
-    return np.concatenate(feats, axis=0), np.concatenate(targets, axis=0).astype(np.float64)
+def _design_matrix(clips: Sequence[Sequence[FrameGrid]], c: int) -> np.ndarray:
+    """Class ``c``'s C-ordered (frames, M + 1) features: each model's posteriors,
+    clip after clip, then a column of ones; the bias is its weight, theta = (w, b)."""
+    x = np.empty((sum(group[0].n_frames for group in clips), len(clips[0]) + 1))
+    for m in range(len(clips[0])):
+        np.concatenate([group[m].values[:, c] for group in clips], out=x[:, m])
+    x[:, -1] = 1.0
+    return x
 
 
 def fit_logistic_fusion(
@@ -524,14 +525,16 @@ def fit_logistic_fusion(
     Deterministic damped Newton (IRLS) on the weights and bias from zero
     initialization: each step solves the Hessian system, then halves until
     the loss does not rise, so descent is monotone. A class converges when
-    its loss improves by less than ``tol``.
+    its loss improves by less than ``tol``. Classes are fitted one at a
+    time, so only one class's (frames, M + 1) design matrix exists at once.
     """
     if not dev_truth.events:
         raise ValidationError("development truth is empty")
     n_models = len(model_grids)
     if model_names is None:
         model_names = tuple(f"model_{m + 1}" for m in range(n_models))
-    x_all, y_all = _frame_matrix(model_grids, dev_truth, vocab)
+    clips = _aligned_clip_sets(model_grids)
+    y_all = _frame_targets([group[0] for group in clips], dev_truth, vocab)
     n_classes = len(vocab)
     weights = np.zeros((n_classes, n_models))
     bias = np.zeros(n_classes)
@@ -549,8 +552,7 @@ def fit_logistic_fusion(
             weights[c] = 1.0 / n_models
             final_loss[c] = grad_norm[c] = float("nan")
             continue
-        # The bias is the weight of a constant column: theta = (w, b).
-        x = np.column_stack([x_all[:, :, c], np.ones(len(y))])
+        x = _design_matrix(clips, c)
         theta = np.zeros(n_models + 1)
         loss, grad, _ = logistic_loss_and_grad(theta, 0.0, x, y)
         for it in range(1, max_iter + 1):

@@ -18,7 +18,12 @@ increasing, a smoothed count exceeds ``k`` exactly where decoding at
 ``ops[k]`` is active. A step up from count ``lo`` to ``hi`` starts a run at
 every operating point in ``[lo, hi)`` and a step down ends one, so one pass
 per class gives each operating point the detections that decoding at its
-threshold would give, in (clip, onset) order.
+threshold would give, in (clip, onset) order. The dump is stacked in blocks
+of ``decode._BLOCK_CELLS`` cells, and the operating points are swept in
+blocks whose expanded (operating point, position) pairs stay under the same
+bound: a block's levels are clipped to it and shifted, and since each
+operating point's counts depend on its own detections alone, the blocks
+give the same counts as one sweep.
 """
 
 from __future__ import annotations
@@ -29,7 +34,14 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .core import ClassVocabulary, EventList, FrameGrid, ValidationError, config_number, fmt_float
-from .decode import PostProcessConfig, _level_runs, _run_times, _smoothed_levels, _stack_by_frames
+from .decode import (
+    PostProcessConfig,
+    _level_blocks,
+    _level_runs,
+    _run_times,
+    _smoothed_levels,
+    _stack_by_frames,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -453,37 +465,42 @@ def psds_many(
     for c in range(n_classes):
         for pos, smoothed in stacks:
             levels[pos] = smoothed[:, :, c]
-        # By operating point, then clip, then onset: _Coverage needs onset order.
-        op, start, end = _level_runs(levels)
-        clip = np.searchsorted(first, start, side="right") - 1
-        on, off = _run_times(hops, clip, start - first[clip], end - first[clip])
-        on += bases[clip]
-        off += bases[clip]
-        lengths = off - on
-        bounds = np.searchsorted(op, np.arange(n_op + 1))
-        ratio_same = gt_cov[c].intersect(on, off) / lengths
-        for gi, cfg in enumerate(psds_cfgs):
-            passing = ratio_same >= cfg.dtc
-            fp[gi, :, c] = np.bincount(op[~passing], minlength=n_op)
-            # One _Coverage per operating point, over its passing detections.
-            for oi in range(n_op):
-                kept = bounds[oi] + np.flatnonzero(passing[bounds[oi] : bounds[oi + 1]])
-                if n_ref[c] > 0 and len(kept):
-                    det_cov = _Coverage(on[kept], off[kept])
-                    covered = det_cov.intersect(gt_on_arr[c], gt_off_arr[c])
-                    tp[gi, oi, c] = int(
-                        np.sum(covered / (gt_off_arr[c] - gt_on_arr[c]) >= cfg.gtc)
-                    )
-            if cfg.alpha_ct > 0:
-                failing = ~passing
-                f_on, f_off, f_len, f_op = on[failing], off[failing], lengths[failing], op[failing]
-                for c2 in evaluated:
-                    if c2 == c:
-                        continue
-                    ratio_cross = gt_cov[c2].intersect(f_on, f_off) / f_len
-                    ct[gi, :, c, c2] = np.bincount(
-                        f_op[ratio_cross >= cfg.cttc], minlength=n_op
-                    )
+        # Operating points in blocks, so the level steps expand into bounded arrays.
+        for k0, k1 in _level_blocks(levels, n_op):
+            n_block = k1 - k0
+            block_tp, block_fp, block_ct = tp[:, k0:k1], fp[:, k0:k1], ct[:, k0:k1]
+            # By operating point, then clip, then onset: _Coverage needs onset order.
+            op, start, end = _level_runs(np.clip(levels, k0, k1) - k0)
+            clip = np.searchsorted(first, start, side="right") - 1
+            on, off = _run_times(hops, clip, start - first[clip], end - first[clip])
+            on += bases[clip]
+            off += bases[clip]
+            lengths = off - on
+            bounds = np.searchsorted(op, np.arange(n_block + 1))
+            ratio_same = gt_cov[c].intersect(on, off) / lengths
+            for gi, cfg in enumerate(psds_cfgs):
+                passing = ratio_same >= cfg.dtc
+                block_fp[gi, :, c] = np.bincount(op[~passing], minlength=n_block)
+                # One _Coverage per operating point, over its passing detections.
+                for oi in range(n_block):
+                    kept = bounds[oi] + np.flatnonzero(passing[bounds[oi] : bounds[oi + 1]])
+                    if n_ref[c] > 0 and len(kept):
+                        det_cov = _Coverage(on[kept], off[kept])
+                        covered = det_cov.intersect(gt_on_arr[c], gt_off_arr[c])
+                        block_tp[gi, oi, c] = int(
+                            np.sum(covered / (gt_off_arr[c] - gt_on_arr[c]) >= cfg.gtc)
+                        )
+                if cfg.alpha_ct > 0:
+                    failing = ~passing
+                    f_on, f_off, f_len = on[failing], off[failing], lengths[failing]
+                    f_op = op[failing]
+                    for c2 in evaluated:
+                        if c2 == c:
+                            continue
+                        ratio_cross = gt_cov[c2].intersect(f_on, f_off) / f_len
+                        block_ct[gi, :, c, c2] = np.bincount(
+                            f_op[ratio_cross >= cfg.cttc], minlength=n_block
+                        )
 
     reports = []
     for gi, cfg in enumerate(psds_cfgs):

@@ -573,6 +573,13 @@ def default_scenario(seed: int = 42, n_clips: int = 200, n_classes: int = 10) ->
     )
 
 
+def _config_object(value, what: str) -> Mapping:
+    """``value`` if it is a JSON object; anything else raises, naming ``what``."""
+    if not isinstance(value, Mapping):
+        raise ValidationError(f"{what} {value!r} must be an object")
+    return value
+
+
 def _skill_from_dict(data: Mapping, classes: Sequence[str]) -> ModelSkill:
     defaults = {
         "miss_rate": 0.1,
@@ -580,11 +587,12 @@ def _skill_from_dict(data: Mapping, classes: Sequence[str]) -> ModelSkill:
         "jitter_frames": 3,
         "sharpness": 8.0,
     }
-    defaults.update(data.get("default", {}))
-    per_class = data.get("per_class", {})
-    for name in per_class:
+    defaults.update(_config_object(data.get("default", {}), "default"))
+    per_class = _config_object(data.get("per_class", {}), "per_class")
+    for name, overrides in per_class.items():
         if name not in classes:
             raise ValidationError(f"skill override for unknown class {name!r}")
+        _config_object(overrides, f"per_class {name!r}")
 
     def column(field_name: str, integer: bool = False):
         def check(v):  # Scenario.to_dict writes an infinite sharpness as "inf"
@@ -637,12 +645,17 @@ def scenario_from_dict(data: Mapping) -> Scenario:
         duration_seconds=number_list("duration_seconds", (0.25, 3.0)),
         class_duration_seconds={
             k: tuple(config_number(x, "class_duration_seconds") for x in v)
-            for k, v in data.get("class_duration_seconds", {}).items()
+            for k, v in _config_object(
+                data.get("class_duration_seconds", {}), "class_duration_seconds"
+            ).items()
         },
         allow_overlap=allow_overlap,
     )
     models = data.get("models")
+    if models is not None and not isinstance(models, list):
+        raise ValidationError(f"models {models!r} must be a list of objects")
     if models:
+        models = [_config_object(m, "models entry") for m in models]
         names = tuple(
             m.get("name", f"model_{i + 1}") for i, m in enumerate(models)
         )
@@ -650,7 +663,7 @@ def scenario_from_dict(data: Mapping) -> Scenario:
     else:
         skills = tuple(heterogeneous_skills(len(cfg.classes)))
         names = tuple(f"model_{m + 1}" for m in range(len(skills)))
-    sep = SeparationSkill(**data.get("separation", {}))
+    sep = SeparationSkill(**_config_object(data.get("separation", {}), "separation"))
     return Scenario(
         config=cfg,
         model_names=names,

@@ -258,6 +258,21 @@ class TestMalformedConfigs:
             pytest.param("--config",
                          '{"n_clips": 2, "models": [{"default": {"jitter_frames": 2.5}}]}',
                          "{path}: jitter_frames 2.5 must be an integer", id="skill-float-jitter"),
+            pytest.param("--config", '{"n_clips": 2, "models": "m"}',
+                         "{path}: models 'm' must be a list of objects",
+                         id="scenario-models-object"),
+            pytest.param("--config", '{"n_clips": 2, "models": [1]}',
+                         "{path}: models entry 1 must be an object", id="scenario-models-entry"),
+            pytest.param("--config",
+                         '{"n_clips": 2, "classes": ["a"], "models": [{"per_class": {"a": 1}}]}',
+                         "{path}: per_class 'a' 1 must be an object", id="skill-per-class-value"),
+            pytest.param("--config", '{"n_clips": 2, "models": [{"per_class": [1]}]}',
+                         "{path}: per_class [1] must be an object", id="skill-per-class-list"),
+            pytest.param("--config", '{"n_clips": 2, "models": [{"default": [1]}]}',
+                         "{path}: default [1] must be an object", id="skill-default-list"),
+            pytest.param("--config", '{"n_clips": 2, "class_duration_seconds": [1]}',
+                         "{path}: class_duration_seconds [1] must be an object",
+                         id="scenario-class-durations-list"),
             pytest.param("--config", '{"n_clips": 2, "separation": {"clean": true}}',
                          "{path}: probability True must be a number", id="separation-bool"),
             pytest.param("--psds-config", '{"dtc": true}', "{path}: dtc True must be a number",
@@ -557,3 +572,5 @@ class TestManifestFile:
         assert manifest["tool_version"]
         assert any(p.endswith("events.tsv") for p in manifest["outputs"])
         assert manifest["wall_clock_seconds"] >= 0
+        peak = manifest["peak_rss_mb"]
+        assert isinstance(peak, float) and peak > 0

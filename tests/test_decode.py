@@ -1,10 +1,13 @@
 """Posterior decoding: thresholds, majority smoothing, run extraction."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sedfuse import decode as decode_module
 from sedfuse.core import BinaryGrid, ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from hypothesis.extra import numpy as hnp
 
@@ -251,6 +254,18 @@ class TestRasterize:
             )
 
 
+def _check_many_equals_per_clip(setup, data):
+    vocab, cfg = setup
+    # Two frame counts, so clips of one stack interleave with the other's.
+    frames = st.sampled_from((6, 11))
+    n_clips = data.draw(st.integers(0, 6))
+    grids = [
+        draw_grid(data.draw, len(vocab), f"clip{k}", frames) for k in range(n_clips)
+    ]
+    joined = [ev for grid in grids for ev in decode(grid, cfg, vocab)]
+    assert decode_many(grids, cfg, vocab).events == joined
+
+
 class TestDecode:
     def test_all_zero(self):
         grid = FrameGrid("c", 0.1, np.zeros((16, 1)))
@@ -310,15 +325,14 @@ class TestDecode:
     @settings(max_examples=100, deadline=None)
     @given(setup=decode_setups(), data=st.data())
     def test_many_equals_per_clip_in_input_order(self, setup, data):
-        vocab, cfg = setup
-        # Two frame counts, so clips of one stack interleave with the other's.
-        frames = st.sampled_from((6, 11))
-        n_clips = data.draw(st.integers(0, 6))
-        grids = [
-            draw_grid(data.draw, len(vocab), f"clip{k}", frames) for k in range(n_clips)
-        ]
-        joined = [ev for grid in grids for ev in decode(grid, cfg, vocab)]
-        assert decode_many(grids, cfg, vocab).events == joined
+        _check_many_equals_per_clip(setup, data)
+
+    # From one clip per block (1 cell) to blocks of a few short clips: the multi-block path.
+    @settings(max_examples=50, deadline=None)
+    @given(setup=decode_setups(), data=st.data(), block_cells=st.integers(1, 32))
+    def test_many_in_small_blocks(self, setup, data, block_cells):
+        with mock.patch.object(decode_module, "_BLOCK_CELLS", block_cells):
+            _check_many_equals_per_clip(setup, data)
 
     def test_threshold_monotonicity(self, rng):
         grid = FrameGrid("c", 0.1, rng.random((64, 1)))

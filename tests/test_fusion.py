@@ -1,6 +1,8 @@
 """Fusion math: pair blending, class-wise softmax weights, logistic fusion."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sedfuse import metrics
+from sedfuse import decode, metrics
 from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from sedfuse.decode import PostProcessConfig, decode_many, rasterize
 from sedfuse.fusion import (
@@ -568,38 +570,63 @@ def _composed_score(clips, weights, truth, cfg, vocab, collar, objective=OBJECTI
     return event_f1(truth, decode_many(fused, cfg, vocab), collar, vocab).macro_f1
 
 
+def _check_fit_alpha(case, objective):
+    clips, truth, cfg, vocab, collar = case
+    pairs = [(group[0], group[-1]) for group in clips]
+    fit = fit_alpha(pairs, truth, cfg, vocab, objective, collar)
+    expected = [
+        (alpha, _composed_score(pairs, _pair_weights(alpha, len(vocab)), truth, cfg, vocab,
+                                collar, objective))
+        for alpha in (i / 100.0 for i in range(101))
+    ]
+    assert fit.curve == expected
+
+
+def _check_sweep_beta(case, data):
+    clips, truth, cfg, vocab, collar = case
+    n_models = len(clips[0])
+    f1 = data.draw(hnp.arrays(np.float64, (n_models, len(vocab)), elements=st.floats(0, 1)))
+    table = ClassF1Table(tuple(f"m{m}" for m in range(n_models)), vocab.classes, f1)
+    model_grids = [[group[m] for group in clips] for m in range(n_models)]
+    sweep = sweep_beta(model_grids, table, truth, DEFAULT_BETA_SWEEP, cfg, vocab, collar)
+    expected = [
+        (beta, _composed_score(clips, classwise_weights(table, beta).values, truth, cfg,
+                               vocab, collar))
+        for beta in DEFAULT_BETA_SWEEP
+    ]
+    assert sweep.curve == expected
+
+
+OBJECTIVES = st.sampled_from((OBJECTIVE_MACRO_F1, OBJECTIVE_FRAME_BCE))
+# From one clip per block (1 cell) to blocks of a few short clips: the multi-block path.
+SMALL_BLOCKS = st.integers(1, 32)
+
+
 class TestSweepEqualsComposition:
     """The stacked sweeps score each parameter exactly as fusing, decoding and
     matching ``Event`` lists would."""
 
     @settings(max_examples=25, deadline=None)
-    @given(case=_sweep_case(), objective=st.sampled_from((OBJECTIVE_MACRO_F1, OBJECTIVE_FRAME_BCE)))
+    @given(case=_sweep_case(), objective=OBJECTIVES)
     def test_fit_alpha(self, case, objective):
-        clips, truth, cfg, vocab, collar = case
-        pairs = [(group[0], group[-1]) for group in clips]
-        fit = fit_alpha(pairs, truth, cfg, vocab, objective, collar)
-        expected = [
-            (alpha, _composed_score(pairs, _pair_weights(alpha, len(vocab)), truth, cfg, vocab,
-                                    collar, objective))
-            for alpha in (i / 100.0 for i in range(101))
-        ]
-        assert fit.curve == expected
+        _check_fit_alpha(case, objective)
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=_sweep_case(), objective=OBJECTIVES, block_cells=SMALL_BLOCKS)
+    def test_fit_alpha_in_small_blocks(self, case, objective, block_cells):
+        with mock.patch.object(decode, "_BLOCK_CELLS", block_cells):
+            _check_fit_alpha(case, objective)
 
     @settings(max_examples=60, deadline=None)
     @given(case=_sweep_case(), data=st.data())
     def test_sweep_beta(self, case, data):
-        clips, truth, cfg, vocab, collar = case
-        n_models = len(clips[0])
-        f1 = data.draw(hnp.arrays(np.float64, (n_models, len(vocab)), elements=st.floats(0, 1)))
-        table = ClassF1Table(tuple(f"m{m}" for m in range(n_models)), vocab.classes, f1)
-        model_grids = [[group[m] for group in clips] for m in range(n_models)]
-        sweep = sweep_beta(model_grids, table, truth, DEFAULT_BETA_SWEEP, cfg, vocab, collar)
-        expected = [
-            (beta, _composed_score(clips, classwise_weights(table, beta).values, truth, cfg,
-                                   vocab, collar))
-            for beta in DEFAULT_BETA_SWEEP
-        ]
-        assert sweep.curve == expected
+        _check_sweep_beta(case, data)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=_sweep_case(), data=st.data(), block_cells=SMALL_BLOCKS)
+    def test_sweep_beta_in_small_blocks(self, case, data, block_cells):
+        with mock.patch.object(decode, "_BLOCK_CELLS", block_cells):
+            _check_sweep_beta(case, data)
 
     def test_shared_candidates_go_through_kuhn(self, monkeypatch):
         # One detection lies within the collar of two overlapping references, so
@@ -626,6 +653,47 @@ class TestSweepEqualsComposition:
             (a, _composed_score([grids], _pair_weights(a, 1), truth, cfg, vocab, CollarConfig()))
             for a, _ in fit.curve
         ]
+
+
+def _synthetic_dev_set(n_clips, n_classes, n_models):
+    cfg = ScenarioConfig(
+        seed=3, n_clips=n_clips, frames_per_clip=512,
+        classes=tuple(f"c{i}" for i in range(n_classes)),
+    )
+    truth, _ = gen_truth(cfg)
+    skill = ModelSkill.uniform(n_classes, miss_rate=0.1, false_alarm_rate=0.02,
+                               jitter_frames=2, sharpness=6.0)
+    models = [simulate_model(truth, skill, cfg, seed=11 + m) for m in range(n_models)]
+    return models, truth, cfg.vocab
+
+
+def _traced_peak(fn, *args):
+    """Peak bytes traced during ``fn(*args)``; numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSetMemory:
+    """Working sets are bounded by one block or one class, not by the dump."""
+
+    def test_logistic_fit_holds_one_class_at_a_time(self):
+        peaks = []
+        for n_classes in (2, 8):  # the same frames
+            models, truth, vocab = _synthetic_dev_set(20, n_classes, 3)
+            peaks.append(_traced_peak(fit_logistic_fusion, models, truth, vocab))
+        assert peaks[1] < 1.5 * peaks[0]
+
+    def test_alpha_sweep_holds_one_block_at_a_time(self):
+        peaks = []
+        for n_clips in (60, 240):  # about 1.2 and 4.7 blocks of 2^18 cells
+            models, truth, vocab = _synthetic_dev_set(n_clips, 10, 2)
+            pairs = list(zip(*models))
+            peaks.append(_traced_peak(fit_alpha, pairs, truth, PostProcessConfig(), vocab))
+        assert peaks[1] < 2.2 * peaks[0]
 
 
 class TestF1TableIO:

@@ -3,12 +3,14 @@
 import dataclasses
 import json
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sedfuse import decode
 from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from sedfuse.decode import PostProcessConfig, decode_many
 from sedfuse.metrics import (
@@ -548,20 +550,32 @@ def psds_setups(draw):
     return grids, EventList(events), pp, vocab
 
 
+def _check_psds_oracle(setup, ops):
+    grids, ref, pp, vocab = setup
+    cfgs = [
+        PSDSConfig.from_dict({**base.to_dict(), "operating_points": ops})
+        for base in (PSDS1, PSDS2)
+    ]
+    assert cfgs[1].alpha_ct > 0
+    got = psds_many(grids, ref, pp, cfgs, vocab)
+    for report, oracle in zip(got, brute_force_psds(grids, ref, pp, cfgs, vocab)):
+        assert report.class_rocs == oracle.class_rocs
+        assert report.psds == oracle.psds
+
+
 class TestPSDSOracle:
     @settings(max_examples=100, deadline=None)
     @given(setup=psds_setups(), ops=OPERATING_POINTS)
     def test_sweep_equals_brute_force(self, setup, ops):
-        grids, ref, pp, vocab = setup
-        cfgs = [
-            PSDSConfig.from_dict({**base.to_dict(), "operating_points": ops})
-            for base in (PSDS1, PSDS2)
-        ]
-        assert cfgs[1].alpha_ct > 0
-        got = psds_many(grids, ref, pp, cfgs, vocab)
-        for report, oracle in zip(got, brute_force_psds(grids, ref, pp, cfgs, vocab)):
-            assert report.class_rocs == oracle.class_rocs
-            assert report.psds == oracle.psds
+        _check_psds_oracle(setup, ops)
+
+    @settings(max_examples=50, deadline=None)
+    @given(setup=psds_setups(), ops=OPERATING_POINTS)
+    def test_sweep_in_one_point_blocks(self, setup, ops):
+        # A budget of one (k, position) pair: each block of operating points
+        # holds one point, and each stack one clip.
+        with mock.patch.object(decode, "_BLOCK_CELLS", 1):
+            _check_psds_oracle(setup, ops)
 
 
 class TestReportTables:
