@@ -70,7 +70,7 @@ from .metrics import (
     psds_many,
     report_tables,
 )
-from .spl import select, selection_report, write_selection
+from .spl import select_mixtures, selection_report, write_selection
 from .synth import (
     Scenario,
     default_scenario,
@@ -133,14 +133,15 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _decode_cfg_from_args(args) -> PostProcessConfig:
-    if getattr(args, "decode_config", None):
-        cfg = PostProcessConfig.load(args.decode_config)
+def _decode_cfg_from_args(args, vocab: ClassVocabulary) -> PostProcessConfig:
+    """The decode config of the flags that ``_add_decode_args`` adds."""
+    if args.decode_config:
+        cfg = PostProcessConfig.load(args.decode_config, vocab)
     else:
         cfg = PostProcessConfig()
-    if getattr(args, "thresholds", None) is not None:
+    if args.thresholds is not None:
         cfg = dataclasses.replace(cfg, default_threshold=args.thresholds, class_thresholds={})
-    if getattr(args, "median_windows", None) is not None:
+    if args.median_windows is not None:
         cfg = dataclasses.replace(
             cfg, default_median_window=args.median_windows, class_median_windows={}
         )
@@ -217,42 +218,17 @@ def _write_dataset(scenario: Scenario, out: Path, run: _Run) -> dict:
 def cmd_spl(args) -> int:
     run = _Run("spl", args)
     manifest = parse_manifest(run.reads(args.manifest))
-    if len(manifest) == 0:
-        vocab = None
-        tags = []
-    else:
+    results = []
+    if len(manifest) > 0:  # an empty manifest reads no tags, whose file may be empty
         vocab = _vocab_from_tags_file(args.tags)
         tags = parse_tags(run.reads(args.tags), vocab)
-    out = _out_dir(args)
-
-    results = []
-    if len(manifest) > 0:
         weak = parse_weak_labels(run.reads(args.weak), vocab)
-        strong_classes: dict[str, set[str]] = {}
+        labels = {clip: set(names) for clip, names in weak.labels.items()}
         if args.strong:
-            strong = parse_events(run.reads(args.strong), vocab)
-            for ev in strong:
-                strong_classes.setdefault(ev.clip_id, set()).add(ev.event_label)
-        tags_by_id = {tag.source_id: tag for tag in tags}
-        for mixture_id, source_ids in manifest.sources.items():
-            missing = [sid for sid in source_ids if sid not in tags_by_id]
-            if missing:
-                raise ValidationError(
-                    f"{mixture_id}: sources without tag predictions: {missing}"
-                )
-            mixture_weak = set(weak.labels.get(mixture_id, frozenset()))
-            mixture_weak |= strong_classes.get(mixture_id, set())
-            if not mixture_weak:
-                raise ValidationError(f"{mixture_id}: no weak or strong labels")
-            sources = [tags_by_id[sid] for sid in source_ids]
-            for tag in sources:
-                if tag.parent_clip_id != mixture_id:
-                    raise ValidationError(
-                        f"{tag.source_id}: parent {tag.parent_clip_id!r} does not "
-                        f"match manifest mixture {mixture_id!r}"
-                    )
-            results.append(select(sources, mixture_weak, args.tau, vocab))
-
+            for ev in parse_events(run.reads(args.strong), vocab):
+                labels.setdefault(ev.clip_id, set()).add(ev.event_label)
+        results = select_mixtures(manifest, tags, labels, args.tau, vocab)
+    out = _out_dir(args)
     write_selection(results, run.writes(out / "selection.jsonl"))
     summary = selection_report(results)
     print(json.dumps(summary.to_dict(), indent=2))
@@ -262,7 +238,7 @@ def cmd_spl(args) -> int:
 
 def _vocab_from_tags_file(path) -> ClassVocabulary:
     (probs,) = first_record(path, ("probs",))
-    return ClassVocabulary(tuple(k for k in probs if k != "other"))
+    return ClassVocabulary(tuple(k for k in probs if k != ClassVocabulary.other_label))
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +253,7 @@ def cmd_fuse(args) -> int:
     vocab = _vocab_from_grids_file(args.grids[0])
     model_grids = [parse_framegrids(run.reads(path), vocab) for path in args.grids]
     out = _out_dir(args)
-    decode_cfg = _decode_cfg_from_args(args)
+    decode_cfg = _decode_cfg_from_args(args, vocab)
 
     if args.mode == "pair":
         if len(model_grids) != 2:
@@ -362,7 +338,7 @@ def cmd_decode(args) -> int:
     run = _Run("decode", args)
     vocab = _vocab_from_grids_file(args.grids)
     grids = parse_framegrids(run.reads(args.grids), vocab)
-    cfg = _decode_cfg_from_args(args)
+    cfg = _decode_cfg_from_args(args, vocab)
     out = _out_dir(args)
     events = decode_many(grids, cfg, vocab)
     write_events(events, run.writes(out / "events.tsv"))
@@ -393,7 +369,7 @@ def cmd_score(args) -> int:
         vocab = ClassVocabulary(tuple(sorted(ref.label_set() | est.label_set())))
     if not ref.events:
         raise ValidationError(f"{args.ref}: reference event list is empty")
-    decode_cfg = _decode_cfg_from_args(args)
+    decode_cfg = _decode_cfg_from_args(args, vocab)
     out = _out_dir(args)
 
     name = args.system_name
@@ -458,14 +434,9 @@ def cmd_experiment(args) -> int:
         model_grids = dataset["model_grids"]
 
         stage = "spl"
-        results = []
-        tags_by_id = {t.source_id: t for t in dataset["tags"]}
-        for mixture_id, source_ids in dataset["manifest"].sources.items():
-            sources = [tags_by_id[sid] for sid in source_ids]
-            mixture_weak = set(weak.labels.get(mixture_id, frozenset()))
-            if not mixture_weak:
-                continue
-            results.append(select(sources, mixture_weak, scenario.tau, vocab))
+        results = select_mixtures(
+            dataset["manifest"], dataset["tags"], weak.labels, scenario.tau, vocab
+        )
         write_selection(results, run.writes(out / "selection.jsonl"))
         summary = selection_report(results)
         selected_ids = {sid for r in results for sid, _ in r.selected}
@@ -475,13 +446,14 @@ def cmd_experiment(args) -> int:
         )
 
         stage = "fuse"
-        decode_cfg = _decode_cfg_from_args(args)
+        decode_cfg = _decode_cfg_from_args(args, vocab)
         collar = CollarConfig()
-        model_f1 = {}
+        # Each system is decoded once, for its F1 and its events file.
+        events, f1_reports = {}, {}
         for name, grids in zip(scenario.model_names, model_grids):
-            est = decode_many(grids, decode_cfg, vocab)
-            model_f1[name] = event_f1(truth, est, collar, vocab)
-        f1_table = ClassF1Table.from_reports(model_f1, vocab)
+            events[name] = decode_many(grids, decode_cfg, vocab)
+            f1_reports[name] = event_f1(truth, events[name], collar, vocab)
+        f1_table = ClassF1Table.from_reports(f1_reports, vocab)
         f1_table.save(run.writes(out / "f1_table.json"))
 
         clip_groups = _aligned_clip_sets(model_grids)
@@ -504,14 +476,13 @@ def cmd_experiment(args) -> int:
             name: grids for name, grids in zip(scenario.model_names, model_grids)
         }
         systems.update(fused)
-        f1_reports = dict(model_f1)
         psds1_reports = {}
         psds2_reports = {}
         for name, grids in systems.items():
-            est = decode_many(grids, decode_cfg, vocab)
-            write_events(est, run.writes(out / f"events_{name}.tsv"))
-            if name not in f1_reports:
-                f1_reports[name] = event_f1(truth, est, collar, vocab)
+            if name not in events:
+                events[name] = decode_many(grids, decode_cfg, vocab)
+                f1_reports[name] = event_f1(truth, events[name], collar, vocab)
+            write_events(events[name], run.writes(out / f"events_{name}.tsv"))
             p1, p2 = psds_many(grids, truth, decode_cfg, [PSDS1, PSDS2], vocab)
             psds1_reports[name] = p1
             psds2_reports[name] = p2

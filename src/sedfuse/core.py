@@ -24,7 +24,7 @@ import numbers
 import os
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence, TextIO, TypeVar
+from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
 
 import numpy as np
 
@@ -82,12 +82,20 @@ def config_number(value, what: str, integer: bool = False) -> float | int:
     return int(value) if integer else float(value)
 
 
+def check_keys(data: Mapping, allowed: Iterable[str], what: str) -> None:
+    """Config objects are strict: a key outside ``allowed`` raises, so a misspelt
+    key is reported instead of silently keeping its default."""
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValidationError(f"unknown {what} keys {unknown}")
+
+
 @dataclass(frozen=True)
 class ClassVocabulary:
     """Ordered set of target class names plus the reserved non-target label."""
 
     classes: tuple[str, ...]
-    other_label: str = "other"
+    other_label: ClassVar[str] = "other"
 
     def __post_init__(self):
         object.__setattr__(self, "classes", tuple(self.classes))
@@ -95,7 +103,6 @@ class ClassVocabulary:
             raise ValidationError("vocabulary needs at least one class")
         for name in self.classes:
             _check_name(name, "class name")
-        _check_name(self.other_label, "class name")
         if len(set(self.classes)) != len(self.classes):
             raise ValidationError("class names must be unique")
         if self.other_label in self.classes:

@@ -13,7 +13,7 @@ the runs equal those of smoothing the posteriors and thresholding them
 after, and ``decode`` equals ``extract_events(median_smooth(binarize(grid)))``.
 Every dump is decoded in blocks of whole clips of one frame count, each at
 most ``_BLOCK_CELLS`` cells, so no float64 copy of a whole dump is made;
-``_level_blocks`` bounds a sweep's expanded level steps the same way.
+``_level_runs`` reads a sweep's runs in blocks of levels bounded the same way.
 ``rasterize`` inverts ``extract_events`` for frame-aligned events and
 produces frame targets for fusion fitting.
 """
@@ -35,10 +35,14 @@ from .core import (
     EventList,
     FrameGrid,
     ValidationError,
+    check_keys,
     config_number,
     fmt_float,
     load_json_object,
 )
+
+
+_CONFIG_KEYS = ("default_threshold", "default_median_window", "thresholds", "median_windows")
 
 
 @dataclass(frozen=True)
@@ -81,6 +85,7 @@ class PostProcessConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PostProcessConfig":
+        check_keys(data, _CONFIG_KEYS, "decode config")
         return cls(
             default_threshold=data.get("default_threshold", 0.5),
             default_median_window=data.get("default_median_window", 7),
@@ -89,16 +94,15 @@ class PostProcessConfig:
         )
 
     @classmethod
-    def load(cls, path: str | os.PathLike) -> "PostProcessConfig":
-        return load_json_object(path, cls.from_dict)
+    def load(cls, path: str | os.PathLike, vocab: ClassVocabulary) -> "PostProcessConfig":
+        """Read decode_cfg.json; its class overrides must name classes of ``vocab``."""
+        return load_json_object(path, lambda data: cls.from_dict(data)._known_classes(vocab))
 
-    def to_dict(self) -> dict:
-        return {
-            "default_threshold": self.default_threshold,
-            "default_median_window": self.default_median_window,
-            "thresholds": dict(self.class_thresholds),
-            "median_windows": dict(self.class_median_windows),
-        }
+    def _known_classes(self, vocab: ClassVocabulary) -> "PostProcessConfig":
+        unknown = sorted({*self.class_thresholds, *self.class_median_windows} - {*vocab.classes})
+        if unknown:
+            raise ValidationError(f"class overrides for classes not in the vocabulary: {unknown}")
+        return self
 
 
 def _shown(value):
@@ -169,11 +173,13 @@ def _median_network(window: int) -> tuple[tuple[int, int, bool, bool], ...]:
 
 
 def _running_median(stack: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Centered, zero-padded running median along T of an (N, T, C) stack, in place.
+    """Centered, zero-padded running median along T of an (N, T, C) stack of counts, in place.
 
-    Column c uses ``windows[c]``; one column at a time, so no (N, T, C, w) array."""
+    Column c uses ``windows[c]``, one column at a time, so no (N, T, C, w) array. Any
+    window of 2T + 1 or more holds more padding zeros than counts and gives 0: clamp it."""
     n, t = stack.shape[:2]
     for c, window in enumerate(windows.tolist()):
+        window = min(window, 2 * t + 1)
         if window == 1:
             continue
         pad = window // 2
@@ -219,44 +225,36 @@ def _active_runs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return row // n_classes, row % n_classes, rise - row * (t + 1), fall - row * (t + 1)
 
 
-def _level_runs(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(k, start, end_exclusive) of the maximal runs of ``levels > k`` for every
-    level k, along a 1-D array of levels with 0 beyond both ends; ordered by k,
-    then start.
+def _level_runs(
+    levels: np.ndarray, n_levels: int
+) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
+    """(k0, k1, k - k0, start, end_exclusive) of the maximal runs of ``levels > k``
+    along a 1-D array of levels in [0, n_levels] with 0 beyond both ends, for each
+    block [k0, k1) of the levels [0, n_levels); ordered by k, then start.
 
-    A step up from lo to hi at i starts a run at i for each k in [lo, hi); a
-    step down from hi to lo ends one there, so the n-th start and the n-th end
-    of one k bound the same run. k keeps the dtype of ``levels``: a 16-bit or
-    narrower one gets numpy's radix sort."""
+    A step up from lo to hi at i starts a run at i for each k in [lo, hi); a step
+    down ends one, so the n-th start and the n-th end of one k bound the same run.
+    A block clips the steps to [k0, k1]; its runs expand to at most ``_BLOCK_CELLS``
+    (k, position) pairs, one level at least. k keeps the dtype of ``levels``: a
+    16-bit or narrower one gets numpy's radix sort."""
     edges = np.zeros(len(levels) + 2, dtype=levels.dtype)
     edges[1:-1] = levels
     before, after = edges[:-1], edges[1:]
     up = np.flatnonzero(after > before)
     down = np.flatnonzero(after < before)
-    k, start = _steps_by_level(before[up], after[up], up)
-    _, end = _steps_by_level(after[down], before[down], down)
-    return k, start, end
-
-
-def _level_blocks(levels: np.ndarray, n_levels: int) -> list[tuple[int, int]]:
-    """Cut the levels ``[0, n_levels)`` into ranges ``[k0, k1)`` whose runs along
-    ``levels`` expand to at most ``_BLOCK_CELLS`` (k, position) pairs in
-    ``_level_runs``, one level at least. ``_level_runs`` of the levels clipped
-    to ``[k0, k1]`` and shifted by ``-k0`` reads that range's runs alone."""
-    edges = np.zeros(len(levels) + 2, dtype=levels.dtype)
-    edges[1:-1] = levels
-    up = np.flatnonzero(edges[1:] > edges[:-1])
-    # Each step up from lo to hi starts a run, which a step down ends, at every k in [lo, hi).
-    runs = np.bincount(edges[up], minlength=n_levels + 1)
-    runs -= np.bincount(edges[up + 1], minlength=n_levels + 1)
-    reach = np.cumsum(2 * np.cumsum(runs[:n_levels]))  # pairs of the levels [0, k]
-    blocks, k0 = [], 0
+    up_lo, up_hi, down_lo, down_hi = before[up], after[up], after[down], before[down]
+    runs = np.bincount(up_lo, minlength=n_levels + 1) - np.bincount(up_hi, minlength=n_levels + 1)
+    reach = np.cumsum(2 * np.cumsum(runs[:n_levels]))  # (k, position) pairs of the levels [0, k]
+    k0 = 0
     while k0 < n_levels:
-        before = reach[k0 - 1] if k0 else 0
-        k1 = max(k0 + 1, int(np.searchsorted(reach, before + _BLOCK_CELLS, side="right")))
-        blocks.append((k0, k1))
+        below = reach[k0 - 1] if k0 else 0
+        k1 = max(k0 + 1, int(np.searchsorted(reach, below + _BLOCK_CELLS, side="right")))
+        k, start = _steps_by_level(np.clip(up_lo, k0, k1) - k0, np.clip(up_hi, k0, k1) - k0, up)
+        _, end = _steps_by_level(
+            np.clip(down_lo, k0, k1) - k0, np.clip(down_hi, k0, k1) - k0, down
+        )
+        yield k0, k1, k, start, end
         k0 = k1
-    return blocks
 
 
 def _steps_by_level(

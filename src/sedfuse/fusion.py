@@ -15,10 +15,11 @@ Three fusion families over M aligned model dumps:
 
 Pair (weights ``[alpha, 1 - alpha]``) and class-wise fusion share one kernel,
 ``_fuse_into``, and ``fit_alpha`` and ``sweep_beta`` one development loop,
-``_dev_curve``. The loop works block by block, each block at most
-``decode._BLOCK_CELLS`` cells: it stacks a block once, then every parameter
-fuses it into one reused buffer and decodes it with the decode kernel, so
-the block stays in cache across the sweep. Each parameter's runs are scored
+``_dev_curve``, whose one objective is the development macro collar F1. It
+works block by block, each block at most ``decode._BLOCK_CELLS`` cells: it
+stacks a block once, then every parameter fuses it into one reused buffer
+and decodes it with the decode kernel, so the block stays in cache across
+the sweep. Each parameter's runs are scored
 with the array matcher of :mod:`sedfuse.metrics`, so no ``Event`` object is
 built. The logistic fit holds one class's design matrix at a time, built
 from the per-clip grids, with boolean targets. The average keeps
@@ -33,7 +34,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 import numpy as np
 
@@ -59,10 +60,10 @@ from .metrics import CollarConfig, F1Report, _collar_f1, _event_arrays
 
 DEFAULT_BETA_SWEEP = (0.0, 1.0, 2.0, 4.0, 8.0, 16.0)
 
-OBJECTIVE_MACRO_F1 = "macro-collar-f1"
-OBJECTIVE_FRAME_BCE = "frame-bce"
-
 _BCE_EPS = 1e-12
+
+_LOGISTIC_MAX_ITER = 10000  # Newton steps per class, at most
+_LOGISTIC_TOL = 1e-8
 
 
 def _require_aligned(grids: Sequence[FrameGrid]) -> FrameGrid:
@@ -162,8 +163,8 @@ class CurveFit:
 
     parameter: str
     best: float
-    objective: str
     curve: list[tuple[float, float]]
+    objective: ClassVar[str] = "macro-collar-f1"
 
     def save(self, path: str | os.PathLike) -> None:
         """curves.json: the fitted parameter with its (value, score) sweep."""
@@ -200,11 +201,11 @@ def _frame_targets(
 def _dev_curve(
     clips: Sequence[Sequence[FrameGrid]], params: Sequence[float],
     weights_for: Callable[[float], np.ndarray], dev_truth: EventList,
-    decode_cfg: PostProcessConfig, vocab: ClassVocabulary, objective: str, collar: CollarConfig,
+    decode_cfg: PostProcessConfig, vocab: ClassVocabulary, collar: CollarConfig,
 ) -> list[tuple[float, float]]:
-    """Fuse the development dump with ``weights_for(p)`` for each parameter and score it.
+    """The development macro collar F1 of fusing with ``weights_for(p)``, for each parameter.
 
-    For the collar F1, blocks go outside and parameters inside: each block of
+    Blocks go outside and parameters inside: each block of
     at most ``decode._BLOCK_CELLS`` cells, clips of one frame count, is
     stacked once with each ``g_m - g_1``; every parameter fuses it into one
     reused buffer and decodes it with the decode kernel. Each parameter's
@@ -215,11 +216,6 @@ def _dev_curve(
         raise ValidationError("development set is empty")
     if not dev_truth.events:
         raise ValidationError("development truth is empty")
-    if objective == OBJECTIVE_FRAME_BCE:
-        return [(p, -frame_bce(_fuse_weighted(clips, weights_for(p)), dev_truth, vocab))
-                for p in params]
-    if objective != OBJECTIVE_MACRO_F1:
-        raise ValidationError(f"unknown objective {objective!r}")
     firsts = [group[0] for group in clips]
     for grid in firsts:
         _check_columns(grid, vocab)
@@ -263,7 +259,6 @@ def fit_alpha(
     dev_truth: EventList,
     decode_cfg: PostProcessConfig,
     vocab: ClassVocabulary,
-    objective: str = OBJECTIVE_MACRO_F1,
     collar: CollarConfig = CollarConfig(),
 ) -> CurveFit:
     """Grid-search alpha over {0.00, 0.01, ..., 1.00} on a development set.
@@ -271,20 +266,17 @@ def fit_alpha(
     Ties are broken toward 0.5, then toward the smaller alpha, so a flat
     curve lands on the balanced blend.
     """
-    if not dev_pairs:
-        raise ValidationError("development set is empty")
     for pair in dev_pairs:
         _require_aligned(pair)
-    n_classes = dev_pairs[0][0].n_classes
     curve = _dev_curve(
         dev_pairs, [i / 100.0 for i in range(101)],
-        lambda alpha: _pair_weights(alpha, n_classes),
-        dev_truth, decode_cfg, vocab, objective, collar,
+        lambda alpha: _pair_weights(alpha, len(vocab)),
+        dev_truth, decode_cfg, vocab, collar,
     )
     best_score = max(s for _, s in curve)
     candidates = [a for a, s in curve if s == best_score]
     alpha = min(candidates, key=lambda a: (abs(a - 0.5), a))
-    return CurveFit("alpha", alpha, objective, curve)
+    return CurveFit("alpha", alpha, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +338,6 @@ class FusionWeights:
     """Per-class softmax weights over models; columns sum to one."""
 
     values: np.ndarray  # (M, C)
-    beta: float
     mode: str = "normalized"
 
     def __post_init__(self):
@@ -379,7 +370,7 @@ def classwise_weights(
     scaled = scaled - scaled.max(axis=0, keepdims=True)
     expd = np.exp(scaled)
     weights = expd / expd.sum(axis=0, keepdims=True)
-    return FusionWeights(weights, float(beta), mode)
+    return FusionWeights(weights, mode)
 
 
 def fuse_classwise(grids: Sequence[FrameGrid], weights: FusionWeights) -> FrameGrid:
@@ -417,11 +408,11 @@ def sweep_beta(
     curve = _dev_curve(
         _aligned_clip_sets(model_grids), [float(b) for b in betas],
         lambda beta: classwise_weights(f1_table, beta).values,
-        dev_truth, decode_cfg, vocab, OBJECTIVE_MACRO_F1, collar,
+        dev_truth, decode_cfg, vocab, collar,
     )
     best_score = max(s for _, s in curve)
     best_beta = min(b for b, s in curve if s == best_score)
-    return CurveFit("beta", best_beta, OBJECTIVE_MACRO_F1, curve)
+    return CurveFit("beta", best_beta, curve)
 
 
 def _aligned_clip_sets(
@@ -517,15 +508,13 @@ def fit_logistic_fusion(
     dev_truth: EventList,
     vocab: ClassVocabulary,
     model_names: Sequence[str] | None = None,
-    max_iter: int = 10000,
-    tol: float = 1e-8,
 ) -> LogisticFusionModel:
     """Per-class logistic regression on frame posteriors.
 
     Deterministic damped Newton (IRLS) on the weights and bias from zero
     initialization: each step solves the Hessian system, then halves until
     the loss does not rise, so descent is monotone. A class converges when
-    its loss improves by less than ``tol``. Classes are fitted one at a
+    its loss improves by less than ``_LOGISTIC_TOL``. Classes are fitted one at a
     time, so only one class's (frames, M + 1) design matrix exists at once.
     """
     if not dev_truth.events:
@@ -555,7 +544,7 @@ def fit_logistic_fusion(
         x = _design_matrix(clips, c)
         theta = np.zeros(n_models + 1)
         loss, grad, _ = logistic_loss_and_grad(theta, 0.0, x, y)
-        for it in range(1, max_iter + 1):
+        for it in range(1, _LOGISTIC_MAX_ITER + 1):
             p = _sigmoid(x @ theta)
             step = np.linalg.solve((x.T * (p * (1.0 - p))) @ x / len(y) + ridge, grad)
             # Halve the Newton step until the loss does not rise; a step
@@ -568,7 +557,7 @@ def fit_logistic_fusion(
             improvement = loss - new_loss
             theta, loss, grad = theta - step, new_loss, new_grad
             iterations[c] = it
-            if improvement < tol:
+            if improvement < _LOGISTIC_TOL:
                 break
         weights[c], bias[c] = theta[:-1], theta[-1]
         final_loss[c] = loss

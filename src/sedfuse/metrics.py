@@ -28,15 +28,22 @@ give the same counts as one sweep.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ClassVocabulary, EventList, FrameGrid, ValidationError, config_number, fmt_float
+from .core import (
+    ClassVocabulary,
+    EventList,
+    FrameGrid,
+    ValidationError,
+    check_keys,
+    config_number,
+    fmt_float,
+)
 from .decode import (
     PostProcessConfig,
-    _level_blocks,
     _level_runs,
     _run_times,
     _smoothed_levels,
@@ -274,8 +281,7 @@ def _collar_f1(
 # ---------------------------------------------------------------------------
 
 
-def default_operating_points(n: int = 50, low: float = 0.01, high: float = 0.99) -> tuple[float, ...]:
-    return tuple(float(t) for t in np.linspace(low, high, n))
+DEFAULT_OPERATING_POINTS = tuple(float(t) for t in np.linspace(0.01, 0.99, 50))
 
 
 @dataclass(frozen=True)
@@ -292,7 +298,7 @@ class PSDSConfig:
     alpha_ct: float = 0.0
     alpha_st: float = 1.0
     e_max: float = 100.0
-    operating_points: tuple[float, ...] = field(default_factory=default_operating_points)
+    operating_points: tuple[float, ...] = DEFAULT_OPERATING_POINTS
 
     def __post_init__(self):
         # A bool is an int, and a JSON config may hold strings: check the types first.
@@ -318,9 +324,7 @@ class PSDSConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PSDSConfig":
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValidationError(f"unknown PSDS config keys {unknown}")
+        check_keys(data, [f.name for f in fields(cls)], "PSDS config")
         return cls(**data)
 
     def to_dict(self) -> dict:
@@ -466,11 +470,10 @@ def psds_many(
         for pos, smoothed in stacks:
             levels[pos] = smoothed[:, :, c]
         # Operating points in blocks, so the level steps expand into bounded arrays.
-        for k0, k1 in _level_blocks(levels, n_op):
+        # By operating point, then clip, then onset: _Coverage needs onset order.
+        for k0, k1, op, start, end in _level_runs(levels, n_op):
             n_block = k1 - k0
             block_tp, block_fp, block_ct = tp[:, k0:k1], fp[:, k0:k1], ct[:, k0:k1]
-            # By operating point, then clip, then onset: _Coverage needs onset order.
-            op, start, end = _level_runs(np.clip(levels, k0, k1) - k0)
             clip = np.searchsorted(first, start, side="right") - 1
             on, off = _run_times(hops, clip, start - first[clip], end - first[clip])
             on += bases[clip]

@@ -6,6 +6,7 @@ makes it a single-event clip; none makes it background; two or more make
 it ambiguous. A source is then selected iff it is single-event AND its
 class belongs to the parent mixture's known label set. Rejected sources
 are kept with their rejection reason so the filtering stays auditable.
+``select_mixtures`` is the one SPL path of ``sedfuse spl`` and ``experiment``.
 """
 
 from __future__ import annotations
@@ -14,10 +15,11 @@ import enum
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .core import (
     ClassVocabulary,
+    SeparationManifest,
     TagPrediction,
     ValidationError,
     atomic_write_text,
@@ -128,6 +130,35 @@ def select(
         else:
             rejected.append((tag.source_id, REASON_NOT_IN_WEAK))
     return SelectionResult(mixture_id, selected, rejected)
+
+
+def select_mixtures(
+    manifest: SeparationManifest,
+    tags: Sequence[TagPrediction],
+    labels: Mapping[str, Iterable[str]],
+    tau: float,
+    vocab: ClassVocabulary,
+) -> list[SelectionResult]:
+    """``select`` on each mixture of ``manifest`` against its known ``labels``, skipping
+    a mixture with none (a clip without events has no weak.tsv row). Every source
+    needs a tag prediction whose parent is its mixture."""
+    tags_by_id = {tag.source_id: tag for tag in tags}
+    results = []
+    for mixture_id, source_ids in manifest.sources.items():
+        missing = [sid for sid in source_ids if sid not in tags_by_id]
+        if missing:
+            raise ValidationError(f"{mixture_id}: sources without tag predictions: {missing}")
+        sources = [tags_by_id[sid] for sid in source_ids]
+        for tag in sources:
+            if tag.parent_clip_id != mixture_id:
+                raise ValidationError(
+                    f"{tag.source_id}: parent {tag.parent_clip_id!r} does not "
+                    f"match manifest mixture {mixture_id!r}"
+                )
+        known = labels.get(mixture_id)
+        if known:
+            results.append(select(sources, known, tau, vocab))
+    return results
 
 
 @dataclass

@@ -28,6 +28,7 @@ from .core import (
     TagPrediction,
     ValidationError,
     WeakLabelSet,
+    check_keys,
     config_number,
     fmt_float,
     load_json_object,
@@ -534,36 +535,24 @@ class Scenario:
         }
 
 
-def heterogeneous_skills(
-    n_classes: int,
-    n_models: int = 3,
-    strong: Mapping[str, float] | None = None,
-    weak: Mapping[str, float] | None = None,
-) -> list[ModelSkill]:
-    """Rotate strong/weak per-class parameters so each model owns a class
-    stripe: model m is strong exactly on classes c with c % n_models == m."""
-    strong = dict(strong or {"miss_rate": 0.05, "false_alarm_rate": 0.005,
-                             "jitter_frames": 2, "sharpness": 12.0})
-    weak = dict(weak or {"miss_rate": 0.35, "false_alarm_rate": 0.02,
-                         "jitter_frames": 10, "sharpness": 4.0})
-    skills = []
-    for m in range(n_models):
-        pick = [strong if c % n_models == m else weak for c in range(n_classes)]
-        skills.append(
-            ModelSkill(
-                tuple(p["miss_rate"] for p in pick),
-                tuple(p["false_alarm_rate"] for p in pick),
-                tuple(int(p["jitter_frames"]) for p in pick),
-                tuple(float(p["sharpness"]) for p in pick),
-            )
-        )
-    return skills
+# (miss_rate, false_alarm_rate, jitter_frames, sharpness) on a model's strong / weak classes.
+_STRONG_SKILL = (0.05, 0.005, 2, 12.0)
+_WEAK_SKILL = (0.35, 0.02, 10, 4.0)
 
 
-def default_scenario(seed: int = 42, n_clips: int = 200, n_classes: int = 10) -> Scenario:
-    """Three models with rotated class skills over the default timeline."""
-    cfg = ScenarioConfig(seed=seed, n_clips=n_clips, classes=default_class_names(n_classes))
-    skills = heterogeneous_skills(n_classes)
+def heterogeneous_skills(n_classes: int) -> list[ModelSkill]:
+    """Three models with rotated strong/weak per-class parameters, so each owns a
+    class stripe: model m is strong exactly on classes c with c % 3 == m."""
+    return [
+        ModelSkill(*zip(*(_STRONG_SKILL if c % 3 == m else _WEAK_SKILL for c in range(n_classes))))
+        for m in range(3)
+    ]
+
+
+def default_scenario(seed: int = 42, n_clips: int = 200) -> Scenario:
+    """Three models with rotated class skills over ten classes and the default timeline."""
+    cfg = ScenarioConfig(seed=seed, n_clips=n_clips, classes=default_class_names(10))
+    skills = heterogeneous_skills(10)
     return Scenario(
         config=cfg,
         model_names=tuple(f"model_{m + 1}" for m in range(len(skills))),
@@ -580,7 +569,16 @@ def _config_object(value, what: str) -> Mapping:
     return value
 
 
+_SKILL_FIELDS = ("miss_rate", "false_alarm_rate", "jitter_frames", "sharpness")
+_SCENARIO_KEYS = (
+    "seed", "n_clips", "clip_seconds", "frames_per_clip", "classes", "n_classes",
+    "events_per_clip", "duration_seconds", "class_duration_seconds", "allow_overlap",
+    "models", "separation", "n_sources", "tau",
+)
+
+
 def _skill_from_dict(data: Mapping, classes: Sequence[str]) -> ModelSkill:
+    check_keys(data, ("name", "default", "per_class", *_SKILL_FIELDS), "models entry")
     defaults = {
         "miss_rate": 0.1,
         "false_alarm_rate": 0.01,
@@ -588,11 +586,12 @@ def _skill_from_dict(data: Mapping, classes: Sequence[str]) -> ModelSkill:
         "sharpness": 8.0,
     }
     defaults.update(_config_object(data.get("default", {}), "default"))
+    check_keys(defaults, _SKILL_FIELDS, "default")
     per_class = _config_object(data.get("per_class", {}), "per_class")
     for name, overrides in per_class.items():
         if name not in classes:
             raise ValidationError(f"skill override for unknown class {name!r}")
-        _config_object(overrides, f"per_class {name!r}")
+        check_keys(_config_object(overrides, f"per_class {name!r}"), _SKILL_FIELDS, "per_class")
 
     def column(field_name: str, integer: bool = False):
         def check(v):  # Scenario.to_dict writes an infinite sharpness as "inf"
@@ -619,7 +618,8 @@ def _skill_from_dict(data: Mapping, classes: Sequence[str]) -> ModelSkill:
 
 
 def scenario_from_dict(data: Mapping) -> Scenario:
-    """Build a scenario from the scenario.json structure; values are checked, not coerced."""
+    """Build a scenario from scenario.json data; keys and values are checked, not coerced."""
+    check_keys(data, _SCENARIO_KEYS, "scenario")
 
     def number(key: str, default, integer: bool = False):
         return config_number(data.get(key, default), key, integer)

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from sedfuse import cli
 from sedfuse.cli import main
 from sedfuse.core import parse_events, parse_framegrids
 from sedfuse.core import ClassVocabulary
@@ -110,6 +111,25 @@ class TestSPL:
             "--manifest", bad, "--out", tmp_path / "o",
         )
         assert rc == 2
+
+
+    def test_clips_without_events_are_skipped_as_in_experiment(self, tmp_path):
+        # weak.tsv writes a clip without events as a missing row; spl skips its
+        # mixture, as the experiment does, instead of exiting 2.
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"n_clips": 20, "events_per_clip": [0, 2], "seed": 1}))
+        data, spl, exp = tmp_path / "data", tmp_path / "spl", tmp_path / "exp"
+        assert run("simulate", "--config", cfg, "--out", data) == 0
+        weak_rows = (data / "weak.tsv").read_text().splitlines()[1:]
+        assert len(weak_rows) < 20
+        rc = run(
+            "spl", "--tags", data / "tags.jsonl", "--weak", data / "weak.tsv",
+            "--manifest", data / "sep_manifest.jsonl", "--out", spl,
+        )
+        assert rc == 0
+        assert len((spl / "selection.jsonl").read_text().splitlines()) == len(weak_rows)
+        assert run("experiment", "--config", cfg, "--out", exp) == 0
+        assert (spl / "selection.jsonl").read_bytes() == (exp / "selection.jsonl").read_bytes()
 
 
 class TestVocabularyPeek:
@@ -277,6 +297,25 @@ class TestMalformedConfigs:
                          "{path}: probability True must be a number", id="separation-bool"),
             pytest.param("--psds-config", '{"dtc": true}', "{path}: dtc True must be a number",
                          id="psds-bool-dtc"),
+            pytest.param("--decode-config", '{"default_treshold": 0.9}',
+                         "{path}: unknown decode config keys ['default_treshold']",
+                         id="decode-unknown-key"),
+            pytest.param("--decode-config", '{"thresholds": {"Cat_typo": 0.9}}',
+                         "{path}: class overrides for classes not in the vocabulary: "
+                         "['Cat_typo']", id="decode-unknown-class-threshold"),
+            pytest.param("--decode-config", '{"median_windows": {"a": 3, "c": 3}}',
+                         "{path}: class overrides for classes not in the vocabulary: ['c']",
+                         id="decode-unknown-class-window"),
+            pytest.param("--config", '{"n_clip": 5}', "{path}: unknown scenario keys ['n_clip']",
+                         id="scenario-unknown-key"),
+            pytest.param("--config", '{"n_clips": 2, "models": [{"nmae": "m"}]}',
+                         "{path}: unknown models entry keys ['nmae']", id="skill-unknown-key"),
+            pytest.param("--config", '{"n_clips": 2, "models": [{"default": {"miss": 0.1}}]}',
+                         "{path}: unknown default keys ['miss']", id="skill-default-unknown-key"),
+            pytest.param("--config", '{"n_clips": 2, "classes": ["a"], '
+                         '"models": [{"per_class": {"a": {"miss": 0.1}}}]}',
+                         "{path}: unknown per_class keys ['miss']",
+                         id="skill-per-class-unknown-key"),
         ],
     )
     def test_exits_2_with_path(self, tmp_path, capsys, flag, text, shown):
@@ -556,6 +595,14 @@ class TestExperiment:
             for metric in ("collar_f1", "psds1", "psds2"):
                 assert 0.0 <= row[metric] <= 1.0
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+    def test_decodes_each_system_once(self, tmp_path, monkeypatch):
+        calls = []
+        decode_many = cli.decode_many
+        monkeypatch.setattr(cli, "decode_many", lambda *a: calls.append(a) or decode_many(*a))
+        cfg = write_tiny_scenario(tmp_path, n_clips=8)
+        assert run("experiment", "--config", cfg, "--out", tmp_path / "e") == 0
+        assert len(calls) == 6  # three models and three fused systems
 
     def test_seed_changes_report(self, tmp_path):
         cfg = write_tiny_scenario(tmp_path, n_clips=8)

@@ -336,7 +336,7 @@ class TestNotUTF8:
         config = tmp_path / "config.json"
         config.write_bytes(b'{"default_threshold":\n 0.5\xff}')
         with pytest.raises(ParseError) as err:
-            PostProcessConfig.load(config)
+            PostProcessConfig.load(config, vocab4)
         assert err.value.line_no == 2
 
 

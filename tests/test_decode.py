@@ -96,7 +96,7 @@ class TestConfig:
         path.write_text(
             '{"thresholds": {"x": 0.7}, "median_windows": {"x": 3}}'
         )
-        loaded = PostProcessConfig.load(path)
+        loaded = PostProcessConfig.load(path, V1)
         assert loaded.threshold_for("x") == cfg.threshold_for("x")
         assert loaded.window_for("x") == cfg.window_for("x")
 
@@ -167,6 +167,23 @@ class TestMedianSmooth:
         for t in range(grid.n_frames):
             assert out[t, 0] == np.median(padded[t : t + window])
         np.testing.assert_array_equal(out[:, 1], grid.values[:, 1])
+
+    def test_window_beyond_2t_plus_1_is_clamped(self, rng, monkeypatch):
+        # Over T zero-padded frames every window of 2T + 1 or more gives 0, so the
+        # median network is never built for a longer one.
+        t = 6
+        stack = rng.integers(0, 4, size=(2, t, 1)).astype(np.uint8)
+        asked = []
+        network = decode_module._median_network
+        monkeypatch.setattr(decode_module, "_median_network",
+                            lambda window: asked.append(window) or network(window))
+        long = _running_median(stack.copy(), np.array([4 * t + 1]))
+        short = _running_median(stack.copy(), np.array([2 * t + 1]))
+        np.testing.assert_array_equal(long, short)
+        padded = np.pad(stack[:, :, 0], ((0, 0), (2 * t, 2 * t)))
+        brute = [[np.median(row[i : i + 4 * t + 1]) for i in range(t)] for row in padded]
+        np.testing.assert_array_equal(long[:, :, 0], brute)
+        assert asked and max(asked) <= 2 * t + 1
 
     def test_commutes_with_column_permutation(self, rng):
         vocab = ClassVocabulary(("a", "b", "c"))

@@ -15,8 +15,6 @@ from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, Validatio
 from sedfuse.decode import PostProcessConfig, decode_many, rasterize
 from sedfuse.fusion import (
     DEFAULT_BETA_SWEEP,
-    OBJECTIVE_FRAME_BCE,
-    OBJECTIVE_MACRO_F1,
     ClassF1Table,
     FusionWeights,
     _fuse_weighted,
@@ -215,14 +213,14 @@ class TestFuseClasswise:
     )
     def test_weights_must_be_convex(self, values):
         with pytest.raises(ValidationError):
-            FusionWeights(values, 0.0)
+            FusionWeights(values)
 
     def test_weights_sum_tolerance(self):
-        FusionWeights([[0.5], [0.5 + 1e-12]], 0.0)
+        FusionWeights([[0.5], [0.5 + 1e-12]])
 
     def test_single_model_within_tolerance_is_returned(self, rng):
         g = random_grid(rng, c=1)
-        out = fuse_classwise([g], FusionWeights([[1.0 - 1e-12]], 0.0))
+        out = fuse_classwise([g], FusionWeights([[1.0 - 1e-12]]))
         assert np.array_equal(out.values, g.values)
 
 
@@ -249,7 +247,7 @@ class TestFusionKernel:
     @given(case=_fusion_case(), alpha=st.floats(0.0, 1.0))
     def test_kernel_properties(self, case, alpha):
         grids, weights, sole = case
-        out = fuse_classwise(grids, FusionWeights(weights, 0.0)).values
+        out = fuse_classwise(grids, FusionWeights(weights)).values
         t, c = out.shape
         oracle = np.zeros((t, c))
         for m, g in enumerate(grids):
@@ -261,7 +259,7 @@ class TestFusionKernel:
         if sole is not None:
             assert np.array_equal(out, grids[sole].values)
         a, b = grids[0], grids[-1]
-        pair = FusionWeights([[alpha] * c, [1.0 - alpha] * c], 0.0)
+        pair = FusionWeights([[alpha] * c, [1.0 - alpha] * c])
         assert np.array_equal(
             combine_pair(a, b, alpha).values, fuse_classwise([a, b], pair).values
         )
@@ -302,17 +300,6 @@ def _oracle_pair_setup(rng, n_clips=6, t=64):
 
 
 class TestFitAlpha:
-    def test_oracle_second_model_wins(self, rng):
-        # under the threshold-insensitive BCE objective, any weight on the
-        # noise model strictly hurts, so the fit must land on 0
-        truth, oracle, noise = _oracle_pair_setup(rng)
-        fit = fit_alpha(
-            list(zip(noise, oracle)), truth,
-            PostProcessConfig(default_median_window=1), VOCAB2,
-            objective="frame-bce",
-        )
-        assert fit.best == 0.0
-
     def test_flat_curve_tie_breaks_to_half(self, rng):
         truth, oracle, _ = _oracle_pair_setup(rng)
         fit = fit_alpha(
@@ -328,39 +315,10 @@ class TestFitAlpha:
         fit = fit_alpha(
             list(zip(oracle, noise)), truth,
             PostProcessConfig(default_median_window=1), VOCAB2,
-            objective="frame-bce",
         )
         best = max(s for _, s in fit.curve)
         got = dict(fit.curve)[fit.best]
         assert got == best
-
-    def test_fine_grid_oracle(self, rng):
-        # two models with per-frame accuracies ~0.9/0.7; the coarse fit must
-        # land within 0.05 of an exhaustive 0.001-step search of the same
-        # objective
-        vocab = VOCAB2
-        hop = 0.1
-        truth_events, pairs = [], []
-        for k in range(8):
-            clip = f"c{k}"
-            target = np.zeros((80, 2), dtype=bool)
-            start = int(rng.integers(0, 60))
-            target[start : start + 12, 0] = True
-            truth_events.append(Event(clip, start * hop, (start + 12) * hop, "a"))
-            flip_a = rng.random((80, 2)) < 0.1
-            flip_b = rng.random((80, 2)) < 0.3
-            grid_a = np.where(target ^ flip_a, 0.9, 0.1)
-            grid_b = np.where(target ^ flip_b, 0.9, 0.1)
-            pairs.append((FrameGrid(clip, hop, grid_a), FrameGrid(clip, hop, grid_b)))
-        truth = EventList(truth_events)
-        cfg = PostProcessConfig(default_median_window=1)
-        fit = fit_alpha(pairs, truth, cfg, vocab, objective="frame-bce")
-
-        def bce_at(alpha):
-            return frame_bce([combine_pair(a, b, alpha) for a, b in pairs], truth, vocab)
-
-        fine = min((bce_at(i / 1000.0), i / 1000.0) for i in range(1001))
-        assert abs(fit.best - fine[1]) <= 0.05
 
     def test_empty_dev_set(self):
         with pytest.raises(ValidationError):
@@ -562,21 +520,19 @@ def _sweep_case(draw):
     return clips, EventList(truth), cfg, vocab, collar
 
 
-def _composed_score(clips, weights, truth, cfg, vocab, collar, objective=OBJECTIVE_MACRO_F1):
+def _composed_score(clips, weights, truth, cfg, vocab, collar):
     """The sweep's score of one weight matrix, by the slow composition."""
     fused = _fuse_weighted(clips, weights)
-    if objective == OBJECTIVE_FRAME_BCE:
-        return -frame_bce(fused, truth, vocab)
     return event_f1(truth, decode_many(fused, cfg, vocab), collar, vocab).macro_f1
 
 
-def _check_fit_alpha(case, objective):
+def _check_fit_alpha(case):
     clips, truth, cfg, vocab, collar = case
     pairs = [(group[0], group[-1]) for group in clips]
-    fit = fit_alpha(pairs, truth, cfg, vocab, objective, collar)
+    fit = fit_alpha(pairs, truth, cfg, vocab, collar)
     expected = [
         (alpha, _composed_score(pairs, _pair_weights(alpha, len(vocab)), truth, cfg, vocab,
-                                collar, objective))
+                                collar))
         for alpha in (i / 100.0 for i in range(101))
     ]
     assert fit.curve == expected
@@ -597,7 +553,6 @@ def _check_sweep_beta(case, data):
     assert sweep.curve == expected
 
 
-OBJECTIVES = st.sampled_from((OBJECTIVE_MACRO_F1, OBJECTIVE_FRAME_BCE))
 # From one clip per block (1 cell) to blocks of a few short clips: the multi-block path.
 SMALL_BLOCKS = st.integers(1, 32)
 
@@ -607,15 +562,15 @@ class TestSweepEqualsComposition:
     matching ``Event`` lists would."""
 
     @settings(max_examples=25, deadline=None)
-    @given(case=_sweep_case(), objective=OBJECTIVES)
-    def test_fit_alpha(self, case, objective):
-        _check_fit_alpha(case, objective)
+    @given(case=_sweep_case())
+    def test_fit_alpha(self, case):
+        _check_fit_alpha(case)
 
     @settings(max_examples=25, deadline=None)
-    @given(case=_sweep_case(), objective=OBJECTIVES, block_cells=SMALL_BLOCKS)
-    def test_fit_alpha_in_small_blocks(self, case, objective, block_cells):
+    @given(case=_sweep_case(), block_cells=SMALL_BLOCKS)
+    def test_fit_alpha_in_small_blocks(self, case, block_cells):
         with mock.patch.object(decode, "_BLOCK_CELLS", block_cells):
-            _check_fit_alpha(case, objective)
+            _check_fit_alpha(case)
 
     @settings(max_examples=60, deadline=None)
     @given(case=_sweep_case(), data=st.data())

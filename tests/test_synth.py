@@ -228,7 +228,7 @@ class TestScenario:
         assert scenario.n_sources == 5
 
     def test_heterogeneous_skills_rotate(self):
-        skills = heterogeneous_skills(10, 3)
+        skills = heterogeneous_skills(10)
         for c in range(10):
             strong_models = [
                 m for m, s in enumerate(skills) if s.miss_rate[c] < 0.1
