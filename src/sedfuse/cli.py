@@ -69,6 +69,7 @@ from .metrics import (
     event_f1,
     psds_many,
     report_tables,
+    _reference_clips,
 )
 from .spl import select_mixtures, selection_report, write_selection
 from .synth import (
@@ -392,6 +393,10 @@ def cmd_score(args) -> int:
         keys = [key for key in ("psds1", "psds2") if key in want]
         defaults = {"psds1": PSDS1, "psds2": PSDS2}
         cfgs = [_psds_cfg_from_args(args, defaults[key], run) for key in keys]
+        try:  # psds_many checks this too, but cannot name the file
+            _reference_clips(grids, ref)
+        except ValidationError as exc:
+            raise ValidationError(f"{args.ref}: {exc}") from exc
         for key, report in zip(keys, psds_many(grids, ref, decode_cfg, cfgs, vocab)):
             psds_reports[key][name] = report
 

@@ -227,16 +227,16 @@ def _active_runs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _level_runs(
     levels: np.ndarray, n_levels: int
-) -> Iterator[tuple[int, int, np.ndarray, np.ndarray, np.ndarray]]:
-    """(k0, k1, k - k0, start, end_exclusive) of the maximal runs of ``levels > k``
-    along a 1-D array of levels in [0, n_levels] with 0 beyond both ends, for each
-    block [k0, k1) of the levels [0, n_levels); ordered by k, then start.
+) -> tuple[np.ndarray, np.ndarray, Iterator[tuple]]:
+    """(up, down, blocks) for the maximal runs of ``levels > k`` along a 1-D array of
+    levels in [0, n_levels] with 0 beyond both ends, for each k in [0, n_levels).
 
-    A step up from lo to hi at i starts a run at i for each k in [lo, hi); a step
+    A step up from lo to hi at up[i] starts a run for each k in [lo, hi); a step
     down ends one, so the n-th start and the n-th end of one k bound the same run.
-    A block clips the steps to [k0, k1]; its runs expand to at most ``_BLOCK_CELLS``
-    (k, position) pairs, one level at least. k keeps the dtype of ``levels``: a
-    16-bit or narrower one gets numpy's radix sort."""
+    Block [k0, k1) yields (k0, k1, k - k0, i, j), by k, then i: run n spans
+    [up[i[n]], down[j[n]]). It clips the steps to [k0, k1]; its runs expand to at
+    most ``_BLOCK_CELLS`` (k, position) pairs, one level at least. k keeps the dtype
+    of ``levels``: a 16-bit or narrower one gets numpy's radix sort."""
     edges = np.zeros(len(levels) + 2, dtype=levels.dtype)
     edges[1:-1] = levels
     before, after = edges[:-1], edges[1:]
@@ -245,28 +245,28 @@ def _level_runs(
     up_lo, up_hi, down_lo, down_hi = before[up], after[up], after[down], before[down]
     runs = np.bincount(up_lo, minlength=n_levels + 1) - np.bincount(up_hi, minlength=n_levels + 1)
     reach = np.cumsum(2 * np.cumsum(runs[:n_levels]))  # (k, position) pairs of the levels [0, k]
-    k0 = 0
-    while k0 < n_levels:
-        below = reach[k0 - 1] if k0 else 0
-        k1 = max(k0 + 1, int(np.searchsorted(reach, below + _BLOCK_CELLS, side="right")))
-        k, start = _steps_by_level(np.clip(up_lo, k0, k1) - k0, np.clip(up_hi, k0, k1) - k0, up)
-        _, end = _steps_by_level(
-            np.clip(down_lo, k0, k1) - k0, np.clip(down_hi, k0, k1) - k0, down
-        )
-        yield k0, k1, k, start, end
-        k0 = k1
+
+    def blocks():
+        k0 = 0
+        while k0 < n_levels:
+            below = reach[k0 - 1] if k0 else 0
+            k1 = max(k0 + 1, int(np.searchsorted(reach, below + _BLOCK_CELLS, side="right")))
+            k, start = _steps_by_level(np.clip(up_lo, k0, k1) - k0, np.clip(up_hi, k0, k1) - k0)
+            _, end = _steps_by_level(np.clip(down_lo, k0, k1) - k0, np.clip(down_hi, k0, k1) - k0)
+            yield k0, k1, k, start, end
+            k0 = k1
+
+    return up, down, blocks()
 
 
-def _steps_by_level(
-    lo: np.ndarray, hi: np.ndarray, at: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(k, at) for every k in [lo, hi) of each step, stably sorted by k."""
+def _steps_by_level(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(k, step) for every k in [lo, hi) of each step, stably sorted by k."""
     counts = (hi - lo).astype(np.int64)
-    step = np.repeat(np.arange(len(at)), counts)
+    step = np.repeat(np.arange(len(lo)), counts)
     first = np.cumsum(counts) - counts
     k = (lo[step] + (np.arange(len(step)) - first[step])).astype(lo.dtype)
     order = np.argsort(k, kind="stable")
-    return k[order], at[step[order]]
+    return k[order], step[order]
 
 
 def _run_times(

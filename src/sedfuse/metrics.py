@@ -18,12 +18,19 @@ increasing, a smoothed count exceeds ``k`` exactly where decoding at
 ``ops[k]`` is active. A step up from count ``lo`` to ``hi`` starts a run at
 every operating point in ``[lo, hi)`` and a step down ends one, so one pass
 per class gives each operating point the detections that decoding at its
-threshold would give, in (clip, onset) order. The dump is stacked in blocks
-of ``decode._BLOCK_CELLS`` cells, and the operating points are swept in
-blocks whose expanded (operating point, position) pairs stay under the same
-bound: a block's levels are clipped to it and shifted, and since each
-operating point's counts depend on its own detections alone, the blocks
-give the same counts as one sweep.
+threshold would give, in (clip, onset) order. Operating points are swept in
+blocks of at most ``decode._BLOCK_CELLS`` (operating point, position) pairs.
+
+Counting has no loop over operating points or detections. A run's onset and
+offset are the times of its level steps, so a class's own coverage is read
+once per step. Within each ``k`` runs are disjoint and in onset order, so one
+search of the keys ``k * m + step`` serves a whole block: ``tp`` keeps one
+sequential prefix sum per ``k`` (``np.add.accumulate`` along a padded array,
+as one ``_Coverage`` per ``k`` would), and cross-triggers score only runs that
+touch a merged reference piece of the other class (offset >= start, onset <
+end; at offset == start the prefix entry is rounded). Any other run has both
+ends in one gap, where ``covered_before`` gives one prefix entry for both: its
+ratio is exactly 0, below any ``cttc > 0``.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .core import (
 from .decode import (
     PostProcessConfig,
     _level_runs,
-    _run_times,
     _smoothed_levels,
     _stack_by_frames,
 )
@@ -371,23 +377,66 @@ class _Coverage:
         return cls(starts[first], reach[np.r_[first[1:], len(starts)] - 1])
 
     def covered_before(self, x: np.ndarray) -> np.ndarray:
+        if not len(self.starts):
+            return np.zeros(len(x))
         j = np.searchsorted(self.starts, x, side="right")
-        cov = self.prefix[j]
-        prev = np.maximum(j - 1, 0)
-        overshoot = np.where(
-            j >= 1, np.maximum(0.0, self.ends[prev] - x), 0.0
-        ) if len(self.starts) else np.zeros_like(np.asarray(x, dtype=np.float64))
-        return cov - overshoot
-
-    def intersect(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized |[a_i, b_i) ∩ union| for interval arrays."""
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        return self.covered_before(b) - self.covered_before(a)
+        return self.prefix[j] - np.where(j >= 1, np.maximum(0.0, self.ends[j - 1] - x), 0.0)
 
 
-def dataset_duration_seconds(grids: Sequence[FrameGrid]) -> float:
-    return float(sum(g.duration_seconds for g in grids))
+def _reference_clips(grids: Sequence[FrameGrid], ref: EventList) -> np.ndarray:
+    """The grid index of each reference event's clip, which must hold the event."""
+    clip_index = {g.clip_id: k for k, g in enumerate(grids)}
+    if len(clip_index) != len(grids):
+        raise ValidationError("duplicate clip ids in grids")
+    missing = {ev.clip_id for ev in ref} - set(clip_index)
+    if missing:
+        raise ValidationError(f"reference clips without grids: {sorted(missing)}")
+    clip = np.array([clip_index[ev.clip_id] for ev in ref])
+    for ev, k in zip(ref, clip.tolist()):
+        if ev.offset > grids[k].duration_seconds + 1e-9:
+            raise ValidationError(
+                f"{ev.clip_id}: reference event ending at {ev.offset} extends "
+                f"past the clip's {grids[k].duration_seconds}s"
+            )
+    return clip
+
+
+def _check_lengths(lengths: np.ndarray, clip_of) -> None:
+    """Name the clip ``clip_of(i)`` of the first event i the time line left no length."""
+    if not (lengths > 0).all():
+        raise ValidationError(
+            f"{clip_of(np.argmin(lengths > 0))}: an event has no length once its clip is "
+            "placed on the dataset's time line; clip durations are too large to score"
+        )
+
+
+def _row_coverage(on_key, on, off, m, n_rows, up_t, gt_on, gt_off) -> np.ndarray:
+    """(n_rows, refs): share of [gt_on, gt_off) covered by row k's runs, keyed as in _touching."""
+    op = on_key // m
+    counts = np.bincount(op, minlength=n_rows)
+    row = np.cumsum(counts) - counts
+    prefix = np.zeros((n_rows, counts.max() + 1))
+    prefix[op, np.arange(len(op)) - row[op] + 1] = off - on
+    np.add.accumulate(prefix, axis=1, out=prefix)  # one sequential sum per row
+    x, first = np.concatenate([gt_off, gt_on]), row[:, None]
+    # Row k's detections that start at or before x are keyed below k * m + (steps up to x).
+    j = np.searchsorted(on_key, np.arange(n_rows)[:, None] * m + np.searchsorted(up_t, x, "right"))
+    j -= first
+    overshoot = off[first + j - 1] - x
+    overshoot[(j < 1) | (overshoot < 0.0)] = 0.0
+    before = np.take_along_axis(prefix, j, axis=1) - overshoot
+    return (before[:, : len(gt_off)] - before[:, len(gt_off) :]) / (gt_off - gt_on)
+
+
+def _touching(on_key, off_key, m, up_t, down_t, cov: _Coverage, n_rows: int) -> np.ndarray:
+    """Ascending indices of the detections with offset >= s and onset < e for a piece [s, e)
+    of ``cov``. Row k's run from step i to step j has the keys k * m + i and k * m + j."""
+    row = np.repeat(np.arange(n_rows) * m, len(cov.starts))
+    lo = np.searchsorted(off_key, row + np.tile(np.searchsorted(down_t, cov.starts), n_rows))
+    hi = np.searchsorted(on_key, row + np.tile(np.searchsorted(up_t, cov.ends), n_rows))
+    lo[1:] = np.maximum(lo[1:], hi[:-1])  # merge overlapping ranges: no detection twice
+    counts = np.maximum(hi - lo, 0)
+    return np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
 def psds_many(
@@ -406,28 +455,14 @@ def psds_many(
         raise ValidationError("reference event list is empty")
     if not grids:
         raise ValidationError("no posterior grids given")
-    op_sets = {cfg.operating_points for cfg in psds_cfgs}
-    if len(op_sets) > 1:
+    if len({cfg.operating_points for cfg in psds_cfgs}) > 1:
         raise ValidationError("all PSDS configs must share operating points")
     ref.validate_vocab(vocab)
-    total_dur = dataset_duration_seconds(grids)
+    total_dur = float(sum(g.duration_seconds for g in grids))
     if not total_dur > 0:
         raise ValidationError("dataset duration must be > 0")
 
-    clip_ids = [g.clip_id for g in grids]
-    if len(set(clip_ids)) != len(clip_ids):
-        raise ValidationError("duplicate clip ids in grids")
-    clip_index = {cid: k for k, cid in enumerate(clip_ids)}
-    missing = {ev.clip_id for ev in ref} - set(clip_ids)
-    if missing:
-        raise ValidationError(f"reference clips without grids: {sorted(missing)}")
-    for ev in ref:
-        clip_dur = grids[clip_index[ev.clip_id]].duration_seconds
-        if ev.offset > clip_dur + 1e-9:
-            raise ValidationError(
-                f"{ev.clip_id}: reference event ending at {ev.offset} extends "
-                f"past the clip's {clip_dur}s"
-            )
+    ref_clip = _reference_clips(grids, ref)
 
     # Disjoint global bands, one per clip, so coverage queries span the dataset.
     band = max(g.duration_seconds for g in grids) + 1.0
@@ -435,9 +470,10 @@ def psds_many(
 
     n_classes = len(vocab)
     ref_cls = np.array([vocab.index(ev.event_label) for ev in ref])
-    ref_base = bases[[clip_index[ev.clip_id] for ev in ref]]
+    ref_base = bases[ref_clip]
     ref_on = np.array([ev.onset for ev in ref]) + ref_base
     ref_off = np.array([ev.offset for ev in ref]) + ref_base
+    _check_lengths(ref_off - ref_on, lambda i: ref.events[i].clip_id)
     gt_on_arr = [ref_on[ref_cls == c] for c in range(n_classes)]
     gt_off_arr = [ref_off[ref_cls == c] for c in range(n_classes)]
     gt_cov = [_Coverage.from_intervals(on, off) for on, off in zip(gt_on_arr, gt_off_arr)]
@@ -446,9 +482,7 @@ def psds_many(
     evaluated = np.flatnonzero(n_ref > 0)
 
     ops = psds_cfgs[0].operating_points
-
-    n_cfg = len(psds_cfgs)
-    n_op = len(ops)
+    n_cfg, n_op = len(psds_cfgs), len(ops)
     tp = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
     fp = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
     ct = np.zeros((n_cfg, n_op, n_classes, n_classes), dtype=np.int64)
@@ -466,54 +500,50 @@ def psds_many(
     ]
     hops = np.array([g.hop_seconds for g in grids])
     levels = np.zeros(int(np.sum(frames + 1)), dtype=np.min_scalar_type(n_op))
+    cross = evaluated if any(cfg.alpha_ct > 0 for cfg in psds_cfgs) else evaluated[:0]
+
+    def clip_of(at):  # the clip of each position of ``levels``
+        return np.searchsorted(first, at, side="right") - 1
     for c in range(n_classes):
         for pos, smoothed in stacks:
             levels[pos] = smoothed[:, :, c]
-        # Operating points in blocks, so the level steps expand into bounded arrays.
-        # By operating point, then clip, then onset: _Coverage needs onset order.
-        for k0, k1, op, start, end in _level_runs(levels, n_op):
-            n_block = k1 - k0
-            block_tp, block_fp, block_ct = tp[:, k0:k1], fp[:, k0:k1], ct[:, k0:k1]
-            clip = np.searchsorted(first, start, side="right") - 1
-            on, off = _run_times(hops, clip, start - first[clip], end - first[clip])
-            on += bases[clip]
-            off += bases[clip]
-            lengths = off - on
-            bounds = np.searchsorted(op, np.arange(n_block + 1))
-            ratio_same = gt_cov[c].intersect(on, off) / lengths
-            for gi, cfg in enumerate(psds_cfgs):
-                passing = ratio_same >= cfg.dtc
-                block_fp[gi, :, c] = np.bincount(op[~passing], minlength=n_block)
-                # One _Coverage per operating point, over its passing detections.
-                for oi in range(n_block):
-                    kept = bounds[oi] + np.flatnonzero(passing[bounds[oi] : bounds[oi + 1]])
-                    if n_ref[c] > 0 and len(kept):
-                        det_cov = _Coverage(on[kept], off[kept])
-                        covered = det_cov.intersect(gt_on_arr[c], gt_off_arr[c])
-                        block_tp[gi, oi, c] = int(
-                            np.sum(covered / (gt_off_arr[c] - gt_on_arr[c]) >= cfg.gtc)
-                        )
-                if cfg.alpha_ct > 0:
-                    failing = ~passing
-                    f_on, f_off, f_len = on[failing], off[failing], lengths[failing]
-                    f_op = op[failing]
-                    for c2 in evaluated:
-                        if c2 == c:
-                            continue
-                        ratio_cross = gt_cov[c2].intersect(f_on, f_off) / f_len
-                        block_ct[gi, :, c, c2] = np.bincount(
-                            f_op[ratio_cross >= cfg.cttc], minlength=n_block
-                        )
-
-    reports = []
-    for gi, cfg in enumerate(psds_cfgs):
-        reports.append(
-            _roc_report(
-                cfg, ops, vocab, evaluated, n_ref, gt_dur, total_dur,
-                tp[gi], fp[gi], ct[gi],
-            )
+        up, down, blocks = _level_runs(levels, n_op)
+        up_t, down_t = (
+            (at - first[k]) * hops[k] + bases[k]
+            for at, k in ((up, clip_of(up)), (down, clip_of(down)))
         )
-    return reports
+        up_cov, down_cov = gt_cov[c].covered_before(up_t), gt_cov[c].covered_before(down_t)
+        m = max(len(up), len(down))  # keys k * m + step order a block's runs
+        for k0, k1, op, start, end in blocks:
+            n_block = k1 - k0
+            on, off = up_t[start], down_t[end]
+            lengths = off - on
+            _check_lengths(lengths, lambda i: grids[clip_of(up[start[i]])].clip_id)
+            ratio_same = (down_cov[end] - up_cov[start]) / lengths
+            passing = [ratio_same >= cfg.dtc for cfg in psds_cfgs]
+            on_key, off_key = (op.astype(np.int64) * m + at for at in (start, end))
+            for gi, cfg in enumerate(psds_cfgs):
+                fp[gi, k0:k1, c] = np.bincount(op[~passing[gi]], minlength=n_block)
+                kept = np.flatnonzero(passing[gi])
+                if n_ref[c] > 0 and len(kept):
+                    share = _row_coverage(on_key[kept], on[kept], off[kept], m, n_block,
+                                          up_t, gt_on_arr[c], gt_off_arr[c])
+                    tp[gi, k0:k1, c] = np.sum(share >= cfg.gtc, axis=1)
+            # Only detections that touch c2's coverage can cross-trigger (module docstring).
+            for c2 in cross[cross != c]:
+                cov = gt_cov[c2]
+                d = _touching(on_key, off_key, m, up_t, down_t, cov, n_block)
+                ratio_cross = (cov.covered_before(off[d]) - cov.covered_before(on[d])) / lengths[d]
+                for gi, cfg in enumerate(psds_cfgs):
+                    if cfg.alpha_ct > 0:
+                        hit = d[~passing[gi][d] & (ratio_cross >= cfg.cttc)]
+                        ct[gi, k0:k1, c, c2] = np.bincount(op[hit], minlength=n_block)
+        del up, down, up_t, down_t, up_cov, down_cov  # before the next class's steps
+
+    return [
+        _roc_report(cfg, ops, vocab, evaluated, n_ref, gt_dur, total_dur, tp[gi], fp[gi], ct[gi])
+        for gi, cfg in enumerate(psds_cfgs)
+    ]
 
 
 def _roc_report(

@@ -2,6 +2,7 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -335,6 +336,27 @@ class TestMalformedConfigs:
         err = capsys.readouterr().err
         assert shown.format(path=config) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "row, shown",
+        [
+            pytest.param("zzz\t0.0\t0.1\ta", "reference clips without grids: ['zzz']",
+                         id="ref-clip-without-grid"),
+            pytest.param("c0\t0.0\t1000.0\ta",
+                         "c0: reference event ending at 1000.0 extends past the clip's 0.1s",
+                         id="ref-event-past-clip"),
+        ],
+    )
+    @pytest.mark.parametrize("metric", ["psds2", "all"])
+    def test_reference_against_grids_exits_2_with_path(self, tmp_path, capsys, row, shown, metric):
+        grids = tmp_path / "grids.jsonl"
+        grids.write_text(GOOD_GRID + "\n")
+        ref = tmp_path / "ref.tsv"
+        ref.write_text(f"filename\tonset\toffset\tevent_label\n{row}\n")
+        argv = ["score", "--ref", ref, "--grids", grids, "--metric", metric]
+        assert run(*argv, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{ref}: {shown}" in err and "Traceback" not in err
+
 
 class TestNotUTF8:
     """A file that is not UTF-8 exits 2 naming its path and line, never a traceback."""
@@ -569,6 +591,28 @@ class TestDecodeScore:
             "--metric", "psds1", "--out", tmp_path / "o",
         )
         assert rc == 2
+
+    def test_psds_time_line_swallowing_events_exits_2(self, tmp_path, capsys):
+        # A huge hop makes the clip bands of the dataset's time line so wide that
+        # the next clip's reference events lose their length there.
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"seed": 1, "n_clips": 4, "models": [{"name": "m"}]}))
+        data = tmp_path / "data"
+        assert run("simulate", "--config", cfg, "--out", data) == 0
+        grids = data / "grids_m.jsonl"
+        lines = grids.read_text().splitlines()
+        first = json.loads(lines[0])
+        first["hop_seconds"] = 1e300
+        grids.write_text("\n".join([json.dumps(first), *lines[1:]]) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = run(
+                "score", "--ref", data / "events.tsv", "--grids", grids, "--metric", "all",
+                "--out", tmp_path / "o",
+            )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "clip_0001: an event has no length" in err and "Traceback" not in err
 
     def test_empty_reference_exits_2(self, dataset, tmp_path):
         empty = tmp_path / "empty.tsv"

@@ -1,5 +1,6 @@
 """Fusion math: pair blending, class-wise softmax weights, logistic fusion."""
 
+import dataclasses
 import math
 import tracemalloc
 from unittest import mock
@@ -610,10 +611,10 @@ class TestSweepEqualsComposition:
         ]
 
 
-def _synthetic_dev_set(n_clips, n_classes, n_models):
+def _synthetic_dev_set(n_clips, n_classes, n_models, **scenario):
     cfg = ScenarioConfig(
         seed=3, n_clips=n_clips, frames_per_clip=512,
-        classes=tuple(f"c{i}" for i in range(n_classes)),
+        classes=tuple(f"c{i}" for i in range(n_classes)), **scenario,
     )
     truth, _ = gen_truth(cfg)
     skill = ModelSkill.uniform(n_classes, miss_rate=0.1, false_alarm_rate=0.02,
@@ -649,6 +650,23 @@ class TestWorkingSetMemory:
             pairs = list(zip(*models))
             peaks.append(_traced_peak(fit_alpha, pairs, truth, PostProcessConfig(), vocab))
         assert peaks[1] < 2.2 * peaks[0]
+
+    def test_psds_cross_triggers_hold_one_class_pair_at_a_time(self):
+        # About 3.5 overlapping references per class and clip, so most detections
+        # touch references of most other classes. The levels and level steps of
+        # psds_many are dump-wide, so its peak grows about 4x from 60 to 240 clips
+        # whatever the cross-triggers hold; they are measured against the same
+        # sweep without them. Holding every other class's pairs at once costs 1.4x.
+        without = dataclasses.replace(metrics.PSDS2, alpha_ct=0.0)
+        for n_clips in (60, 240):
+            [grids], truth, vocab = _synthetic_dev_set(
+                n_clips, 10, 1, events_per_clip=(30, 40), duration_seconds=(1.0, 3.0)
+            )
+            peaks = [
+                _traced_peak(metrics.psds_many, grids, truth, PostProcessConfig(), [cfg], vocab)
+                for cfg in (without, metrics.PSDS2)
+            ]
+            assert peaks[1] < 1.2 * peaks[0]
 
 
 class TestF1TableIO:

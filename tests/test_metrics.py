@@ -14,6 +14,7 @@ from sedfuse import decode
 from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from sedfuse.decode import PostProcessConfig, decode_many
 from sedfuse.metrics import (
+    DEFAULT_OPERATING_POINTS,
     PSDS1,
     PSDS2,
     CollarConfig,
@@ -576,6 +577,168 @@ class TestPSDSOracle:
         # holds one point, and each stack one clip.
         with mock.patch.object(decode, "_BLOCK_CELLS", 1):
             _check_psds_oracle(setup, ops)
+
+
+class LoopCoverage:
+    """Covered time of sorted disjoint intervals, as the scorer computed it when it
+    counted one operating point and one detection array at a time."""
+
+    def __init__(self, starts, ends):
+        self.starts, self.ends = starts, ends
+        self.prefix = np.concatenate([[0.0], np.cumsum(ends - starts)])
+
+    @classmethod
+    def from_intervals(cls, starts, ends):
+        if len(starts) == 0:
+            return cls(np.empty(0), np.empty(0))
+        order = np.argsort(starts, kind="stable")
+        starts, reach = starts[order], np.maximum.accumulate(ends[order])
+        first = np.flatnonzero(np.r_[True, starts[1:] > reach[:-1]])
+        return cls(starts[first], reach[np.r_[first[1:], len(starts)] - 1])
+
+    def covered_before(self, x):
+        if not len(self.starts):
+            return np.zeros(len(x))
+        j = np.searchsorted(self.starts, x, side="right")
+        overshoot = np.where(j >= 1, np.maximum(0.0, self.ends[np.maximum(j - 1, 0)] - x), 0.0)
+        return self.prefix[j] - overshoot
+
+    def intersect(self, a, b):
+        return self.covered_before(b) - self.covered_before(a)
+
+
+def loop_psds_many(grids, ref, pp, cfgs, vocab):
+    """PSDS counting as a loop over operating points, classes and configs, on the
+    same float operations as the scorer: each operating point decodes on its own,
+    one coverage per (operating point, class) holds the passing detections, and
+    every failing detection is scored against every other class. Returns the
+    reports and the (config, operating point, class[, class]) tp, fp and ct."""
+    ops, n = cfgs[0].operating_points, len(vocab)
+    band = max(g.duration_seconds for g in grids) + 1.0
+    base = {g.clip_id: k * band for k, g in enumerate(grids)}
+    cls = np.array([vocab.index(ev.event_label) for ev in ref])
+    ref_base = np.array([base[ev.clip_id] for ev in ref])
+    ref_on = np.array([ev.onset for ev in ref]) + ref_base
+    ref_off = np.array([ev.offset for ev in ref]) + ref_base
+    gt = [(ref_on[cls == c], ref_off[cls == c]) for c in range(n)]
+    gt_cov = [LoopCoverage.from_intervals(on, off) for on, off in gt]
+    n_ref = np.bincount(cls, minlength=n)
+    gt_dur = np.array([float(np.sum(off - on)) for on, off in gt])
+    evaluated = np.flatnonzero(n_ref > 0)
+    tp = np.zeros((len(cfgs), len(ops), n), dtype=np.int64)
+    fp = np.zeros_like(tp)
+    ct = np.zeros((len(cfgs), len(ops), n, n), dtype=np.int64)
+    for oi, threshold in enumerate(ops):
+        detected = decode_many(grids, dataclasses.replace(pp, default_threshold=threshold), vocab)
+        for c, name in enumerate(vocab.classes):
+            mine = [d for d in detected if d.event_label == name]
+            on = np.array([d.onset + base[d.clip_id] for d in mine])
+            off = np.array([d.offset + base[d.clip_id] for d in mine])
+            ratio_same = gt_cov[c].intersect(on, off) / (off - on)
+            for gi, cfg in enumerate(cfgs):
+                passing = ratio_same >= cfg.dtc
+                fp[gi, oi, c] = np.sum(~passing)
+                if n_ref[c] > 0 and passing.any():
+                    covered = LoopCoverage(on[passing], off[passing]).intersect(*gt[c])
+                    tp[gi, oi, c] = np.sum(covered / (gt[c][1] - gt[c][0]) >= cfg.gtc)
+                for c2 in evaluated:
+                    if cfg.alpha_ct > 0 and c2 != c:
+                        f_on, f_off = on[~passing], off[~passing]
+                        ratio = gt_cov[c2].intersect(f_on, f_off) / (f_off - f_on)
+                        ct[gi, oi, c, c2] = np.sum(ratio >= cfg.cttc)
+    total_dur = float(sum(g.duration_seconds for g in grids))
+    reports = [
+        _roc_report(cfg, ops, vocab, evaluated, n_ref, gt_dur, total_dur, tp[gi], fp[gi], ct[gi])
+        for gi, cfg in enumerate(cfgs)
+    ]
+    return reports, (tp, fp, ct)
+
+
+# Hops whose frame times round, as 0.064, 0.1 and 0.02 do; criteria down to a cttc
+# so small that any rounded, non-zero cross-trigger ratio counts.
+NON_DYADIC_HOPS = (0.064, 0.1, 0.02)
+CRITERIA = st.sampled_from((0.1, 0.3, 1 / 3, 0.5, 0.7, 1.0))
+CTTC = st.one_of(CRITERIA, st.sampled_from((1e-12, 1e-300)))
+
+
+@st.composite
+def non_dyadic_setups(draw):
+    """Clips with non-dyadic hops, up to 6 overlapping reference events per clip,
+    some on frame boundaries (so a detection's offset can equal a reference onset)
+    and some on hundredths of the clip; drawn PSDS criteria."""
+    vocab = ClassVocabulary(tuple("abc"[: draw(st.integers(1, 3))]))
+    pp = PostProcessConfig(
+        default_median_window=draw(WINDOW),
+        class_median_windows=draw(st.dictionaries(st.sampled_from(vocab.classes), WINDOW)),
+    )
+    grids, events = [], []
+    for i in range(draw(st.integers(1, 4))):
+        hop, frames = draw(st.sampled_from(NON_DYADIC_HOPS)), draw(st.integers(1, 24))
+        row = st.lists(POSTERIOR, min_size=len(vocab), max_size=len(vocab))
+        grids.append(FrameGrid(f"c{i}", hop, np.array(draw(st.lists(row, min_size=frames,
+                                                                  max_size=frames)))))
+        for _ in range(draw(st.integers(1 if i == 0 else 0, 6))):
+            if draw(st.booleans()):
+                a, b = draw(st.lists(st.integers(0, frames), min_size=2, max_size=2, unique=True))
+                onset, offset = min(a, b) * hop, max(a, b) * hop
+            else:
+                a, b = draw(st.lists(st.integers(0, 100), min_size=2, max_size=2, unique=True))
+                onset, offset = frames * hop * min(a, b) / 100, frames * hop * max(a, b) / 100
+            events.append(Event(f"c{i}", onset, offset, draw(st.sampled_from(vocab.classes))))
+    ops = draw(st.one_of(OPERATING_POINTS.filter(lambda p: len(p) < 100),
+                         st.just(DEFAULT_OPERATING_POINTS)))
+    cfgs = [
+        PSDSConfig(dtc=draw(CRITERIA), gtc=draw(CRITERIA), cttc=draw(CTTC),
+                   alpha_ct=draw(st.sampled_from((0.0, 0.5, 1.0))), operating_points=ops)
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return grids, EventList(events), pp, cfgs, vocab
+
+
+def _check_against_loop(setup):
+    grids, ref, pp, cfgs, vocab = setup
+    oracle, _ = loop_psds_many(grids, ref, pp, cfgs, vocab)
+    for report, expected in zip(psds_many(grids, ref, pp, cfgs, vocab), oracle):
+        assert report.class_rocs == expected.class_rocs
+        assert report.psds == expected.psds
+
+
+class TestPSDSCountingMatchesLoop:
+    """Block-wide counting gives the counts of the per-detection loop bit for bit,
+    also where times and coverages round."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(setup=non_dyadic_setups())
+    def test_non_dyadic_times(self, setup):
+        _check_against_loop(setup)
+
+    @settings(max_examples=50, deadline=None)
+    @given(setup=non_dyadic_setups())
+    def test_non_dyadic_times_in_one_point_blocks(self, setup):
+        with mock.patch.object(decode, "_BLOCK_CELLS", 1):
+            _check_against_loop(setup)
+
+    def test_offset_on_another_class_onset_counts_rounded_ratio(self):
+        # Class b's coverage has the pieces [0, 0.1) and [0.2, 0.4), each end a frame
+        # time as decoding computes it. Class a fires on frame 1: its detection
+        # [0.1, 0.2) ends where b's second piece starts. There the two prefix-sum
+        # lookups differ by a rounding residue, not by 0, so at a cttc of 1e-300
+        # the detection cross-triggers b.
+        hop, vocab = 0.1, ClassVocabulary(("a", "b"))
+        values = np.zeros((20, 2))
+        values[1, 0] = 1.0
+        grids = [FrameGrid("c0", hop, values)]
+        ref = EventList([
+            Event("c0", 0.0, 1 * hop, "b"), Event("c0", 2 * hop, 4 * hop, "b"),
+            Event("c0", 1.5, 1.9, "a"),
+        ])
+        pp = PostProcessConfig(default_median_window=1)
+        cfg = PSDSConfig(dtc=0.5, gtc=0.5, cttc=1e-300, alpha_ct=1.0, operating_points=(0.5,))
+        oracle, (_, _, ct) = loop_psds_many(grids, ref, pp, [cfg], vocab)
+        assert ct[0, 0, 0, 1] == 1
+        [report] = psds_many(grids, ref, pp, [cfg], vocab)
+        assert report.class_rocs == oracle[0].class_rocs
+        assert report.psds == oracle[0].psds
 
 
 class TestReportTables:
