@@ -122,8 +122,8 @@ class _Run:
             "seed": seed,
             "tool_version": __version__,
             "wall_clock_seconds": time.perf_counter() - self.started,
-            # Peak RSS of this process so far; ru_maxrss is in KiB on Linux.
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
+            # Peak RSS of this process so far in decimal MB; ru_maxrss is in KiB on Linux.
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
         }
         atomic_write_text(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -461,29 +461,29 @@ def cmd_experiment(args) -> int:
         f1_table = ClassF1Table.from_reports(f1_reports, vocab)
         f1_table.save(run.writes(out / "f1_table.json"))
 
-        clip_groups = _aligned_clip_sets(model_grids)
-        fused = {"average": [fuse_average(g) for g in clip_groups]}
         logistic_model = fit_logistic_fusion(
             model_grids, truth, vocab, scenario.model_names
         )
-        fused["logistic"] = [
-            apply_logistic_fusion(logistic_model, g) for g in clip_groups
-        ]
         sweep = sweep_beta(
             model_grids, f1_table, truth, DEFAULT_BETA_SWEEP, decode_cfg, vocab, collar
         )
         sweep.save(run.writes(out / "curves.json"))
         weights = classwise_weights(f1_table, sweep.best)
-        fused["classwise"] = [fuse_classwise(g, weights) for g in clip_groups]
 
         stage = "decode+score"
-        systems = {
-            name: grids for name, grids in zip(scenario.model_names, model_grids)
-        }
-        systems.update(fused)
+        # A fused system is built when it is scored and dropped after, so at
+        # most one fused dump is held next to the model dumps.
+        clip_groups = _aligned_clip_sets(model_grids)
+        systems = {name: (lambda g=g: g) for name, g in zip(scenario.model_names, model_grids)}
+        systems.update(
+            average=lambda: [fuse_average(g) for g in clip_groups],
+            logistic=lambda: [apply_logistic_fusion(logistic_model, g) for g in clip_groups],
+            classwise=lambda: [fuse_classwise(g, weights) for g in clip_groups],
+        )
         psds1_reports = {}
         psds2_reports = {}
-        for name, grids in systems.items():
+        for name, build in systems.items():
+            grids = build()
             if name not in events:
                 events[name] = decode_many(grids, decode_cfg, vocab)
                 f1_reports[name] = event_f1(truth, events[name], collar, vocab)
@@ -491,6 +491,7 @@ def cmd_experiment(args) -> int:
             p1, p2 = psds_many(grids, truth, decode_cfg, [PSDS1, PSDS2], vocab)
             psds1_reports[name] = p1
             psds2_reports[name] = p2
+            del grids  # before the next system is built
 
         stage = "report"
         tables = report_tables(f1_reports, psds1_reports, psds2_reports)

@@ -446,6 +446,11 @@ def logistic_loss_and_grad(
     Uses the softplus identity BCE = softplus(z) - y*z, which needs no
     probability clipping and stays exact for large |z|.
     """
+    return _loss_grad_p(w, b, x, y)[:3]
+
+
+def _loss_grad_p(w, b, x, y) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """``logistic_loss_and_grad`` and the probabilities p it computed on the way."""
     z = x @ w + b
     t = np.exp(-np.abs(z))
     p = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
@@ -453,7 +458,7 @@ def logistic_loss_and_grad(
     err = p - y
     grad_w = x.T @ err / len(y)
     grad_b = float(np.mean(err))
-    return loss, grad_w, grad_b
+    return loss, grad_w, grad_b, p
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -543,14 +548,15 @@ def fit_logistic_fusion(
             continue
         x = _design_matrix(clips, c)
         theta = np.zeros(n_models + 1)
-        loss, grad, _ = logistic_loss_and_grad(theta, 0.0, x, y)
+        # p is sigmoid(x @ theta) of the call that accepted theta: x @ theta + 0.0 is x @ theta.
+        loss, grad, _, p = _loss_grad_p(theta, 0.0, x, y)
         for it in range(1, _LOGISTIC_MAX_ITER + 1):
-            p = _sigmoid(x @ theta)
             step = np.linalg.solve((x.T * (p * (1.0 - p))) @ x / len(y) + ridge, grad)
+            del p  # the line search sets p again; its trials can reuse this memory
             # Halve the Newton step until the loss does not rise; a step
             # that underflows to zero passes, so the loop ends.
             while True:
-                new_loss, new_grad, _ = logistic_loss_and_grad(theta - step, 0.0, x, y)
+                new_loss, new_grad, _, p = _loss_grad_p(theta - step, 0.0, x, y)
                 if new_loss <= loss:
                     break
                 step *= 0.5

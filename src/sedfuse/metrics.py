@@ -49,6 +49,7 @@ from .core import (
     config_number,
     fmt_float,
 )
+from . import decode
 from .decode import (
     PostProcessConfig,
     _level_runs,
@@ -410,17 +411,18 @@ def _check_lengths(lengths: np.ndarray, clip_of) -> None:
         )
 
 
-def _row_coverage(on_key, on, off, m, n_rows, up_t, gt_on, gt_off) -> np.ndarray:
-    """(n_rows, refs): share of [gt_on, gt_off) covered by row k's runs, keyed as in _touching."""
-    op = on_key // m
-    counts = np.bincount(op, minlength=n_rows)
+def _row_coverage(on_key, on, off, m, r0, r1, up_t, gt_on, gt_off) -> np.ndarray:
+    """(r1 - r0, refs): share of [gt_on, gt_off) covered by the runs of each row k in
+    [r0, r1), keyed as in _touching; the runs given are those of these rows."""
+    op = on_key // m - r0
+    counts = np.bincount(op, minlength=r1 - r0)
     row = np.cumsum(counts) - counts
-    prefix = np.zeros((n_rows, counts.max() + 1))
+    prefix = np.zeros((r1 - r0, counts.max() + 1))
     prefix[op, np.arange(len(op)) - row[op] + 1] = off - on
     np.add.accumulate(prefix, axis=1, out=prefix)  # one sequential sum per row
     x, first = np.concatenate([gt_off, gt_on]), row[:, None]
     # Row k's detections that start at or before x are keyed below k * m + (steps up to x).
-    j = np.searchsorted(on_key, np.arange(n_rows)[:, None] * m + np.searchsorted(up_t, x, "right"))
+    j = np.searchsorted(on_key, np.arange(r0, r1)[:, None] * m + np.searchsorted(up_t, x, "right"))
     j -= first
     overshoot = off[first + j - 1] - x
     overshoot[(j < 1) | (overshoot < 0.0)] = 0.0
@@ -525,10 +527,16 @@ def psds_many(
             for gi, cfg in enumerate(psds_cfgs):
                 fp[gi, k0:k1, c] = np.bincount(op[~passing[gi]], minlength=n_block)
                 kept = np.flatnonzero(passing[gi])
-                if n_ref[c] > 0 and len(kept):
-                    share = _row_coverage(on_key[kept], on[kept], off[kept], m, n_block,
-                                          up_t, gt_on_arr[c], gt_off_arr[c])
-                    tp[gi, k0:k1, c] = np.sum(share >= cfg.gtc, axis=1)
+                if n_ref[c] > 0:  # row groups whose (rows, 2 * refs) searches fit the budget
+                    rows = max(1, decode._BLOCK_CELLS // (2 * int(n_ref[c])))
+                    keys = on_key[kept]
+                    cut = np.searchsorted(keys, np.arange(0, n_block + rows, rows) * m)
+                    for r0, i, j in zip(range(0, n_block, rows), cut[:-1], cut[1:]):
+                        if j > i:
+                            r1, d = min(r0 + rows, n_block), kept[i:j]
+                            share = _row_coverage(keys[i:j], on[d], off[d], m, r0, r1,
+                                                  up_t, gt_on_arr[c], gt_off_arr[c])
+                            tp[gi, k0 + r0 : k0 + r1, c] = np.sum(share >= cfg.gtc, axis=1)
             # Only detections that touch c2's coverage can cross-trigger (module docstring).
             for c2 in cross[cross != c]:
                 cov = gt_cov[c2]

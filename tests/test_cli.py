@@ -1,8 +1,11 @@
 """Command-line pipeline: contracts, exit codes, determinism."""
 
+import gc
 import json
 import os
+import types
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -648,6 +651,25 @@ class TestExperiment:
         assert run("experiment", "--config", cfg, "--out", tmp_path / "e") == 0
         assert len(calls) == 6  # three models and three fused systems
 
+    def test_holds_at_most_one_fused_system_while_scoring(self, tmp_path, monkeypatch):
+        live, sizes = weakref.WeakSet(), []
+        for name in ("fuse_average", "apply_logistic_fusion", "fuse_classwise"):
+            def tracked(*args, fuse=getattr(cli, name)):
+                grid = fuse(*args)
+                live.add(grid)
+                return grid
+            monkeypatch.setattr(cli, name, tracked)
+        psds_many = cli.psds_many
+
+        def recording(*args):
+            gc.collect()
+            sizes.append(len(live))
+            return psds_many(*args)
+        monkeypatch.setattr(cli, "psds_many", recording)
+        cfg = write_tiny_scenario(tmp_path, n_clips=8)
+        assert run("experiment", "--config", cfg, "--out", tmp_path / "e") == 0
+        assert sizes == [0, 0, 0, 8, 8, 8]  # three models, then one fused system each
+
     def test_seed_changes_report(self, tmp_path):
         cfg = write_tiny_scenario(tmp_path, n_clips=8)
         out1, out2 = tmp_path / "e1", tmp_path / "e2"
@@ -665,3 +687,12 @@ class TestManifestFile:
         assert manifest["wall_clock_seconds"] >= 0
         peak = manifest["peak_rss_mb"]
         assert isinstance(peak, float) and peak > 0
+
+    def test_peak_rss_in_decimal_megabytes(self, tmp_path, monkeypatch):
+        # ru_maxrss is in KiB: 1,000,000 KiB is 1,024,000,000 bytes.
+        monkeypatch.setattr(
+            cli.resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=1_000_000)
+        )
+        out = tmp_path / "data"
+        assert run("simulate", "--config", write_tiny_scenario(tmp_path), "--out", out) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["peak_rss_mb"] == 1024.0

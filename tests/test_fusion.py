@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from sedfuse import decode, metrics
+from sedfuse import decode, fusion, metrics
 from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from sedfuse.decode import PostProcessConfig, decode_many, rasterize
 from sedfuse.fusion import (
@@ -421,6 +421,16 @@ class TestLogisticFusion:
         assert (model.final_loss <= gradient_descent).all()
         assert (model.grad_norm <= 1e-6).all()
 
+    @pytest.mark.parametrize("args, events_per_clip", [((4, 8, 3), (0, 2)), ((3, 5, 1), (1, 1))])
+    def test_newton_equals_loop_that_recomputes_p(self, args, events_per_clip):
+        models, truth, vocab = _synthetic_dev_set(*args, events_per_clip=events_per_clip)
+        model = fit_logistic_fusion(models, truth, vocab)
+        assert model.fallback.any() and not model.fallback.all()
+        expected = _newton_recomputing_p(models, truth, vocab)
+        got = (model.weights, model.bias, model.iterations, model.final_loss, model.grad_norm)
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b, equal_nan=True)
+
     def test_metadata_reports_convergence(self, rng):
         truth, oracle, noise = _oracle_pair_setup(rng)
         meta = fit_logistic_fusion([oracle, noise], truth, VOCAB2).metadata()
@@ -621,6 +631,43 @@ def _synthetic_dev_set(n_clips, n_classes, n_models, **scenario):
                                jitter_frames=2, sharpness=6.0)
     models = [simulate_model(truth, skill, cfg, seed=11 + m) for m in range(n_models)]
     return models, truth, cfg.vocab
+
+
+def _newton_recomputing_p(model_grids, truth, vocab):
+    """fit_logistic_fusion's damped Newton loop as it was when each step recomputed
+    p = sigmoid(x @ theta): (weights, bias, iterations, final loss, grad norm)."""
+    clips = fusion._aligned_clip_sets(model_grids)
+    y_all = fusion._frame_targets([group[0] for group in clips], truth, vocab)
+    n_models, n_classes = len(model_grids), len(vocab)
+    weights, bias = np.zeros((n_classes, n_models)), np.zeros(n_classes)
+    iterations = np.zeros(n_classes, dtype=np.int64)
+    final_loss, grad_norm = np.zeros(n_classes), np.zeros(n_classes)
+    ridge = 1e-10 * np.eye(n_models + 1)
+    for c in range(n_classes):
+        y = y_all[:, c]
+        if y.min() == y.max():
+            weights[c] = 1.0 / n_models
+            final_loss[c] = grad_norm[c] = float("nan")
+            continue
+        x = fusion._design_matrix(clips, c)
+        theta = np.zeros(n_models + 1)
+        loss, grad, _ = logistic_loss_and_grad(theta, 0.0, x, y)
+        for it in range(1, fusion._LOGISTIC_MAX_ITER + 1):
+            p = fusion._sigmoid(x @ theta)
+            step = np.linalg.solve((x.T * (p * (1.0 - p))) @ x / len(y) + ridge, grad)
+            while True:
+                new_loss, new_grad, _ = logistic_loss_and_grad(theta - step, 0.0, x, y)
+                if new_loss <= loss:
+                    break
+                step *= 0.5
+            improvement = loss - new_loss
+            theta, loss, grad = theta - step, new_loss, new_grad
+            iterations[c] = it
+            if improvement < fusion._LOGISTIC_TOL:
+                break
+        weights[c], bias[c] = theta[:-1], theta[-1]
+        final_loss[c], grad_norm[c] = loss, float(np.linalg.norm(grad))
+    return weights, bias, iterations, final_loss, grad_norm
 
 
 def _traced_peak(fn, *args):

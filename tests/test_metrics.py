@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedfuse import decode
+from sedfuse import decode, metrics
 from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from sedfuse.decode import PostProcessConfig, decode_many
 from sedfuse.metrics import (
@@ -739,6 +739,34 @@ class TestPSDSCountingMatchesLoop:
         [report] = psds_many(grids, ref, pp, [cfg], vocab)
         assert report.class_rocs == oracle[0].class_rocs
         assert report.psds == oracle[0].psds
+
+
+class TestRowCoverageBudget:
+    """tp's coverage searches run on row groups of (rows, 2 * references) cells, at
+    most the block budget, or one row where a class has more references than that."""
+
+    @pytest.mark.parametrize("block_cells", [64, 256])
+    def test_searches_stay_within_block_budget(self, block_cells, monkeypatch):
+        # Two slow waves make one to three runs per class at most operating points,
+        # so a block of levels holds many rows; 13 references per class.
+        hop, vocab = 0.1, ClassVocabulary(("a", "b"))
+        t = np.arange(400) * hop
+        values = 0.5 + 0.5 * np.stack([np.sin(1.3 * t) * np.sin(0.17 * t), np.cos(0.9 * t)], 1)
+        grids = [FrameGrid("c0", hop, values)]
+        ref = EventList([Event("c0", 1.5 * i, 1.5 * i + 0.8, "ab"[i % 2]) for i in range(26)])
+        pp, cfgs = PostProcessConfig(), [PSDS1, PSDS2]
+        expected = psds_many(grids, ref, pp, cfgs, vocab)
+        shapes, row_coverage = [], metrics._row_coverage
+
+        def recording(*args):
+            share = row_coverage(*args)
+            shapes.append(share.shape)
+            return share
+        monkeypatch.setattr(metrics, "_row_coverage", recording)
+        with mock.patch.object(decode, "_BLOCK_CELLS", block_cells):
+            assert psds_many(grids, ref, pp, cfgs, vocab) == expected
+        assert shapes
+        assert all(rows * 2 * refs <= max(block_cells, 2 * refs) for rows, refs in shapes)
 
 
 class TestReportTables:
