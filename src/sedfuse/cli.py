@@ -113,7 +113,13 @@ class _Run:
 
     def finish(self, out_dir: Path, seed: int | None = None) -> None:
         """Write ``run_manifest.json``: what ran, with what, producing what, and
-        the process's peak RSS (not deterministic, so never in ``report.json``)."""
+        the peak RSS (not deterministic, so never in ``report.json``)."""
+        # The larger of this process's peak and that of the largest child it
+        # reaped: the grid writer's forked encoders.
+        peak_kib = max(
+            resource.getrusage(who).ru_maxrss
+            for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
+        )
         manifest = {
             "subcommand": self.subcommand,
             "arguments": self.arguments,
@@ -122,8 +128,8 @@ class _Run:
             "seed": seed,
             "tool_version": __version__,
             "wall_clock_seconds": time.perf_counter() - self.started,
-            # Peak RSS of this process so far in decimal MB; ru_maxrss is in KiB on Linux.
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024 / 1e6,
+            # In decimal MB; ru_maxrss is in KiB on Linux.
+            "peak_rss_mb": peak_kib * 1024 / 1e6,
         }
         atomic_write_text(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
 
@@ -134,10 +140,10 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _decode_cfg_from_args(args, vocab: ClassVocabulary) -> PostProcessConfig:
+def _decode_cfg_from_args(args, vocab: ClassVocabulary, run: _Run) -> PostProcessConfig:
     """The decode config of the flags that ``_add_decode_args`` adds."""
     if args.decode_config:
-        cfg = PostProcessConfig.load(args.decode_config, vocab)
+        cfg = PostProcessConfig.load(run.reads(args.decode_config), vocab)
     else:
         cfg = PostProcessConfig()
     if args.thresholds is not None:
@@ -254,7 +260,7 @@ def cmd_fuse(args) -> int:
     vocab = _vocab_from_grids_file(args.grids[0])
     model_grids = [parse_framegrids(run.reads(path), vocab) for path in args.grids]
     out = _out_dir(args)
-    decode_cfg = _decode_cfg_from_args(args, vocab)
+    decode_cfg = _decode_cfg_from_args(args, vocab, run)
 
     if args.mode == "pair":
         if len(model_grids) != 2:
@@ -339,7 +345,7 @@ def cmd_decode(args) -> int:
     run = _Run("decode", args)
     vocab = _vocab_from_grids_file(args.grids)
     grids = parse_framegrids(run.reads(args.grids), vocab)
-    cfg = _decode_cfg_from_args(args, vocab)
+    cfg = _decode_cfg_from_args(args, vocab, run)
     out = _out_dir(args)
     events = decode_many(grids, cfg, vocab)
     write_events(events, run.writes(out / "events.tsv"))
@@ -370,7 +376,7 @@ def cmd_score(args) -> int:
         vocab = ClassVocabulary(tuple(sorted(ref.label_set() | est.label_set())))
     if not ref.events:
         raise ValidationError(f"{args.ref}: reference event list is empty")
-    decode_cfg = _decode_cfg_from_args(args, vocab)
+    decode_cfg = _decode_cfg_from_args(args, vocab, run)
     out = _out_dir(args)
 
     name = args.system_name
@@ -451,7 +457,7 @@ def cmd_experiment(args) -> int:
         )
 
         stage = "fuse"
-        decode_cfg = _decode_cfg_from_args(args, vocab)
+        decode_cfg = _decode_cfg_from_args(args, vocab, run)
         collar = CollarConfig()
         # Each system is decoded once, for its F1 and its events file.
         events, f1_reports = {}, {}

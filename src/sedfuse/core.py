@@ -12,7 +12,11 @@ Parsing is strict: malformed rows and out-of-vocabulary labels raise
 immediately instead of being coerced or skipped, so label drift cannot
 pass silently. All values are immutable after construction and safe to
 share across threads. Floats are serialized with ``repr`` so every
-write/parse round trip is value-exact.
+write/parse round trip is value-exact. Grid dumps are encoded on every CPU
+of the process's affinity mask: ``write_framegrids`` forks one child per
+later shard of the grids, and the bytes are those of one serial pass.
+Every file is written to a temp file and renamed, with the mode a plain
+``open`` would give it.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import itertools
 import json
 import numbers
 import os
+import signal
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
@@ -397,12 +402,17 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
     """Write via a temp file in the target directory, then rename.
 
     ``text`` is a string or an iterable of strings, written one at a time.
+    The file gets the mode a plain ``open`` would give it (``mkstemp``
+    alone would make it 0600 whatever the umask).
     """
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+            umask = os.umask(0o077)  # the umask is read by setting it
+            os.umask(umask)
+            os.chmod(tmp, 0o666 & ~umask)
             fh.writelines([text] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
@@ -622,18 +632,34 @@ def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[Fr
     return grids
 
 
+# A child's shard is copied in blocks of this many characters (bytes, as json
+# writes ASCII), so no shard is ever held whole.
+_COPY_BLOCK = 1 << 16
+
+
 def write_framegrids(
     grids: Sequence[FrameGrid], vocab: ClassVocabulary, path: str | os.PathLike
 ) -> None:
-    """One line per grid, encoded as it is written, so a dump is never one string."""
+    """One line per grid, encoded on every CPU of the process's affinity mask.
 
-    def lines() -> Iterator[str]:
-        for grid in grids:
-            if grid.n_classes != len(vocab):
-                raise ValidationError(
-                    f"{grid.clip_id}: grid has {grid.n_classes} columns, "
-                    f"vocabulary has {len(vocab)}"
-                )
+    The grids are cut into k consecutive shards, k the CPUs of
+    ``os.sched_getaffinity`` (1 where that does not exist) but at most one
+    per grid. A forked child encodes each later shard into a temp file while
+    this process encodes the first; each child is then reaped in order and
+    its file streamed in. So a dump is never one string, and the bytes are
+    those of one serial pass. A child runs only ``json`` and file writes and
+    leaves by ``os._exit``; one that fails raises ``OSError`` naming
+    ``path``. No child or shard file outlives the call.
+    """
+    for grid in grids:
+        if grid.n_classes != len(vocab):
+            raise ValidationError(
+                f"{grid.clip_id}: grid has {grid.n_classes} columns, "
+                f"vocabulary has {len(vocab)}"
+            )
+
+    def encode(shard: Sequence[FrameGrid]) -> Iterator[str]:
+        for grid in shard:
             record = {
                 "clip_id": grid.clip_id,
                 "hop_seconds": grid.hop_seconds,
@@ -642,7 +668,48 @@ def write_framegrids(
             }
             yield json.dumps(record, separators=(",", ":")) + "\n"
 
-    atomic_write_text(path, lines())
+    affinity = getattr(os, "sched_getaffinity", None)
+    k = max(1, min(len(affinity(0)) if affinity else 1, len(grids)))
+    bounds = [len(grids) * i // k for i in range(k + 1)]
+    directory = os.path.dirname(os.path.abspath(path))
+    shards: list[str] = []
+    pids: list[int] = []  # children not yet reaped, in shard order
+
+    def lines() -> Iterator[str]:
+        yield from encode(grids[: bounds[1]])
+        for i, shard in enumerate(shards, start=1):
+            _, status = os.waitpid(pids[0], 0)
+            del pids[0]
+            if status != 0:
+                raise OSError(
+                    f"{path}: the process encoding shard {i} of {k} exited with "
+                    f"status {os.waitstatus_to_exitcode(status)}"
+                )
+            with open(shard, "r", encoding="utf-8", newline="") as fh:
+                yield from iter(lambda: fh.read(_COPY_BLOCK), "")
+
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            fd, shard = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+            os.close(fd)
+            shards.append(shard)
+            pid = os.fork()
+            if pid == 0:  # the child: encode this shard, then leave
+                status = 1
+                try:
+                    with open(shard, "w", encoding="utf-8", newline="\n") as fh:
+                        fh.writelines(encode(grids[lo:hi]))
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
+        atomic_write_text(path, lines())
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for shard in shards:
+            os.unlink(shard)
 
 
 # ---------------------------------------------------------------------------

@@ -696,3 +696,30 @@ class TestManifestFile:
         out = tmp_path / "data"
         assert run("simulate", "--config", write_tiny_scenario(tmp_path), "--out", out) == 0
         assert json.loads((out / "run_manifest.json").read_text())["peak_rss_mb"] == 1024.0
+
+    @pytest.mark.parametrize("self_kib, children_kib", [(1_000, 2_000_000), (2_000_000, 1_000)])
+    def test_peak_rss_counts_child_processes(self, tmp_path, monkeypatch, self_kib, children_kib):
+        # The grid writer's forked encoders are reaped children: the larger peak counts.
+        usage = {cli.resource.RUSAGE_SELF: self_kib, cli.resource.RUSAGE_CHILDREN: children_kib}
+        monkeypatch.setattr(
+            cli.resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=usage[who])
+        )
+        out = tmp_path / "data"
+        assert run("simulate", "--config", write_tiny_scenario(tmp_path), "--out", out) == 0
+        assert json.loads((out / "run_manifest.json").read_text())["peak_rss_mb"] == 2048.0
+
+    @pytest.mark.parametrize("subcommand", ["decode", "score", "fuse", "experiment"])
+    def test_decode_config_is_an_input(self, dataset, tmp_path, subcommand):
+        config = tmp_path / "decode.json"
+        config.write_text('{"default_threshold": 0.4}')
+        grids = dataset / "grids_model_1.jsonl"
+        argv = {
+            "decode": ["decode", "--grids", grids],
+            "score": ["score", "--ref", dataset / "events.tsv", "--grids", grids, "--metric", "f1"],
+            "fuse": ["fuse", "--mode", "average", "--grids", grids,
+                     "--grids", dataset / "grids_model_2.jsonl"],
+            "experiment": ["experiment", "--config", tmp_path / "scenario.json"],
+        }[subcommand]
+        out = tmp_path / "o"
+        assert run(*argv, "--decode-config", config, "--out", out) == 0
+        assert str(config) in json.loads((out / "run_manifest.json").read_text())["inputs"]

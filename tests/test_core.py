@@ -1,6 +1,7 @@
 """Domain types, file round trips and validation messages."""
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -285,8 +286,22 @@ class TestGridsJSONL:
             assert a.hop_seconds == b.hop_seconds
 
 
-    def test_written_bytes_are_one_json_line_per_grid(self, tmp_path, vocab4, rng):
-        grids = [FrameGrid(f"c{i}", 0.1, rng.random((5, 4))) for i in range(3)]
+    @pytest.mark.parametrize("n_grids", [0, 3, 5])
+    @pytest.mark.parametrize("cpus", [None, 1, 2, 3, 4])
+    def test_written_bytes_are_one_json_line_per_grid(
+        self, tmp_path, vocab4, rng, monkeypatch, cpus, n_grids
+    ):
+        # One shard per CPU of the affinity mask, at most one per grid; None
+        # is a platform without sched_getaffinity.
+        if cpus is None:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        grids = [FrameGrid(f"c{i}", 0.1, rng.random((5, 4))) for i in range(n_grids)]
         path = tmp_path / "grids.jsonl"
         write_framegrids(grids, vocab4, path)
         expected = "".join(
@@ -298,12 +313,51 @@ class TestGridsJSONL:
             for g in grids
         )
         assert path.read_bytes() == expected.encode("utf-8")
+        assert len(forks) == max(1, min(cpus or 1, n_grids)) - 1
+        assert list(tmp_path.iterdir()) == [path]
 
-    def test_failed_write_leaves_no_file(self, tmp_path, vocab4, rng):
+    def test_failed_write_leaves_no_file(self, tmp_path, vocab4, rng, monkeypatch):
+        # The column check runs before any shard is forked.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked before the column check"))
         grids = [FrameGrid("c0", 0.1, rng.random((5, 4))), FrameGrid("c1", 0.1, rng.random((5, 3)))]
         with pytest.raises(ValidationError):
             write_framegrids(grids, vocab4, tmp_path / "grids.jsonl")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("failing, error", [(1, OSError), (3, OSError), (0, TypeError)])
+    def test_failed_shard_leaves_no_file_and_no_process(
+        self, tmp_path, vocab4, rng, monkeypatch, failing, error
+    ):
+        # A grid that json cannot encode fails the child that holds it (shards
+        # [0, 1), [1, 2), [2, 4) of 4 grids on 3 CPUs), or this process for shard 0.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        grids = [FrameGrid(f"c{i}", 0.1, rng.random((5, 4))) for i in range(4)]
+        grids[failing].hop_seconds = object()
+        path = tmp_path / "grids.jsonl"
+        with pytest.raises(error) as err:
+            write_framegrids(grids, vocab4, path)
+        if error is OSError:
+            assert str(path) in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077])
+    def test_outputs_follow_the_umask(self, tmp_path, vocab4, rng, umask):
+        grids = [FrameGrid("c0", 0.1, rng.random((5, 4))), FrameGrid("c1", 0.1, rng.random((5, 4)))]
+        events = EventList([Event("c0", 0.0, 0.5, "Cat")])
+        old = os.umask(umask)
+        try:
+            write_framegrids(grids, vocab4, tmp_path / "grids.jsonl")
+            write_events(events, tmp_path / "events.tsv")
+            (tmp_path / "touched").touch()
+            assert os.umask(umask) == umask  # the writers set the umask back
+        finally:
+            os.umask(old)
+        for name in ("grids.jsonl", "events.tsv", "touched"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o666 & ~umask, name
+        assert parse_events(tmp_path / "events.tsv").events == events.events
 
 
 class TestNotUTF8:
