@@ -29,10 +29,13 @@ from typing import Sequence
 
 from . import __version__
 from .core import (
+    GRID_FIELDS,
+    TAG_FIELDS,
     ClassVocabulary,
     EventList,
     SedfuseError,
     ValidationError,
+    VocabularyError,
     atomic_write_text,
     first_record,
     load_json_object,
@@ -157,8 +160,7 @@ def _decode_cfg_from_args(args, vocab: ClassVocabulary, run: _Run) -> PostProces
 
 def _vocab_from_grids_file(path) -> ClassVocabulary:
     """Peek the class list of the first record; order defines the run vocab."""
-    (classes,) = first_record(path, ("classes",))
-    return ClassVocabulary(tuple(classes))
+    return ClassVocabulary(first_record(path, GRID_FIELDS)["classes"])
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +246,7 @@ def cmd_spl(args) -> int:
 
 
 def _vocab_from_tags_file(path) -> ClassVocabulary:
-    (probs,) = first_record(path, ("probs",))
+    probs = first_record(path, TAG_FIELDS)["probs"]
     return ClassVocabulary(tuple(k for k in probs if k != ClassVocabulary.other_label))
 
 
@@ -299,11 +301,14 @@ def cmd_fuse(args) -> int:
     elif args.mode == "classwise":
         if not args.f1_table:
             raise ValidationError("classwise mode needs --f1-table")
-        table = ClassF1Table.load(run.reads(args.f1_table))
+        table_path = run.reads(args.f1_table)
+        table = ClassF1Table.load(table_path)
         if len(table.models) != len(model_grids):
-            raise ValidationError(
-                f"F1 table has {len(table.models)} models, got {len(model_grids)} grid inputs"
-            )
+            raise ValidationError(f"{table_path}: F1 table has {len(table.models)} models, "
+                                  f"got {len(model_grids)} grid inputs")
+        if table.classes != vocab.classes:
+            raise VocabularyError(f"{table_path}: classes {list(table.classes)} differ from "
+                                  f"the grids' {list(vocab.classes)}")
         betas = _parse_betas(args.beta)
         if len(betas) == 1:
             beta = betas[0]

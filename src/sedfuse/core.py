@@ -27,6 +27,7 @@ import json
 import numbers
 import os
 import signal
+import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
@@ -77,24 +78,6 @@ def fmt_float(x: float) -> str:
     return repr(float(x))
 
 
-def config_number(value, what: str, integer: bool = False) -> float | int:
-    """``value`` as a float (with ``integer``, an int). Config values are checked,
-    not coerced: a bool, a string such as "0.5" and, with ``integer``, 42.9 raise."""
-    kind, name = (numbers.Integral, "an integer") if integer else (numbers.Real, "a number")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        shown = value.item() if isinstance(value, np.generic) else value
-        raise ValidationError(f"{what} {shown!r} must be {name}")
-    return int(value) if integer else float(value)
-
-
-def check_keys(data: Mapping, allowed: Iterable[str], what: str) -> None:
-    """Config objects are strict: a key outside ``allowed`` raises, so a misspelt
-    key is reported instead of silently keeping its default."""
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValidationError(f"unknown {what} keys {unknown}")
-
-
 @dataclass(frozen=True)
 class ClassVocabulary:
     """Ordered set of target class names plus the reserved non-target label."""
@@ -133,32 +116,22 @@ class ClassVocabulary:
 
 
 @dataclass(eq=False)
-class FrameGrid:
-    """One clip's T x C matrix of frame-level class posteriors.
-
-    Columns follow the :class:`ClassVocabulary` order of the run that
-    produced the grid; the grid itself stores no names.
-    """
+class _Grid:
+    """One clip's T x C matrix. Columns follow the :class:`ClassVocabulary`
+    order of the run that produced the grid; the grid itself stores no names."""
 
     clip_id: str
     hop_seconds: float
     values: np.ndarray
 
-    def __post_init__(self):
+    def _set_values(self, arr: np.ndarray, what: str) -> None:
+        """Check the clip id, the hop and the shape of ``arr``, then hold it read-only."""
         _check_name(self.clip_id, "clip id")
         if not (0.0 < float(self.hop_seconds) < np.inf):
             raise ValidationError(f"{self.clip_id}: hop_seconds must be finite and > 0")
         self.hop_seconds = float(self.hop_seconds)
-        arr = np.array(self.values, dtype=np.float64, copy=True)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(f"{self.clip_id}: posterior matrix must be 2-D and non-empty")
-        bad = ~((arr >= 0.0) & (arr <= 1.0))
-        if bad.any():
-            t, c = np.argwhere(bad)[0]
-            raise ValidationError(
-                f"{self.clip_id}: frame {t}, class column {c}: "
-                f"value {fmt_float(arr[t, c])} outside [0, 1]"
-            )
+            raise ValidationError(f"{self.clip_id}: {what} matrix must be 2-D and non-empty")
         arr.setflags(write=False)
         self.values = arr
 
@@ -169,6 +142,28 @@ class FrameGrid:
     @property
     def n_classes(self) -> int:
         return self.values.shape[1]
+
+
+def _check_columns(grid: _Grid, vocab: ClassVocabulary) -> None:
+    if grid.n_classes != len(vocab):
+        raise ValidationError(
+            f"{grid.clip_id}: grid has {grid.n_classes} columns, vocabulary has {len(vocab)}"
+        )
+
+
+@dataclass(eq=False)
+class FrameGrid(_Grid):
+    """One clip's frame-level class posteriors, each in [0, 1]."""
+
+    def __post_init__(self):
+        self._set_values(np.array(self.values, dtype=np.float64, copy=True), "posterior")
+        bad = ~((self.values >= 0.0) & (self.values <= 1.0))
+        if bad.any():
+            t, c = np.argwhere(bad)[0]
+            raise ValidationError(
+                f"{self.clip_id}: frame {t}, class column {c}: "
+                f"value {fmt_float(self.values[t, c])} outside [0, 1]"
+            )
 
     @property
     def duration_seconds(self) -> float:
@@ -176,33 +171,14 @@ class FrameGrid:
 
 
 @dataclass(eq=False)
-class BinaryGrid:
+class BinaryGrid(_Grid):
     """Thresholded frame activity, same layout as the grid it came from."""
 
-    clip_id: str
-    hop_seconds: float
-    values: np.ndarray
-
     def __post_init__(self):
-        _check_name(self.clip_id, "clip id")
-        if not (0.0 < float(self.hop_seconds) < np.inf):
-            raise ValidationError(f"{self.clip_id}: hop_seconds must be finite and > 0")
-        self.hop_seconds = float(self.hop_seconds)
         arr = np.array(self.values, copy=True)
+        self._set_values(arr, "binary")
         if arr.dtype != np.bool_:
             raise ValidationError(f"{self.clip_id}: binary grid must be boolean")
-        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValidationError(f"{self.clip_id}: binary matrix must be 2-D and non-empty")
-        arr.setflags(write=False)
-        self.values = arr
-
-    @property
-    def n_frames(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -426,33 +402,38 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
 # ---------------------------------------------------------------------------
 
 
-def parse_events(path: str | os.PathLike, vocab: ClassVocabulary | None = None) -> EventList:
-    """Read a 4-column annotation TSV; row order is preserved."""
-    events: list[Event] = []
+def _tsv_rows(path: str | os.PathLike, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """The line number and columns of each non-empty row after ``header``."""
     with _open_utf8(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if tuple(header.split("\t")) != EVENTS_HEADER:
-            expected = "\t".join(EVENTS_HEADER)
+        if tuple(fh.readline().rstrip("\n").split("\t")) != header:
+            expected = "\t".join(header)
             raise ParseError(path, 1, f"expected header {expected!r}")
         for line_no, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
                 continue
             cols = line.split("\t")
-            if len(cols) != 4:
-                raise ParseError(path, line_no, f"expected 4 columns, got {len(cols)}")
-            clip_id, onset_s, offset_s, label = cols
-            try:
-                onset = float(onset_s)
-                offset = float(offset_s)
-            except ValueError:
-                raise ParseError(path, line_no, f"non-numeric time in {cols[1:3]}") from None
-            if vocab is not None and label not in vocab:
-                raise VocabularyError(f"{path}:{line_no}: unknown class {label!r}")
-            try:
-                events.append(Event(clip_id, onset, offset, label))
-            except ValidationError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
+            if len(cols) != len(header):
+                raise ParseError(path, line_no, f"expected {len(header)} columns, got {len(cols)}")
+            yield line_no, cols
+
+
+def parse_events(path: str | os.PathLike, vocab: ClassVocabulary | None = None) -> EventList:
+    """Read a 4-column annotation TSV; row order is preserved."""
+    events: list[Event] = []
+    for line_no, cols in _tsv_rows(path, EVENTS_HEADER):
+        clip_id, onset_s, offset_s, label = cols
+        try:
+            onset = float(onset_s)
+            offset = float(offset_s)
+        except ValueError:
+            raise ParseError(path, line_no, f"non-numeric time in {cols[1:3]}") from None
+        if vocab is not None and label not in vocab:
+            raise VocabularyError(f"{path}:{line_no}: unknown class {label!r}")
+        try:
+            events.append(Event(clip_id, onset, offset, label))
+        except ValidationError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
     return EventList(events)
 
 
@@ -473,28 +454,16 @@ def write_events(events: EventList, path: str | os.PathLike) -> None:
 def parse_weak_labels(path: str | os.PathLike, vocab: ClassVocabulary) -> WeakLabelSet:
     """Read clip-level labels; duplicate class names in a row collapse."""
     labels: dict[str, frozenset[str]] = {}
-    with _open_utf8(path) as fh:
-        header = fh.readline().rstrip("\n")
-        if tuple(header.split("\t")) != WEAK_HEADER:
-            expected = "\t".join(WEAK_HEADER)
-            raise ParseError(path, 1, f"expected header {expected!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(path, line_no, f"expected 2 columns, got {len(cols)}")
-            clip_id, joined = cols
-            if clip_id in labels:
-                raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
-            names = joined.split(",")
-            if not all(names):
-                raise ParseError(path, line_no, "empty class name in label list")
-            for name in names:
-                if name not in vocab:
-                    raise VocabularyError(f"{path}:{line_no}: unknown class {name!r}")
-            labels[clip_id] = frozenset(names)
+    for line_no, (clip_id, joined) in _tsv_rows(path, WEAK_HEADER):
+        if clip_id in labels:
+            raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
+        names = joined.split(",")
+        if not all(names):
+            raise ParseError(path, line_no, "empty class name in label list")
+        for name in names:
+            if name not in vocab:
+                raise VocabularyError(f"{path}:{line_no}: unknown class {name!r}")
+        labels[clip_id] = frozenset(names)
     return WeakLabelSet(labels)
 
 
@@ -507,8 +476,91 @@ def write_weak_labels(weak: WeakLabelSet, vocab: ClassVocabulary, path: str | os
 
 
 # ---------------------------------------------------------------------------
-# JSON config files
+# JSON kinds, field tables and config files
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """A JSON value kind: ``test`` accepts a value, ``words`` name the kind in
+    errors and ``convert`` maps an accepted value (a number to ``float``). A list
+    or object kind with an ``item`` kind checks each item and reads the list as
+    a tuple; an item is named by its list, or as ``<object> '<key>'``."""
+
+    words: str
+    test: Callable[[object], bool]
+    convert: Callable = lambda value: value
+    item: Kind | None = None
+
+
+def _is_number(value) -> bool:
+    # A bool is an int, and an integer beyond the float range would not convert.
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, int) and abs(value) > sys.float_info.max))
+
+
+NUMBER = Kind("a number", _is_number, float)
+INTEGER = Kind("an integer",
+               lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), int)
+STRING = Kind("a string", lambda v: isinstance(v, str))
+BOOL = Kind("true or false", lambda v: isinstance(v, bool))
+OBJECT = Kind("an object", lambda v: isinstance(v, Mapping))
+# A value checked past its table: by a domain constructor, whose messages
+# Python callers see too, or against another field.
+ANY = Kind("any value", lambda v: True)
+
+
+def list_of(item: Kind | None, words: str, length: int | None = None) -> Kind:
+    """A list (from Python, also a tuple) of ``length`` items, any length if None."""
+    return Kind(words, lambda v: isinstance(v, (list, tuple)) and length in (None, len(v)),
+                item=item)
+
+
+def object_of(item: Kind, words: str = "an object") -> Kind:
+    return Kind(words, OBJECT.test, item=item)
+
+
+NAMES = list_of(STRING, "a list of names")
+
+
+def checked(value, what: str, kind: Kind):
+    """``value`` converted to ``kind``; any other value raises ``<what> <value>
+    must be <kind>``. Values are checked, not coerced: a bool is no number, nor
+    is the string "0.5", and 42.9 is no integer."""
+    if not kind.test(value):
+        shown = repr(value.item() if isinstance(value, np.generic) else value)
+        shown = shown if len(shown) <= 80 else shown[:77] + "..."
+        raise ValidationError(f"{what} {shown} must be {kind.words}")
+    if kind.item is None:
+        return kind.convert(value)
+    if isinstance(value, Mapping):
+        return {key: checked(v, f"{what} {key!r}", kind.item) for key, v in value.items()}
+    return tuple(checked(v, what, kind.item) for v in value)
+
+
+REQUIRED = object()  # the default of a key that must be present
+
+
+def read_fields(data: Mapping, table: Mapping[str, tuple[Kind, object]], what: str | None) -> dict:
+    """Each key of ``table`` (key -> (kind, default)) with its value in ``data``
+    checked, or its default where the key is absent (absence raises where the
+    default is ``REQUIRED``). A config object, named by ``what``, rejects keys
+    outside ``table``, so a misspelt key is reported instead of silently keeping
+    its default; a JSONL record (``what`` None) ignores them and names its fields."""
+    if what is not None:
+        unknown = sorted(set(data) - set(table))
+        if unknown:
+            raise ValidationError(f"unknown {what} keys {unknown}")
+    out = {}
+    for key, (kind, default) in table.items():
+        if key in data:
+            out[key] = checked(data[key], key if what is not None else f"field {key!r}", kind)
+        elif default is REQUIRED:
+            raise ValidationError(f"missing {'key' if what is not None else 'field'} {key!r}")
+        else:
+            out[key] = default
+    return out
+
 
 _Built = TypeVar("_Built")
 
@@ -516,9 +568,10 @@ _Built = TypeVar("_Built")
 def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -> _Built:
     """Read a JSON file whose top level is an object and ``build`` from it.
 
-    Invalid JSON and a top level that is not an object raise ``ParseError``;
-    a missing key or a wrongly typed value met by ``build`` raises a
-    ``ValidationError`` that names the file.
+    Invalid JSON and a top level that is not an object raise ``ParseError``.
+    ``build`` checks the object against its field table; its ``ValidationError``
+    is raised again naming the file. Nothing else is caught: another exception
+    from ``build`` is a bug.
     """
     with _open_utf8(path) as fh:
         try:
@@ -529,10 +582,6 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
         raise ParseError(path, 1, "top level must be a JSON object")
     try:
         return build(data)
-    except KeyError as exc:
-        raise ValidationError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{path}: {exc}") from None
     except ValidationError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
@@ -542,7 +591,8 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
 # ---------------------------------------------------------------------------
 
 
-def _load_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
+def _load_jsonl(path: str | os.PathLike, table: Mapping) -> Iterator[tuple[int, dict]]:
+    """Each record's line number and the fields of ``table``, in table order."""
     with _open_utf8(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
@@ -554,45 +604,30 @@ def _load_jsonl(path: str | os.PathLike) -> Iterator[tuple[int, dict]]:
                 raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
             if not isinstance(record, dict):
                 raise ParseError(path, line_no, "record must be a JSON object")
-            yield line_no, record
+            try:
+                fields = read_fields(record, table, None)
+            except ValidationError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+            yield line_no, fields
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# The JSON type of every record field in the JSONL formats. Deeper checks
-# (names, ranges, posterior cells) belong to the domain types.
-_STRING = (lambda v: isinstance(v, str), "a string")
-_STRINGS = (lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-            "a list of strings")
-_FIELD_TYPES = {
-    "clip_id": _STRING, "source_id": _STRING, "parent_clip_id": _STRING,
-    "mixture_id": _STRING, "classes": _STRINGS, "sources": _STRINGS,
-    "hop_seconds": (_is_number, "a number"),
-    "posteriors": (lambda v: isinstance(v, list), "a list of frame rows"),
-    "probs": (lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
-              "an object of numbers"),
+# The field tables of the JSONL records. Deeper checks (names, ranges,
+# posterior cells) belong to the domain types and to ``parse_framegrids``.
+GRID_FIELDS = {
+    "clip_id": (STRING, REQUIRED), "hop_seconds": (NUMBER, REQUIRED), "classes": (NAMES, REQUIRED),
+    "posteriors": (list_of(None, "a list of frame rows"), REQUIRED),
 }
+TAG_FIELDS = {
+    "source_id": (STRING, REQUIRED), "parent_clip_id": (STRING, REQUIRED),
+    "probs": (object_of(NUMBER, "an object of numbers"), REQUIRED),
+}
+MANIFEST_FIELDS = {"mixture_id": (STRING, REQUIRED), "sources": (NAMES, REQUIRED)}
 
 
-def _record_fields(path, line_no, record: dict, fields: Sequence[str]) -> list:
-    """The named fields of one record, each checked against its JSON type."""
-    out = []
-    for name in fields:
-        if name not in record:
-            raise ParseError(path, line_no, f"missing field {name!r}")
-        is_valid, kind = _FIELD_TYPES[name]
-        if not is_valid(record[name]):
-            raise ParseError(path, line_no, f"field {name!r} must be {kind}")
-        out.append(record[name])
-    return out
-
-
-def first_record(path: str | os.PathLike, fields: Sequence[str]) -> list:
-    """The named fields of a JSONL file's first record, read as strictly as a full parse."""
-    for line_no, record in _load_jsonl(path):
-        return _record_fields(path, line_no, record, fields)
+def first_record(path: str | os.PathLike, table: Mapping) -> dict:
+    """The fields of a JSONL file's first record, read as strictly as a full parse."""
+    for _, fields in _load_jsonl(path, table):
+        return fields
     raise ValidationError(f"{path}: no records")
 
 
@@ -600,16 +635,14 @@ def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[Fr
     """Read posterior grids with unique clip ids; columns follow the vocabulary."""
     grids: list[FrameGrid] = []
     seen: set[str] = set()
-    for line_no, record in _load_jsonl(path):
-        clip_id, hop, classes, posteriors = _record_fields(
-            path, line_no, record, ("clip_id", "hop_seconds", "classes", "posteriors")
-        )
+    for line_no, fields in _load_jsonl(path, GRID_FIELDS):
+        clip_id, hop, classes, posteriors = fields.values()
         if clip_id in seen:
             raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
         seen.add(clip_id)
         if sorted(classes) != sorted(vocab.classes):
             raise VocabularyError(
-                f"{path}:{line_no}: class set {classes} does not match vocabulary"
+                f"{path}:{line_no}: class set {list(classes)} does not match vocabulary"
             )
         try:
             # Exact cell types: numpy would read "0.9" and true as numbers.
@@ -652,11 +685,7 @@ def write_framegrids(
     ``path``. No child or shard file outlives the call.
     """
     for grid in grids:
-        if grid.n_classes != len(vocab):
-            raise ValidationError(
-                f"{grid.clip_id}: grid has {grid.n_classes} columns, "
-                f"vocabulary has {len(vocab)}"
-            )
+        _check_columns(grid, vocab)
 
     def encode(shard: Sequence[FrameGrid]) -> Iterator[str]:
         for grid in shard:
@@ -719,12 +748,10 @@ def write_framegrids(
 
 def parse_tags(path: str | os.PathLike, vocab: ClassVocabulary) -> list[TagPrediction]:
     tags: list[TagPrediction] = []
-    for line_no, record in _load_jsonl(path):
-        source_id, parent, probs = _record_fields(
-            path, line_no, record, ("source_id", "parent_clip_id", "probs")
-        )
+    for line_no, fields in _load_jsonl(path, TAG_FIELDS):
+        source_id, parent, probs = fields.values()
         try:
-            tag = TagPrediction(source_id, parent, dict(probs))
+            tag = TagPrediction(source_id, parent, probs)
             tag.validate_vocab(vocab)
         except ValidationError as exc:
             raise type(exc)(f"{path}:{line_no}: {exc}") from None
@@ -755,11 +782,11 @@ def write_tags(
 
 def parse_manifest(path: str | os.PathLike) -> SeparationManifest:
     sources: dict[str, tuple[str, ...]] = {}
-    for line_no, record in _load_jsonl(path):
-        mixture_id, source_ids = _record_fields(path, line_no, record, ("mixture_id", "sources"))
+    for line_no, fields in _load_jsonl(path, MANIFEST_FIELDS):
+        mixture_id, source_ids = fields.values()
         if mixture_id in sources:
             raise ParseError(path, line_no, f"duplicate mixture id {mixture_id!r}")
-        sources[mixture_id] = tuple(source_ids)
+        sources[mixture_id] = source_ids
     try:
         return SeparationManifest(sources)
     except ValidationError as exc:

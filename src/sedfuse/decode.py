@@ -21,7 +21,6 @@ produces frame targets for fusion fitting.
 from __future__ import annotations
 
 import functools
-import numbers
 import os
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Sequence
@@ -34,15 +33,26 @@ from .core import (
     Event,
     EventList,
     FrameGrid,
+    ANY,
+    INTEGER,
+    NUMBER,
+    OBJECT,
+    Kind,
     ValidationError,
-    check_keys,
-    config_number,
+    _check_columns,
+    checked,
     fmt_float,
     load_json_object,
+    read_fields,
 )
 
 
-_CONFIG_KEYS = ("default_threshold", "default_median_window", "thresholds", "median_windows")
+# decode_cfg.json, in the order of PostProcessConfig's fields.
+_DECODE_FIELDS = {
+    "default_threshold": (ANY, 0.5), "default_median_window": (ANY, 7),
+    "thresholds": (OBJECT, {}), "median_windows": (OBJECT, {}),
+}
+_WINDOW = Kind("a positive integer", lambda w: INTEGER.test(w) and w >= 1, int)
 
 
 @dataclass(frozen=True)
@@ -61,14 +71,11 @@ class PostProcessConfig:
     def __post_init__(self):
         object.__setattr__(self, "class_thresholds", dict(self.class_thresholds))
         object.__setattr__(self, "class_median_windows", dict(self.class_median_windows))
-        # A bool is an int, and a JSON config may hold strings: check the types first.
         for t in [self.default_threshold, *self.class_thresholds.values()]:
-            if not (0.0 < config_number(t, "threshold") < 1.0):
+            if not (0.0 < checked(t, "threshold", NUMBER) < 1.0):
                 raise ValidationError(f"threshold {fmt_float(t)} outside (0, 1)")
         for w in [self.default_median_window, *self.class_median_windows.values()]:
-            if isinstance(w, bool) or not (isinstance(w, numbers.Integral) and w >= 1):
-                raise ValidationError(f"median window {_shown(w)!r} must be a positive integer")
-            if w % 2 == 0:
+            if checked(w, "median window", _WINDOW) % 2 == 0:
                 raise ValidationError(f"median window {int(w)} must be odd")
 
     def threshold_for(self, class_name: str) -> float:
@@ -85,13 +92,7 @@ class PostProcessConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PostProcessConfig":
-        check_keys(data, _CONFIG_KEYS, "decode config")
-        return cls(
-            default_threshold=data.get("default_threshold", 0.5),
-            default_median_window=data.get("default_median_window", 7),
-            class_thresholds=data.get("thresholds", {}),
-            class_median_windows=data.get("median_windows", {}),
-        )
+        return cls(*read_fields(data, _DECODE_FIELDS, "decode config").values())
 
     @classmethod
     def load(cls, path: str | os.PathLike, vocab: ClassVocabulary) -> "PostProcessConfig":
@@ -103,18 +104,6 @@ class PostProcessConfig:
         if unknown:
             raise ValidationError(f"class overrides for classes not in the vocabulary: {unknown}")
         return self
-
-
-def _shown(value):
-    """A config value as the user wrote it: numpy scalars as plain numbers."""
-    return value.item() if isinstance(value, np.generic) else value
-
-
-def _check_columns(grid: FrameGrid | BinaryGrid, vocab: ClassVocabulary) -> None:
-    if grid.n_classes != len(vocab):
-        raise ValidationError(
-            f"{grid.clip_id}: grid has {grid.n_classes} columns, vocabulary has {len(vocab)}"
-        )
 
 
 def binarize(grid: FrameGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) -> BinaryGrid:

@@ -39,18 +39,25 @@ from typing import Callable, ClassVar, Mapping, Sequence
 import numpy as np
 
 from .core import (
+    ANY,
+    NAMES,
+    NUMBER,
+    REQUIRED,
     ClassVocabulary,
     EventList,
     FrameGrid,
     ValidationError,
+    _check_columns,
     atomic_write_text,
+    checked,
     fmt_float,
+    list_of,
     load_json_object,
+    read_fields,
 )
 from .decode import (
     PostProcessConfig,
     _active_runs,
-    _check_columns,
     _frame_groups,
     _run_times,
     _smoothed_levels,
@@ -328,9 +335,16 @@ class ClassF1Table:
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ClassF1Table":
-        return load_json_object(
-            path, lambda r: cls(tuple(r["models"]), tuple(r["classes"]), r["f1"])
-        )
+        def build(data: dict) -> ClassF1Table:
+            models, classes, f1 = read_fields(data, _F1_FIELDS, "F1 table").values()
+            row = list_of(NUMBER, f"a list of {len(classes)} numbers", len(classes))
+            return cls(models, classes, checked(f1, "f1", list_of(row, "a list of rows")))
+
+        return load_json_object(path, build)
+
+
+# f1_table.json; ``f1`` is checked against the class count.
+_F1_FIELDS = {"models": (NAMES, REQUIRED), "classes": (NAMES, REQUIRED), "f1": (ANY, REQUIRED)}
 
 
 @dataclass

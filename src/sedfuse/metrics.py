@@ -44,10 +44,13 @@ from .core import (
     ClassVocabulary,
     EventList,
     FrameGrid,
+    ANY,
+    NUMBER,
     ValidationError,
-    check_keys,
-    config_number,
+    checked,
     fmt_float,
+    list_of,
+    read_fields,
 )
 from . import decode
 from .decode import (
@@ -289,6 +292,7 @@ def _collar_f1(
 
 
 DEFAULT_OPERATING_POINTS = tuple(float(t) for t in np.linspace(0.01, 0.99, 50))
+_POINTS = list_of(None, "a list of numbers")
 
 
 @dataclass(frozen=True)
@@ -308,12 +312,10 @@ class PSDSConfig:
     operating_points: tuple[float, ...] = DEFAULT_OPERATING_POINTS
 
     def __post_init__(self):
-        # A bool is an int, and a JSON config may hold strings: check the types first.
         for name in ("dtc", "gtc", "cttc", "alpha_ct", "alpha_st", "e_max"):
-            config_number(getattr(self, name), name)
-        if not isinstance(self.operating_points, (list, tuple, np.ndarray)):
-            raise ValidationError("operating_points must be a list of numbers")
-        pts = tuple(config_number(t, "operating point") for t in self.operating_points)
+            checked(getattr(self, name), name, NUMBER)
+        points = checked(self.operating_points, "operating_points", _POINTS)
+        pts = tuple(checked(t, "operating point", NUMBER) for t in points)
         object.__setattr__(self, "operating_points", pts)
         for name, v in (("dtc", self.dtc), ("gtc", self.gtc), ("cttc", self.cttc)):
             if not (0.0 < v <= 1.0):
@@ -331,13 +333,14 @@ class PSDSConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "PSDSConfig":
-        check_keys(data, [f.name for f in fields(cls)], "PSDS config")
-        return cls(**data)
+        return cls(**read_fields(data, _PSDS_FIELDS, "PSDS config"))
 
     def to_dict(self) -> dict:
         return {**asdict(self), "operating_points": list(self.operating_points)}
 
 
+# psds_cfg.json: PSDSConfig checks every value itself.
+_PSDS_FIELDS = {f.name: (ANY, f.default) for f in fields(PSDSConfig)}
 PSDS1 = PSDSConfig(dtc=0.7, gtc=0.7, cttc=0.3, alpha_ct=0.0, alpha_st=1.0, e_max=100.0)
 PSDS2 = PSDSConfig(dtc=0.1, gtc=0.1, cttc=0.3, alpha_ct=0.5, alpha_st=1.0, e_max=100.0)
 

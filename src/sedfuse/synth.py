@@ -14,24 +14,34 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .core import (
+    ANY,
+    BOOL,
+    INTEGER,
+    NAMES,
+    NUMBER,
+    OBJECT,
+    STRING,
     ClassVocabulary,
     Event,
     EventList,
     FrameGrid,
+    Kind,
     SeparationManifest,
     TagPrediction,
     ValidationError,
     WeakLabelSet,
-    check_keys,
-    config_number,
+    checked,
     fmt_float,
+    list_of,
     load_json_object,
+    object_of,
+    read_fields,
 )
 
 STREAM_TRUTH = 0
@@ -85,6 +95,8 @@ class ScenarioConfig:
             "class_duration_seconds",
             {k: (float(a), float(b)) for k, (a, b) in dict(self.class_duration_seconds).items()},
         )
+        if self.seed < 0:
+            raise ValidationError(f"seed {self.seed} must be >= 0")
         if self.frames_per_clip < 1:
             raise ValidationError("frames_per_clip must be >= 1")
         if self.n_clips < 1:
@@ -195,7 +207,7 @@ class SeparationSkill:
 
     def __post_init__(self):
         for p in (self.clean, self.leakage, self.residual, self.tagging_error):
-            if not (0.0 <= config_number(p, "probability") <= 1.0):
+            if not (0.0 <= checked(p, "probability", NUMBER) <= 1.0):
                 raise ValidationError(f"probability {fmt_float(p)} outside [0, 1]")
         if self.clean + self.leakage + self.residual <= 0:
             raise ValidationError("outcome probabilities sum to zero")
@@ -482,6 +494,8 @@ class Scenario:
             raise ValidationError("model names and skills must pair up")
         if len(self.model_names) < 1:
             raise ValidationError("need at least one model")
+        if len(set(self.model_names)) < len(self.model_names):
+            raise ValidationError(f"model names {list(self.model_names)} must be unique")
         if self.n_sources < self.config.events_per_clip[1] + 1:
             raise ValidationError(
                 f"n_sources must be at least max events + 1 "
@@ -498,38 +512,16 @@ class Scenario:
         return self.config.seed * 1000 + 777
 
     def to_dict(self) -> dict:
-        """The scenario.json structure; ``scenario_from_dict`` reads it back."""
-        cfg = self.config
+        """The scenario.json structure, lists as tuples; ``scenario_from_dict``
+        reads it back."""
         return {
-            "seed": cfg.seed,
-            "n_clips": cfg.n_clips,
-            "clip_seconds": cfg.clip_seconds,
-            "frames_per_clip": cfg.frames_per_clip,
-            "classes": list(cfg.classes),
-            "events_per_clip": list(cfg.events_per_clip),
-            "duration_seconds": list(cfg.duration_seconds),
-            "class_duration_seconds": {
-                k: list(v) for k, v in cfg.class_duration_seconds.items()
-            },
-            "allow_overlap": cfg.allow_overlap,
+            **asdict(self.config),
             "models": [
-                {
-                    "name": name,
-                    "miss_rate": list(skill.miss_rate),
-                    "false_alarm_rate": list(skill.false_alarm_rate),
-                    "jitter_frames": list(skill.jitter_frames),
-                    "sharpness": [
-                        "inf" if s == float("inf") else s for s in skill.sharpness
-                    ],
-                }
+                {"name": name, **asdict(skill),
+                 "sharpness": ["inf" if s == math.inf else s for s in skill.sharpness]}
                 for name, skill in zip(self.model_names, self.model_skills)
             ],
-            "separation": {
-                "clean": self.separation.clean,
-                "leakage": self.separation.leakage,
-                "residual": self.separation.residual,
-                "tagging_error": self.separation.tagging_error,
-            },
+            "separation": asdict(self.separation),
             "n_sources": self.n_sources,
             "tau": self.tau,
         }
@@ -550,127 +542,94 @@ def heterogeneous_skills(n_classes: int) -> list[ModelSkill]:
 
 
 def default_scenario(seed: int = 42, n_clips: int = 200) -> Scenario:
-    """Three models with rotated class skills over ten classes and the default timeline."""
-    cfg = ScenarioConfig(seed=seed, n_clips=n_clips, classes=default_class_names(10))
-    skills = heterogeneous_skills(10)
-    return Scenario(
-        config=cfg,
-        model_names=tuple(f"model_{m + 1}" for m in range(len(skills))),
-        model_skills=tuple(skills),
-        separation=SeparationSkill(),
-        n_sources=cfg.events_per_clip[1] + 1,
-    )
+    """Three models with rotated class skills over ten classes and the default
+    timeline: the defaults of scenario.json."""
+    return scenario_from_dict({"seed": seed, "n_clips": n_clips})
 
 
-def _config_object(value, what: str) -> Mapping:
-    """``value`` if it is a JSON object; anything else raises, naming ``what``."""
-    if not isinstance(value, Mapping):
-        raise ValidationError(f"{what} {value!r} must be an object")
-    return value
+# A skill field of a models entry's `default` or `per_class` object. Only
+# sharpness takes "inf", which Scenario.to_dict writes for an infinite one.
+_SKILL_FIELDS = {
+    "miss_rate": (NUMBER, 0.1),
+    "false_alarm_rate": (NUMBER, 0.01),
+    "jitter_frames": (INTEGER, 3),
+    "sharpness": (Kind('a number or "inf"', lambda v: v == "inf" or NUMBER.test(v),
+                       lambda v: math.inf if v == "inf" else float(v)), 8.0),
+}
+_SEPARATION_FIELDS = {f.name: (ANY, f.default) for f in fields(SeparationSkill)}
+_SCENARIO_FIELDS = {
+    "seed": (INTEGER, 42),
+    "n_clips": (INTEGER, 200),
+    "clip_seconds": (NUMBER, 10.0),
+    "frames_per_clip": (INTEGER, 512),
+    "classes": (NAMES, None),  # None: `n_classes` default names
+    "n_classes": (INTEGER, 10),
+    "events_per_clip": (list_of(INTEGER, "a list of 2 integers", 2), (1, 4)),
+    "duration_seconds": (list_of(NUMBER, "a list of 2 numbers", 2), (0.25, 3.0)),
+    "class_duration_seconds": (object_of(list_of(NUMBER, "a list of 2 numbers", 2)), {}),
+    "allow_overlap": (BOOL, True),
+    "models": (list_of(None, "a list of objects"), ()),
+    "separation": (OBJECT, {}),
+    "n_sources": (INTEGER, None),  # None: max events + 1
+    "tau": (NUMBER, 0.5),
+}
 
 
-_SKILL_FIELDS = ("miss_rate", "false_alarm_rate", "jitter_frames", "sharpness")
-_SCENARIO_KEYS = (
-    "seed", "n_clips", "clip_seconds", "frames_per_clip", "classes", "n_classes",
-    "events_per_clip", "duration_seconds", "class_duration_seconds", "allow_overlap",
-    "models", "separation", "n_sources", "tau",
-)
-
-
-def _skill_from_dict(data: Mapping, classes: Sequence[str]) -> ModelSkill:
-    check_keys(data, ("name", "default", "per_class", *_SKILL_FIELDS), "models entry")
-    defaults = {
-        "miss_rate": 0.1,
-        "false_alarm_rate": 0.01,
-        "jitter_frames": 3,
-        "sharpness": 8.0,
+def _model_fields(n_classes: int) -> dict:
+    """A models entry's table; a skill field given in the entry itself lists
+    one value per class, as Scenario.to_dict writes it."""
+    columns = {
+        key: (list_of(kind, f"a list of {n_classes} per-class values", n_classes), None)
+        for key, (kind, _) in _SKILL_FIELDS.items()
     }
-    defaults.update(_config_object(data.get("default", {}), "default"))
-    check_keys(defaults, _SKILL_FIELDS, "default")
-    per_class = _config_object(data.get("per_class", {}), "per_class")
-    for name, overrides in per_class.items():
+    return {"name": (STRING, None), "default": (OBJECT, {}), "per_class": (object_of(OBJECT), {}),
+            **columns}
+
+
+def _skill_from_fields(entry: dict, classes: Sequence[str]) -> ModelSkill:
+    """A field listed in the entry itself, else ``per_class`` over ``default``."""
+    default = read_fields(entry["default"], _SKILL_FIELDS, "default")
+    table = {key: (kind, default[key]) for key, (kind, _) in _SKILL_FIELDS.items()}
+    per_class = {}
+    for name, overrides in entry["per_class"].items():
         if name not in classes:
             raise ValidationError(f"skill override for unknown class {name!r}")
-        check_keys(_config_object(overrides, f"per_class {name!r}"), _SKILL_FIELDS, "per_class")
-
-    def column(field_name: str, integer: bool = False):
-        def check(v):  # Scenario.to_dict writes an infinite sharpness as "inf"
-            return math.inf if v == "inf" else config_number(v, field_name, integer)
-
-        if field_name in data:  # one value per class, as written by Scenario.to_dict
-            values = data[field_name]
-            if not isinstance(values, list) or len(values) != len(classes):
-                raise ValidationError(
-                    f"skill field {field_name!r} must list {len(classes)} per-class values"
-                )
-            return tuple(map(check, values))
-        return tuple(
-            check(per_class.get(name, {}).get(field_name, defaults[field_name]))
-            for name in classes
-        )
-
-    return ModelSkill(
-        column("miss_rate"),
-        column("false_alarm_rate"),
-        column("jitter_frames", integer=True),
-        column("sharpness"),
-    )
+        per_class[name] = read_fields(overrides, table, "per_class")
+    return ModelSkill(*(
+        entry[key] if entry[key] is not None
+        else tuple(per_class.get(name, default)[key] for name in classes)
+        for key in _SKILL_FIELDS
+    ))
 
 
 def scenario_from_dict(data: Mapping) -> Scenario:
     """Build a scenario from scenario.json data; keys and values are checked, not coerced."""
-    check_keys(data, _SCENARIO_KEYS, "scenario")
-
-    def number(key: str, default, integer: bool = False):
-        return config_number(data.get(key, default), key, integer)
-
-    def number_list(key: str, default, integer: bool = False) -> tuple:
-        return tuple(config_number(v, key, integer) for v in data.get(key, default))
-
-    classes = data.get("classes")
-    if classes is None:
-        classes = default_class_names(number("n_classes", 10, integer=True))
-    elif not isinstance(classes, list):
-        raise ValidationError(f"classes {classes!r} must be a list of names")
-    allow_overlap = data.get("allow_overlap", True)
-    if not isinstance(allow_overlap, bool):
-        raise ValidationError(f"allow_overlap {allow_overlap!r} must be true or false")
-    cfg = ScenarioConfig(
-        seed=number("seed", 42, integer=True),
-        n_clips=number("n_clips", 200, integer=True),
-        clip_seconds=number("clip_seconds", 10.0),
-        frames_per_clip=number("frames_per_clip", 512, integer=True),
-        classes=tuple(classes),
-        events_per_clip=number_list("events_per_clip", (1, 4), integer=True),
-        duration_seconds=number_list("duration_seconds", (0.25, 3.0)),
-        class_duration_seconds={
-            k: tuple(config_number(x, "class_duration_seconds") for x in v)
-            for k, v in _config_object(
-                data.get("class_duration_seconds", {}), "class_duration_seconds"
-            ).items()
-        },
-        allow_overlap=allow_overlap,
+    top = read_fields(data, _SCENARIO_FIELDS, "scenario")
+    n_classes, models, separation, n_sources, tau = map(
+        top.pop, ("n_classes", "models", "separation", "n_sources", "tau")
     )
-    models = data.get("models")
-    if models is not None and not isinstance(models, list):
-        raise ValidationError(f"models {models!r} must be a list of objects")
-    if models:
-        models = [_config_object(m, "models entry") for m in models]
+    if top["classes"] is None:
+        top["classes"] = default_class_names(n_classes)
+    cfg = ScenarioConfig(**top)  # the rest of the table is ScenarioConfig's fields
+    table = _model_fields(len(cfg.classes))
+    entries = [
+        read_fields(checked(m, "models entry", OBJECT), table, "models entry") for m in models
+    ]
+    if entries:
         names = tuple(
-            m.get("name", f"model_{i + 1}") for i, m in enumerate(models)
+            f"model_{i + 1}" if e["name"] is None else e["name"] for i, e in enumerate(entries)
         )
-        skills = tuple(_skill_from_dict(m, cfg.classes) for m in models)
+        skills = tuple(_skill_from_fields(e, cfg.classes) for e in entries)
     else:
         skills = tuple(heterogeneous_skills(len(cfg.classes)))
         names = tuple(f"model_{m + 1}" for m in range(len(skills)))
-    sep = SeparationSkill(**_config_object(data.get("separation", {}), "separation"))
     return Scenario(
         config=cfg,
         model_names=names,
         model_skills=skills,
-        separation=sep,
-        n_sources=number("n_sources", cfg.events_per_clip[1] + 1, integer=True),
-        tau=number("tau", 0.5),
+        separation=SeparationSkill(**read_fields(separation, _SEPARATION_FIELDS, "separation")),
+        n_sources=cfg.events_per_clip[1] + 1 if n_sources is None else n_sources,
+        tau=tau,
     )
 
 

@@ -1,6 +1,10 @@
 """Command-line pipeline: contracts, exit codes, determinism."""
 
+import contextlib
+import copy
+import functools
 import gc
+import io
 import json
 import os
 import types
@@ -9,8 +13,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from sedfuse import cli
+from sedfuse import cli, decode, fusion, metrics, synth
 from sedfuse.cli import main
 from sedfuse.core import parse_events, parse_framegrids
 from sedfuse.core import ClassVocabulary
@@ -723,3 +729,152 @@ class TestManifestFile:
         out = tmp_path / "o"
         assert run(*argv, "--decode-config", config, "--out", out) == 0
         assert str(config) in json.loads((out / "run_manifest.json").read_text())["inputs"]
+
+
+class TestInputRepros:
+    """Inputs that once exited 0 with a wrong result, or 1 with a traceback: each exits
+    2 naming its file, with the field table's message."""
+
+    F1_GOOD = {"models": ["m1"], "classes": ["a", "b"], "f1": [[0.5, 0.6]]}
+
+    @pytest.mark.parametrize(
+        "flag, data, shown",
+        [
+            pytest.param("--f1-table", {**F1_GOOD, "classes": ["b", "a"]},
+                         "classes ['b', 'a'] differ from the grids' ['a', 'b']",
+                         id="f1-classes-reversed"),
+            pytest.param("--f1-table", {**F1_GOOD, "classes": ["x", "y"]},
+                         "classes ['x', 'y'] differ from the grids' ['a', 'b']",
+                         id="f1-classes-unknown"),
+            pytest.param("--f1-table", {**F1_GOOD, "models": "abc"},
+                         "models 'abc' must be a list of names", id="f1-models-string"),
+            pytest.param("--f1-table",
+                         {**F1_GOOD, "models": ["m1", "m2"], "f1": [[0.5, 0.6], [0.5]]},
+                         "f1 [0.5] must be a list of 2 numbers", id="f1-ragged-rows"),
+            pytest.param("--config", {"n_clips": 2, "models": [{"name": 5}]},
+                         "name 5 must be a string", id="model-name-number"),
+            pytest.param("--config", {"n_clips": 2, "models": [{"name": "m"}, {"name": "m"}]},
+                         "model names ['m', 'm'] must be unique", id="model-names-duplicate"),
+            pytest.param("--config",
+                         {"n_clips": 2, "models": [{"default": {"jitter_frames": "inf"}}]},
+                         "jitter_frames 'inf' must be an integer", id="jitter-inf"),
+            pytest.param("--config", {"n_clips": 2, "seed": -1}, "seed -1 must be >= 0",
+                         id="seed-negative"),
+            pytest.param("--config", {"n_clips": 2, "events_per_clip": 5},
+                         "events_per_clip 5 must be a list of 2 integers", id="events-scalar"),
+            pytest.param("--config", {"n_clips": 2, "class_duration_seconds": {"Cat": [1]}},
+                         "class_duration_seconds 'Cat' [1] must be a list of 2 numbers",
+                         id="class-durations-short"),
+            pytest.param("--config", {"n_clips": 2, "separation": {"clen": 0.6}},
+                         "unknown separation keys ['clen']", id="separation-unknown-key"),
+        ],
+    )
+    def test_exits_2_naming_the_file(self, tmp_path, capsys, flag, data, shown):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(data))
+        grids = tmp_path / "grids.jsonl"
+        grids.write_text(GOOD_GRID + "\n")
+        command = {
+            "--f1-table": ["fuse", "--mode", "classwise", "--beta", "1", "--grids", grids],
+            "--config": ["simulate"],
+        }[flag]
+        assert run(*command, flag, config, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{config}: {shown}" in err and "Traceback" not in err
+        assert not (tmp_path / "o" / "fused.jsonl").exists()
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        assert run("simulate", "--seed", "-1", "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "seed -1 must be >= 0" in err and "Traceback" not in err
+
+    def test_f1_table_in_grid_order_fuses(self, tmp_path):
+        config = tmp_path / "f1.json"
+        config.write_text(json.dumps(self.F1_GOOD))
+        grids = tmp_path / "grids.jsonl"
+        grids.write_text(GOOD_GRID + "\n")
+        out = tmp_path / "o"
+        assert run("fuse", "--mode", "classwise", "--beta", "1", "--grids", grids,
+                   "--f1-table", config, "--out", out) == 0
+        assert (out / "fused.jsonl").exists()
+
+
+# Valid tiny bases for the mutation test: a 2-clip scenario, and the decode, PSDS
+# and F1-table configs of the GOOD_GRID dump.
+MUTATION_BASES = {
+    "scenario": {
+        "seed": 3, "n_clips": 2, "clip_seconds": 2.0, "frames_per_clip": 16,
+        "classes": ["a", "b"], "events_per_clip": [0, 2], "duration_seconds": [0.25, 1.0],
+        "class_duration_seconds": {"a": [0.5, 1.0]}, "allow_overlap": True,
+        "models": [
+            {"name": "m1", "default": {"miss_rate": 0.1, "false_alarm_rate": 0.01,
+                                       "jitter_frames": 1, "sharpness": 4.0},
+             "per_class": {"a": {"miss_rate": 0.2, "false_alarm_rate": 0.0,
+                                 "jitter_frames": 0, "sharpness": "inf"}}},
+            {"name": "m2", "jitter_frames": [1, 2]},
+        ],
+        "separation": {"clean": 0.6, "leakage": 0.2, "residual": 0.2, "tagging_error": 0.1},
+        "n_sources": 3, "tau": 0.5,
+    },
+    "decode": {"default_threshold": 0.5, "default_median_window": 3,
+               "thresholds": {"a": 0.4}, "median_windows": {"b": 1}},
+    "psds": {"dtc": 0.7, "gtc": 0.7, "cttc": 0.3, "alpha_ct": 0.5, "alpha_st": 1.0,
+             "e_max": 100.0, "operating_points": [0.25, 0.5, 0.75]},
+    "f1": {"models": ["m1"], "classes": ["a", "b"], "f1": [[0.5, 0.6]]},
+}
+# (input, path of the nested object in its base, the object's field table)
+MUTATION_TARGETS = [
+    ("scenario", (), synth._SCENARIO_FIELDS),
+    ("scenario", ("models", 0), synth._model_fields(2)),
+    ("scenario", ("models", 0, "default"), synth._SKILL_FIELDS),
+    ("scenario", ("models", 0, "per_class", "a"), synth._SKILL_FIELDS),
+    ("scenario", ("separation",), synth._SEPARATION_FIELDS),
+    ("decode", (), decode._DECODE_FIELDS),
+    ("psds", (), metrics._PSDS_FIELDS),
+    ("f1", (), fusion._F1_FIELDS),
+]
+DELETE = "<delete the key>"
+REPLACEMENTS = [None, True, 0, -1, 2, 0.5, 1e308, "inf", "x", [], [1], {}, DELETE]
+
+
+@st.composite
+def config_mutations(draw):
+    name, path, table = draw(st.sampled_from(MUTATION_TARGETS))
+    return name, path, draw(st.sampled_from(sorted(table))), draw(st.sampled_from(REPLACEMENTS))
+
+
+class TestConfigMutations:
+    """One key of one config object, drawn from its field table, set to a value of
+    another kind or deleted: the CLI exits 0 or 2, and an exit 2 names the file."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(mutation=config_mutations())
+    @example(mutation=("scenario", (), "seed", -1))
+    @example(mutation=("scenario", ("models", 0, "per_class", "a"), "jitter_frames", "inf"))
+    def test_exits_0_or_2(self, tmp_path_factory, mutation):
+        name, path, key, value = mutation
+        data = copy.deepcopy(MUTATION_BASES[name])
+        target = functools.reduce(lambda obj, step: obj[step], path, data)
+        if value == DELETE:
+            target.pop(key, None)
+        else:
+            target[key] = value
+        work = tmp_path_factory.mktemp("mutation")
+        config = work / "config.json"
+        config.write_text(json.dumps(data))
+        grids = work / "grids.jsonl"
+        grids.write_text(GOOD_GRID + "\n")
+        ref = work / "ref.tsv"
+        ref.write_text("filename\tonset\toffset\tevent_label\nc0\t0.0\t0.1\ta\n")
+        argv = {
+            "scenario": ["simulate", "--config"],
+            "decode": ["decode", "--grids", grids, "--decode-config"],
+            "psds": ["score", "--ref", ref, "--grids", grids, "--metric", "psds1",
+                     "--psds-config"],
+            "f1": ["fuse", "--mode", "classwise", "--beta", "1", "--grids", grids, "--f1-table"],
+        }[name]
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            rc = run(*argv, config, "--out", work / "o")
+        assert rc in (0, 2), err.getvalue()
+        assert rc == 0 or str(config) in err.getvalue(), err.getvalue()

@@ -437,8 +437,8 @@ class TestPSDS:
                          "operating point '0.2' must be a number", id="string-point"),
             pytest.param({"operating_points": [0.1, True]},
                          "operating point True must be a number", id="bool-point"),
-            pytest.param({"operating_points": 0.5}, "operating_points must be a list",
-                         id="scalar-points"),
+            pytest.param({"operating_points": 0.5},
+                         "operating_points 0.5 must be a list of numbers", id="scalar-points"),
             pytest.param({"dtc": 0.7, "bogus": 1}, "unknown PSDS config keys ['bogus']",
                          id="unknown-key"),
         ],

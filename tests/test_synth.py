@@ -12,8 +12,10 @@ from sedfuse.metrics import CollarConfig, event_f1
 from sedfuse.spl import select
 from sedfuse.synth import (
     ModelSkill,
+    Scenario,
     ScenarioConfig,
     SeparationSkill,
+    default_class_names,
     default_scenario,
     gen_truth,
     heterogeneous_skills,
@@ -289,3 +291,27 @@ class TestScenario:
             )
         with pytest.raises(ValidationError):
             scenario_from_dict({"n_classes": 2, "models": [{"miss_rate": [0.1]}]})
+
+    def test_negative_seed_rejected(self):
+        # SeedSequence takes no negative entropy: refuse it where the config is built.
+        with pytest.raises(ValidationError, match="seed -1 must be >= 0"):
+            small_cfg(seed=-1)
+        with pytest.raises(ValidationError, match="seed -1 must be >= 0"):
+            dataclasses.replace(default_scenario(n_clips=2).config, seed=-1)
+
+    def test_duplicate_model_names_rejected(self):
+        # Each model's dump is grids_<name>.jsonl: a second "m" would overwrite the first.
+        scenario = default_scenario(n_clips=2)
+        with pytest.raises(ValidationError, match="must be unique"):
+            dataclasses.replace(scenario, model_names=("m", "m", "n"))
+
+    def test_json_defaults_are_the_default_scenario(self):
+        # An empty scenario.json builds three rotated-skill models over ten classes.
+        cfg = ScenarioConfig(classes=default_class_names(10))
+        assert scenario_from_dict({}) == Scenario(
+            config=cfg,
+            model_names=("model_1", "model_2", "model_3"),
+            model_skills=tuple(heterogeneous_skills(10)),
+            separation=SeparationSkill(),
+            n_sources=cfg.events_per_clip[1] + 1,
+        )
