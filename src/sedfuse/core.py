@@ -12,9 +12,11 @@ Parsing is strict: malformed rows and out-of-vocabulary labels raise
 immediately instead of being coerced or skipped, so label drift cannot
 pass silently. All values are immutable after construction and safe to
 share across threads. Floats are serialized with ``repr`` so every
-write/parse round trip is value-exact. Grid dumps are encoded on every CPU
-of the process's affinity mask: ``write_framegrids`` forks one child per
-later shard of the grids, and the bytes are those of one serial pass.
+write/parse round trip is value-exact. Grid dumps are encoded and parsed on
+every CPU of the process's affinity mask: ``write_framegrids`` forks one
+child per later shard of the grids and ``parse_framegrids`` one per later
+byte range of the file, and the bytes, grids and errors are those of one
+serial pass.
 Every file is written to a temp file and renamed, with the mode a plain
 ``open`` would give it.
 """
@@ -22,15 +24,20 @@ Every file is written to a temp file and renamed, with the mode a plain
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import json
 import numbers
 import os
+import pickle
 import signal
+import stat
 import sys
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar
+from typing import (
+    BinaryIO, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar,
+)
 
 import numpy as np
 
@@ -495,7 +502,8 @@ class Kind:
 
 def _is_number(value) -> bool:
     # A bool is an int, and an integer beyond the float range would not convert.
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+    # A float, what JSON gives most, is tested first: the Real test is slow.
+    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and not (isinstance(value, int) and abs(value) > sys.float_info.max))
 
 
@@ -526,16 +534,22 @@ NAMES = list_of(STRING, "a list of names")
 def checked(value, what: str, kind: Kind):
     """``value`` converted to ``kind``; any other value raises ``<what> <value>
     must be <kind>``. Values are checked, not coerced: a bool is no number, nor
-    is the string "0.5", and 42.9 is no integer."""
+    is the string "0.5", and 42.9 is no integer. Scalar items are tested in one
+    pass; only a failed pass checks them one by one, to name the first bad one."""
     if not kind.test(value):
         shown = repr(value.item() if isinstance(value, np.generic) else value)
         shown = shown if len(shown) <= 80 else shown[:77] + "..."
         raise ValidationError(f"{what} {shown} must be {kind.words}")
-    if kind.item is None:
+    item = kind.item
+    if item is None:
         return kind.convert(value)
     if isinstance(value, Mapping):
-        return {key: checked(v, f"{what} {key!r}", kind.item) for key, v in value.items()}
-    return tuple(checked(v, what, kind.item) for v in value)
+        if item.item is None and all(map(item.test, value.values())):
+            return {key: item.convert(v) for key, v in value.items()}
+        return {key: checked(v, f"{what} {key!r}", item) for key, v in value.items()}
+    if item.item is None and all(map(item.test, value)):
+        return tuple(map(item.convert, value))
+    return tuple(checked(v, what, item) for v in value)
 
 
 REQUIRED = object()  # the default of a key that must be present
@@ -591,24 +605,92 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
 # ---------------------------------------------------------------------------
 
 
+# A file is read in blocks of this many bytes, so no dump is held whole.
+_READ_BLOCK = 1 << 20
+
+
+def _line_chunks(fd: int, start: int, end: int | None) -> Iterator[bytes]:
+    r"""Bytes ``[start, end)`` of ``fd`` in chunks that each end just after a
+    ``\n``, the last one excepted. ``end`` None reads on to the end in order
+    (a FIFO); otherwise each block is read at its offset, so forked processes
+    can read one open file at once."""
+    pending: list[bytes] = []  # read since the last "\n"
+    while end is None or start < end:
+        if end is None:
+            block = os.read(fd, _READ_BLOCK)
+        else:
+            block = os.pread(fd, min(_READ_BLOCK, end - start), start)
+        if not block:
+            break
+        start += len(block)
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            pending.append(block[:cut])
+            yield b"".join(pending)
+            pending = []
+        pending.append(block[cut:])
+    yield b"".join(pending)
+
+
+def _text_lines(
+    path: str | os.PathLike, fd: int, start: int, end: int | None
+) -> Iterator[tuple[int, str]]:
+    r"""The number (1 at ``start``) and text of each line of bytes ``[start, end)``.
+
+    Lines end at ``\n``, ``\r\n`` or ``\r``, as in text mode. A byte that is
+    not UTF-8 raises ``ParseError`` at its line once the lines before it are
+    given, so errors come in line order and the first error of a range is the
+    first of its lines, whatever the block size.
+    """
+    line_no, offset = 1, start
+    for chunk in _line_chunks(fd, start, end):
+        try:
+            text, bad = chunk.decode("utf-8"), None
+        except UnicodeDecodeError as exc:
+            bad = exc
+            head = chunk[: exc.start]
+            text = chunk[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        *complete, rest = text.split("\n")
+        for line in complete:
+            yield line_no, line
+            line_no += 1
+        if bad is not None:
+            raise ParseError(
+                path, line_no, f"not UTF-8: byte {offset + bad.start} ({bad.reason})"
+            )
+        if rest:  # only the last chunk has text after its last line end
+            yield line_no, rest
+        offset += len(chunk)
+
+
+def _records(
+    path: str | os.PathLike, fd: int, start: int, end: int | None, table: Mapping
+) -> Iterator[tuple[int, dict]]:
+    """Each record's line number and the fields of ``table``, in table order,
+    from the non-blank lines of bytes ``[start, end)`` (``_text_lines``)."""
+    for line_no, line in _text_lines(path, fd, start, end):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
+        if not isinstance(record, dict):
+            raise ParseError(path, line_no, "record must be a JSON object")
+        try:
+            fields = read_fields(record, table, None)
+        except ValidationError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
+        yield line_no, fields
+
+
 def _load_jsonl(path: str | os.PathLike, table: Mapping) -> Iterator[tuple[int, dict]]:
     """Each record's line number and the fields of ``table``, in table order."""
-    with _open_utf8(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(record, dict):
-                raise ParseError(path, line_no, "record must be a JSON object")
-            try:
-                fields = read_fields(record, table, None)
-            except ValidationError as exc:
-                raise ParseError(path, line_no, str(exc)) from None
-            yield line_no, fields
+    with open(path, "rb") as fh:
+        yield from _records(path, fh.fileno(), 0, None, table)
 
 
 # The field tables of the JSONL records. Deeper checks (names, ranges,
@@ -631,11 +713,14 @@ def first_record(path: str | os.PathLike, table: Mapping) -> dict:
     raise ValidationError(f"{path}: no records")
 
 
-def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[FrameGrid]:
-    """Read posterior grids with unique clip ids; columns follow the vocabulary."""
+def _parse_grid_range(
+    path: str | os.PathLike, fd: int, start: int, end: int | None, vocab: ClassVocabulary
+) -> list[FrameGrid]:
+    """The grids of bytes ``[start, end)``, clip ids unique within them; an
+    error names its line counted from ``start``."""
     grids: list[FrameGrid] = []
     seen: set[str] = set()
-    for line_no, fields in _load_jsonl(path, GRID_FIELDS):
+    for line_no, fields in _records(path, fd, start, end, GRID_FIELDS):
         clip_id, hop, classes, posteriors = fields.values()
         if clip_id in seen:
             raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
@@ -665,6 +750,135 @@ def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[Fr
     return grids
 
 
+def _line_start(fd: int, at: int, size: int) -> int:
+    r"""The first line start at or after ``at``: 0, or just after a ``\n``;
+    ``size`` if there is none."""
+    if at == 0:
+        return 0
+    at -= 1  # a "\n" just before ``at`` makes ``at`` itself a line start
+    while at < size:
+        block = os.pread(fd, _READ_BLOCK, at)
+        found = block.find(b"\n")
+        if found >= 0:
+            return at + found + 1
+        if not block:
+            break
+        at += len(block)
+    return size
+
+
+def _range_starts(fd: int, size: int, k: int) -> list[int]:
+    r"""The start of each range of a ``size``-byte file cut in at most k: the
+    first line start at or after ``size * i // k`` for i < k, each one once.
+    A line starts after a ``\n``, which is never part of a UTF-8 sequence nor
+    the ``\r`` of a ``\r\n``."""
+    starts = [0]
+    for i in range(1, k):
+        start = _line_start(fd, size * i // k, size)
+        if starts[-1] < start < size:
+            starts.append(start)
+    return starts
+
+
+def _send_grids(sink: BinaryIO, path: str | os.PathLike, fd: int, start: int, end: int,
+                vocab: ClassVocabulary) -> None:
+    """A child's work: pickle the grids of bytes ``[start, end)`` into ``sink``."""
+    pickle.dump(_parse_grid_range(path, fd, start, end, vocab), sink, pickle.HIGHEST_PROTOCOL)
+    sink.flush()
+
+
+def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[FrameGrid]:
+    """Read posterior grids with unique clip ids; columns follow the vocabulary.
+
+    A regular file is parsed on every CPU of the process's affinity mask: it
+    is cut into k byte ranges (``_range_starts``), a forked child parses each
+    later range with the checks of a serial pass and pickles its grids back
+    through a pipe, while this process parses the first range. An error in
+    the first range has its true line number and is raised as is. If a later
+    range fails, or a clip id repeats across ranges, the whole file is parsed
+    again as one range, and that parse's error is raised, so every message is
+    the one a serial pass gives without lines being counted across ranges. A
+    FIFO, a file with one range and a single CPU take the one-range parse
+    from the start. The grids are the serial pass's, in file order.
+    """
+    with open(path, "rb") as fh:
+        fd = fh.fileno()
+        info = os.fstat(fd)
+        if not stat.S_ISREG(info.st_mode):
+            return _parse_grid_range(path, fd, 0, None, vocab)
+        starts = _range_starts(fd, info.st_size, _cpus())
+        ends = starts[1:] + [info.st_size]
+        with _forking() as fork, contextlib.ExitStack() as pipes:
+            later = []  # (pipe from the child, reap) per later range
+            for start, end in zip(starts[1:], ends[1:]):
+                r, w = os.pipe()
+                pipe = pipes.enter_context(open(r, "rb"))
+                with open(w, "wb") as sink:  # this process's copy closes after the fork
+                    later.append((pipe, fork(functools.partial(
+                        _send_grids, sink, path, fd, start, end, vocab))))
+            grids = _parse_grid_range(path, fd, 0, ends[0], vocab)
+            for pipe, reap in later:
+                data = pipe.read()
+                if reap() != 0:
+                    break
+                grids += pickle.loads(data)
+            else:
+                if len({grid.clip_id for grid in grids}) == len(grids):
+                    return grids
+        return _parse_grid_range(path, fd, 0, info.st_size, vocab)
+
+
+def _cpus() -> int:
+    """The CPUs of the process's affinity mask (1 where that does not exist)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else 1
+
+
+@contextlib.contextmanager
+def _forking() -> Iterator[Callable[[Callable[[], None]], Callable[[], int]]]:
+    """Give ``fork(work) -> reap``, then kill and reap every child not reaped.
+
+    ``fork`` forks a child that runs ``work`` and leaves by ``os._exit``, 0
+    if ``work`` returned and 1 if it raised, so no ``finally``, ``atexit`` or
+    buffer flush of this process runs in it. ``reap()`` waits for that child
+    and gives its exit code. On leaving, each child not yet reaped gets
+    SIGKILL and is reaped: this process may have failed before it read a
+    child's pipe, and that child then blocks on the full pipe.
+
+    The process that forks may have threads: importing numpy starts
+    OpenBLAS's pool. A child runs only ``json``, ``pickle``, numpy array
+    building and file I/O, and takes no BLAS lock, so Python 3.11 is quiet,
+    but Python 3.12 and later emit a ``DeprecationWarning`` for ``os.fork``
+    in a process with threads.
+    """
+    pids: list[int] = []  # children not yet reaped
+
+    def fork(work: Callable[[], None]) -> Callable[[], int]:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                work()
+                status = 0
+            finally:
+                os._exit(status)
+        pids.append(pid)
+
+        def reap() -> int:
+            _, status = os.waitpid(pid, 0)
+            pids.remove(pid)
+            return os.waitstatus_to_exitcode(status)
+
+        return reap
+
+    try:
+        yield fork
+    finally:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 # A child's shard is copied in blocks of this many characters (bytes, as json
 # writes ASCII), so no shard is ever held whole.
 _COPY_BLOCK = 1 << 16
@@ -677,12 +891,12 @@ def write_framegrids(
 
     The grids are cut into k consecutive shards, k the CPUs of
     ``os.sched_getaffinity`` (1 where that does not exist) but at most one
-    per grid. A forked child encodes each later shard into a temp file while
-    this process encodes the first; each child is then reaped in order and
-    its file streamed in. So a dump is never one string, and the bytes are
-    those of one serial pass. A child runs only ``json`` and file writes and
-    leaves by ``os._exit``; one that fails raises ``OSError`` naming
-    ``path``. No child or shard file outlives the call.
+    per grid. A forked child (``_forking``) encodes each later shard into a
+    temp file while this process encodes the first; each child is then
+    reaped in order and its file streamed in. So a dump is never one string,
+    and the bytes are those of one serial pass. A failed child raises
+    ``OSError`` here, naming ``path``. No child or shard file outlives the
+    call.
     """
     for grid in grids:
         _check_columns(grid, vocab)
@@ -697,46 +911,37 @@ def write_framegrids(
             }
             yield json.dumps(record, separators=(",", ":")) + "\n"
 
-    affinity = getattr(os, "sched_getaffinity", None)
-    k = max(1, min(len(affinity(0)) if affinity else 1, len(grids)))
+    def write_shard(shard: str, part: Sequence[FrameGrid]) -> None:
+        with open(shard, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(encode(part))
+
+    k = max(1, min(_cpus(), len(grids)))
     bounds = [len(grids) * i // k for i in range(k + 1)]
     directory = os.path.dirname(os.path.abspath(path))
     shards: list[str] = []
-    pids: list[int] = []  # children not yet reaped, in shard order
-
-    def lines() -> Iterator[str]:
-        yield from encode(grids[: bounds[1]])
-        for i, shard in enumerate(shards, start=1):
-            _, status = os.waitpid(pids[0], 0)
-            del pids[0]
-            if status != 0:
-                raise OSError(
-                    f"{path}: the process encoding shard {i} of {k} exited with "
-                    f"status {os.waitstatus_to_exitcode(status)}"
-                )
-            with open(shard, "r", encoding="utf-8", newline="") as fh:
-                yield from iter(lambda: fh.read(_COPY_BLOCK), "")
-
     try:
-        for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            fd, shard = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-            os.close(fd)
-            shards.append(shard)
-            pid = os.fork()
-            if pid == 0:  # the child: encode this shard, then leave
-                status = 1
-                try:
-                    with open(shard, "w", encoding="utf-8", newline="\n") as fh:
-                        fh.writelines(encode(grids[lo:hi]))
-                    status = 0
-                finally:
-                    os._exit(status)
-            pids.append(pid)
-        atomic_write_text(path, lines())
+        with _forking() as fork:
+            reaps = []  # in shard order
+            for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                fd, shard = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+                os.close(fd)
+                shards.append(shard)
+                reaps.append(fork(functools.partial(write_shard, shard, grids[lo:hi])))
+
+            def lines() -> Iterator[str]:
+                yield from encode(grids[: bounds[1]])
+                for i, (shard, reap) in enumerate(zip(shards, reaps), start=1):
+                    code = reap()
+                    if code != 0:
+                        raise OSError(
+                            f"{path}: the process encoding shard {i} of {k} exited with "
+                            f"status {code}"
+                        )
+                    with open(shard, "r", encoding="utf-8", newline="") as fh:
+                        yield from iter(lambda: fh.read(_COPY_BLOCK), "")
+
+            atomic_write_text(path, lines())
     finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
         for shard in shards:
             os.unlink(shard)
 

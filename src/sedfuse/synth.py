@@ -496,6 +496,10 @@ class Scenario:
             raise ValidationError("need at least one model")
         if len(set(self.model_names)) < len(self.model_names):
             raise ValidationError(f"model names {list(self.model_names)} must be unique")
+        for name in self.model_names:
+            # Each model's dump is grids_<name>.jsonl in the output directory.
+            if any(ch and ch in name for ch in ("\0", os.sep, os.altsep)):
+                raise ValidationError(f"model name {name!r} cannot be part of a file name")
         if self.n_sources < self.config.events_per_clip[1] + 1:
             raise ValidationError(
                 f"n_sources must be at least max events + 1 "

@@ -684,6 +684,22 @@ class TestExperiment:
         assert (out1 / "report.json").read_bytes() != (out2 / "report.json").read_bytes()
 
 
+class TestModelNameNotAFileName:
+    """A model name that cannot be part of grids_<name>.jsonl exits 2 naming the
+    config, before any output is written."""
+
+    @pytest.mark.parametrize("name", ["a\0b", "x/y"])
+    @pytest.mark.parametrize("command", ["simulate", "experiment"])
+    def test_exits_2_and_writes_nothing(self, tmp_path, capsys, command, name):
+        cfg = write_tiny_scenario(tmp_path, models=[{"name": name}])
+        out = tmp_path / "out"
+        assert run(command, "--config", cfg, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: model name {name!r} cannot be part of a file name" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+
 class TestManifestFile:
     def test_run_manifest_written(self, dataset):
         manifest = json.loads((dataset / "run_manifest.json").read_text())

@@ -2,16 +2,20 @@
 
 import json
 import os
+import threading
+import types
 
 import numpy as np
 import pytest
 
+import sedfuse.core
 from sedfuse.core import (
     ClassVocabulary,
     Event,
     EventList,
     FrameGrid,
     ParseError,
+    SedfuseError,
     SeparationManifest,
     TagPrediction,
     ValidationError,
@@ -360,6 +364,173 @@ class TestGridsJSONL:
         assert parse_events(tmp_path / "events.tsv").events == events.events
 
 
+FOUR = ("Cat", "Dog", "Dishes", "Speech")  # the classes of vocab4
+
+
+def _grid_record(clip_id: str, values, classes=FOUR) -> str:
+    return json.dumps(
+        {"clip_id": clip_id, "hop_seconds": 0.1, "classes": list(classes),
+         "posteriors": values.tolist()},
+        separators=(",", ":"),
+    )
+
+
+class TestShardedParse:
+    """A dump parsed in k byte ranges gives the grids and the errors of one range,
+    and leaves no process and no pipe behind."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The forks and the pipe fds of the test."""
+        made = types.SimpleNamespace(forks=0, fds=[])
+        real_fork, real_pipe = os.fork, os.pipe
+
+        def fork():
+            made.forks += 1
+            return real_fork()
+
+        def pipe():
+            fds = real_pipe()
+            made.fds.extend(fds)
+            return fds
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, "pipe", pipe)
+        return made
+
+    @staticmethod
+    def parse(monkeypatch, path, vocab, k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        return parse_framegrids(path, vocab)
+
+    @staticmethod
+    def assert_nothing_left(made):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        for fd in made.fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    @staticmethod
+    def dump(vocab, rng, newline, n=6):
+        """n grids of 2 to n + 1 frames, the odd ones with their columns reversed,
+        and blank lines; every line ends with ``newline``."""
+        lines = ["", "  "]
+        for i in range(n):
+            classes = vocab.classes[::-1] if i % 2 else vocab.classes
+            lines.append(_grid_record(f"c{i}", rng.random((i + 2, len(vocab))), classes))
+            if i == 2:
+                lines += ["", " \t "]
+        return (newline.join(lines) + newline).encode()
+
+    @staticmethod
+    def assert_same_grids(got, expected):
+        assert [g.clip_id for g in got] == [g.clip_id for g in expected]
+        for a, b in zip(got, expected):
+            assert a.hop_seconds == b.hop_seconds
+            assert np.array_equal(a.values, b.values)
+            assert a.values.strides == b.values.strides
+            assert a.values.flags.writeable == b.values.flags.writeable is False
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("k", [2, 3, "every line"])
+    def test_same_grids_as_one_range(self, tmp_path, vocab4, rng, monkeypatch, made, newline, k):
+        path = tmp_path / "grids.jsonl"
+        data = self.dump(vocab4, rng, newline)
+        path.write_bytes(data)
+        serial = self.parse(monkeypatch, path, vocab4, 1)
+        assert made.forks == 0
+        line_starts = [0] + [i + 1 for i, byte in enumerate(data[:-1]) if byte == ord("\n")]
+        if k == "every line":  # each byte a cut target, so each line starts a range
+            k = len(data)
+            with open(path, "rb") as fh:
+                assert sedfuse.core._range_starts(fh.fileno(), len(data), k) == line_starts
+        grids = self.parse(monkeypatch, path, vocab4, k)
+        self.assert_same_grids(grids, serial)
+        # A "\r"-only file has no "\n" to cut after: one range, no fork.
+        assert made.forks == (0 if newline == "\r" else min(k, len(line_starts)) - 1)
+        self.assert_nothing_left(made)
+
+    @pytest.mark.parametrize(
+        "bad, shown",
+        [
+            pytest.param(b'{"clip_id": "x", nope', "invalid JSON", id="invalid-json"),
+            pytest.param(b'{"clip_id": "\xff"}', "not UTF-8: byte", id="not-utf8"),
+            pytest.param(_grid_record("x", np.full((2, 4), 1.5)).encode(),
+                         "value 1.5 outside [0, 1]", id="cell-out-of-range"),
+            pytest.param(_grid_record("x", np.full((2, 2), 0.5), ("Cat", "Dog")).encode(),
+                         "does not match vocabulary", id="class-set"),
+            pytest.param(_grid_record("c0", np.full((2, 4), 0.5)).encode(),
+                         "duplicate clip id 'c0'", id="repeated-clip-id"),
+        ],
+    )
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_error_in_later_range_is_the_one_range_error(
+        self, tmp_path, vocab4, rng, monkeypatch, made, bad, shown, k
+    ):
+        path = tmp_path / "grids.jsonl"
+        good = self.dump(vocab4, rng, "\n")
+        tail = _grid_record("last", rng.random((3, 4))).encode() + b"\n"
+        path.write_bytes(good + bad + b"\n" + tail)
+        bad_line = good.count(b"\n") + 1
+        with open(path, "rb") as fh:
+            assert sedfuse.core._range_starts(fh.fileno(), path.stat().st_size, k)[-1] <= len(good)
+        with pytest.raises(SedfuseError) as serial:
+            self.parse(monkeypatch, path, vocab4, 1)
+        with pytest.raises(SedfuseError) as sharded:
+            self.parse(monkeypatch, path, vocab4, k)
+        assert made.forks == k - 1
+        assert type(sharded.value) is type(serial.value)
+        assert str(sharded.value) == str(serial.value)
+        assert f"{path}:{bad_line}: " in str(sharded.value) and shown in str(sharded.value)
+        self.assert_nothing_left(made)
+
+    def test_error_in_first_range_kills_the_children(
+        self, tmp_path, vocab4, rng, monkeypatch, made
+    ):
+        # Each later range holds more than a pipe takes (64 KiB), so its child
+        # would block on the pipe this process never reads.
+        path = tmp_path / "grids.jsonl"
+        big = [_grid_record(f"c{i}", rng.random((4000, 4))) for i in range(3)]
+        path.write_text("\n".join(["{nope", *big]) + "\n")
+        with pytest.raises(ParseError) as serial:
+            self.parse(monkeypatch, path, vocab4, 1)
+        with pytest.raises(ParseError) as sharded:
+            self.parse(monkeypatch, path, vocab4, 3)
+        assert made.forks == 2
+        assert str(sharded.value) == str(serial.value)
+        assert str(sharded.value).startswith(f"{path}:1: invalid JSON")
+        self.assert_nothing_left(made)
+
+    def test_failed_child_falls_back_to_one_range(self, tmp_path, vocab4, rng, monkeypatch, made):
+        # A child that fails for a reason other than the data: the whole file is
+        # parsed again here, and its grids are returned.
+        path = tmp_path / "grids.jsonl"
+        path.write_bytes(self.dump(vocab4, rng, "\n"))
+        serial = self.parse(monkeypatch, path, vocab4, 1)
+        monkeypatch.setattr(sedfuse.core, "_send_grids", lambda *args: os._exit(3))
+        self.assert_same_grids(self.parse(monkeypatch, path, vocab4, 2), serial)
+        assert made.forks == 1
+        self.assert_nothing_left(made)
+
+    def test_fifo(self, tmp_path, vocab4, rng, monkeypatch, made):
+        data = self.dump(vocab4, rng, "\n")
+        path = tmp_path / "grids.jsonl"
+        path.write_bytes(data)
+        fifo = tmp_path / "grids.fifo"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            grids = self.parse(monkeypatch, fifo, vocab4, 2)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert made.forks == 0
+        self.assert_same_grids(grids, self.parse(monkeypatch, path, vocab4, 1))
+        self.assert_nothing_left(made)
+
+
 class TestNotUTF8:
     """A byte that is not UTF-8 is a ParseError at its line, in every text format."""
 
@@ -380,6 +551,17 @@ class TestNotUTF8:
         with pytest.raises(ParseError) as err:
             parse_framegrids(path, vocab4)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_grids_line_ends(self, tmp_path, vocab4, rng, monkeypatch, newline, k):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        path = tmp_path / "grids.jsonl"
+        rows = [_grid_record(f"c{i}", rng.random((3, 4))).encode() for i in range(3)]
+        path.write_bytes(newline.encode().join([*rows, b"\xff{}", b""]))
+        with pytest.raises(ParseError) as err:
+            parse_framegrids(path, vocab4)
+        assert err.value.line_no == 4
 
     def test_weak_labels_and_json_config(self, tmp_path, vocab4):
         weak = tmp_path / "weak.tsv"

@@ -305,6 +305,11 @@ class TestScenario:
         with pytest.raises(ValidationError, match="must be unique"):
             dataclasses.replace(scenario, model_names=("m", "m", "n"))
 
+    @pytest.mark.parametrize("name", ["a\0b", "x/y", "/"])
+    def test_model_name_must_fit_a_file_name(self, name):
+        with pytest.raises(ValidationError, match="cannot be part of a file name"):
+            scenario_from_dict({"n_clips": 2, "models": [{"name": name}]})
+
     def test_json_defaults_are_the_default_scenario(self):
         # An empty scenario.json builds three rotated-skill models over ten classes.
         cfg = ScenarioConfig(classes=default_class_names(10))
