@@ -36,7 +36,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import (
-    BinaryIO, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TextIO, TypeVar,
+    Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar,
 )
 
 import numpy as np
@@ -354,26 +354,72 @@ class SeparationManifest:
 # ---------------------------------------------------------------------------
 
 
-@contextlib.contextmanager
-def _open_utf8(path: str | os.PathLike) -> Iterator[TextIO]:
-    """Open a text file; bytes that are not UTF-8 raise ``ParseError`` at their line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            pass
+# A file is read in blocks of this many bytes, so no dump is held whole.
+_READ_BLOCK = 1 << 20
+
+
+def _line_chunks(fd: int, start: int, end: int | None) -> Iterator[bytes]:
+    r"""Bytes ``[start, end)`` of ``fd`` in chunks that each end just after a
+    ``\n``, the last one excepted. ``end`` None reads on to the end in order
+    (a FIFO); otherwise each block is read at its offset, so forked processes
+    can read one open file at once."""
+    pending: list[bytes] = []  # read since the last "\n"
+    while end is None or start < end:
+        if end is None:
+            block = os.read(fd, _READ_BLOCK)
         else:
-            return
-    # The decoder reads ahead, so find the first bad byte in the whole file.
+            block = os.pread(fd, min(_READ_BLOCK, end - start), start)
+        if not block:
+            break
+        start += len(block)
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            pending.append(block[:cut])
+            yield b"".join(pending)
+            pending = []
+        pending.append(block[cut:])
+    yield b"".join(pending)
+
+
+def _text_lines(
+    path: str | os.PathLike, fd: int, start: int, end: int | None
+) -> Iterator[tuple[int, str]]:
+    r"""The number (1 at ``start``) and text of each line of bytes ``[start, end)``.
+
+    As in text mode, a line ends at ``\n``, ``\r\n`` or ``\r`` and is given
+    with that end made ``\n``; the last line may have none. A byte that is not
+    UTF-8 raises ``ParseError`` at its line once the lines before it are
+    given, so errors come in line order and the first error of a range is the
+    first of its lines, whatever the block size. Every text format is read
+    through this one reader.
+    """
+    line_no, offset = 1, start
+    for chunk in _line_chunks(fd, start, end):
+        try:
+            text, bad = chunk.decode("utf-8"), None
+        except UnicodeDecodeError as exc:
+            bad = exc
+            head = chunk[: exc.start]
+            text = chunk[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        at = 0
+        while end_at := text.find("\n", at) + 1:
+            yield line_no, text[at:end_at]
+            line_no, at = line_no + 1, end_at
+        if bad is not None:
+            raise ParseError(
+                path, line_no, f"not UTF-8: byte {offset + bad.start} ({bad.reason})"
+            )
+        if at < len(text):  # only the last chunk has text after its last line end
+            yield line_no, text[at:]
+        offset += len(chunk)
+
+
+def _lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
+    """The number and text of each line of the file (``_text_lines``)."""
     with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        head = data[: exc.start]
-        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        raise ParseError(path, line, f"not UTF-8: byte {exc.start} ({exc.reason})") from None
-    raise ParseError(path, 1, "not UTF-8")
+        yield from _text_lines(path, fh.fileno(), 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +457,18 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
 
 def _tsv_rows(path: str | os.PathLike, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
     """The line number and columns of each non-empty row after ``header``."""
-    with _open_utf8(path) as fh:
-        if tuple(fh.readline().rstrip("\n").split("\t")) != header:
-            expected = "\t".join(header)
-            raise ParseError(path, 1, f"expected header {expected!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            cols = line.split("\t")
-            if len(cols) != len(header):
-                raise ParseError(path, line_no, f"expected {len(header)} columns, got {len(cols)}")
-            yield line_no, cols
+    lines = _lines(path)
+    if tuple(next(lines, (1, ""))[1].rstrip("\n").split("\t")) != header:
+        expected = "\t".join(header)
+        raise ParseError(path, 1, f"expected header {expected!r}")
+    for line_no, line in lines:
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        cols = line.split("\t")
+        if len(cols) != len(header):
+            raise ParseError(path, line_no, f"expected {len(header)} columns, got {len(cols)}")
+        yield line_no, cols
 
 
 def parse_events(path: str | os.PathLike, vocab: ClassVocabulary | None = None) -> EventList:
@@ -502,8 +548,7 @@ class Kind:
 
 def _is_number(value) -> bool:
     # A bool is an int, and an integer beyond the float range would not convert.
-    # A float, what JSON gives most, is tested first: the Real test is slow.
-    return type(value) is float or (isinstance(value, numbers.Real) and not isinstance(value, bool)
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and not (isinstance(value, int) and abs(value) > sys.float_info.max))
 
 
@@ -534,22 +579,16 @@ NAMES = list_of(STRING, "a list of names")
 def checked(value, what: str, kind: Kind):
     """``value`` converted to ``kind``; any other value raises ``<what> <value>
     must be <kind>``. Values are checked, not coerced: a bool is no number, nor
-    is the string "0.5", and 42.9 is no integer. Scalar items are tested in one
-    pass; only a failed pass checks them one by one, to name the first bad one."""
+    is the string "0.5", and 42.9 is no integer."""
     if not kind.test(value):
         shown = repr(value.item() if isinstance(value, np.generic) else value)
         shown = shown if len(shown) <= 80 else shown[:77] + "..."
         raise ValidationError(f"{what} {shown} must be {kind.words}")
-    item = kind.item
-    if item is None:
+    if kind.item is None:
         return kind.convert(value)
     if isinstance(value, Mapping):
-        if item.item is None and all(map(item.test, value.values())):
-            return {key: item.convert(v) for key, v in value.items()}
-        return {key: checked(v, f"{what} {key!r}", item) for key, v in value.items()}
-    if item.item is None and all(map(item.test, value)):
-        return tuple(map(item.convert, value))
-    return tuple(checked(v, what, item) for v in value)
+        return {key: checked(v, f"{what} {key!r}", kind.item) for key, v in value.items()}
+    return tuple(checked(v, what, kind.item) for v in value)
 
 
 REQUIRED = object()  # the default of a key that must be present
@@ -587,11 +626,11 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
     is raised again naming the file. Nothing else is caught: another exception
     from ``build`` is a bug.
     """
-    with _open_utf8(path) as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    text = "".join(line for _, line in _lines(path))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ParseError(path, 1, "top level must be a JSON object")
     try:
@@ -605,72 +644,12 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
 # ---------------------------------------------------------------------------
 
 
-# A file is read in blocks of this many bytes, so no dump is held whole.
-_READ_BLOCK = 1 << 20
-
-
-def _line_chunks(fd: int, start: int, end: int | None) -> Iterator[bytes]:
-    r"""Bytes ``[start, end)`` of ``fd`` in chunks that each end just after a
-    ``\n``, the last one excepted. ``end`` None reads on to the end in order
-    (a FIFO); otherwise each block is read at its offset, so forked processes
-    can read one open file at once."""
-    pending: list[bytes] = []  # read since the last "\n"
-    while end is None or start < end:
-        if end is None:
-            block = os.read(fd, _READ_BLOCK)
-        else:
-            block = os.pread(fd, min(_READ_BLOCK, end - start), start)
-        if not block:
-            break
-        start += len(block)
-        cut = block.rfind(b"\n") + 1
-        if cut:
-            pending.append(block[:cut])
-            yield b"".join(pending)
-            pending = []
-        pending.append(block[cut:])
-    yield b"".join(pending)
-
-
-def _text_lines(
-    path: str | os.PathLike, fd: int, start: int, end: int | None
-) -> Iterator[tuple[int, str]]:
-    r"""The number (1 at ``start``) and text of each line of bytes ``[start, end)``.
-
-    Lines end at ``\n``, ``\r\n`` or ``\r``, as in text mode. A byte that is
-    not UTF-8 raises ``ParseError`` at its line once the lines before it are
-    given, so errors come in line order and the first error of a range is the
-    first of its lines, whatever the block size.
-    """
-    line_no, offset = 1, start
-    for chunk in _line_chunks(fd, start, end):
-        try:
-            text, bad = chunk.decode("utf-8"), None
-        except UnicodeDecodeError as exc:
-            bad = exc
-            head = chunk[: exc.start]
-            text = chunk[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode("utf-8")
-        if "\r" in text:
-            text = text.replace("\r\n", "\n").replace("\r", "\n")
-        *complete, rest = text.split("\n")
-        for line in complete:
-            yield line_no, line
-            line_no += 1
-        if bad is not None:
-            raise ParseError(
-                path, line_no, f"not UTF-8: byte {offset + bad.start} ({bad.reason})"
-            )
-        if rest:  # only the last chunk has text after its last line end
-            yield line_no, rest
-        offset += len(chunk)
-
-
 def _records(
-    path: str | os.PathLike, fd: int, start: int, end: int | None, table: Mapping
+    path: str | os.PathLike, lines: Iterable[tuple[int, str]], table: Mapping
 ) -> Iterator[tuple[int, dict]]:
     """Each record's line number and the fields of ``table``, in table order,
-    from the non-blank lines of bytes ``[start, end)`` (``_text_lines``)."""
-    for line_no, line in _text_lines(path, fd, start, end):
+    from the non-blank ``lines`` of ``path``."""
+    for line_no, line in lines:
         line = line.strip()
         if not line:
             continue
@@ -689,8 +668,7 @@ def _records(
 
 def _load_jsonl(path: str | os.PathLike, table: Mapping) -> Iterator[tuple[int, dict]]:
     """Each record's line number and the fields of ``table``, in table order."""
-    with open(path, "rb") as fh:
-        yield from _records(path, fh.fileno(), 0, None, table)
+    return _records(path, _lines(path), table)
 
 
 # The field tables of the JSONL records. Deeper checks (names, ranges,
@@ -720,7 +698,7 @@ def _parse_grid_range(
     error names its line counted from ``start``."""
     grids: list[FrameGrid] = []
     seen: set[str] = set()
-    for line_no, fields in _records(path, fd, start, end, GRID_FIELDS):
+    for line_no, fields in _records(path, _text_lines(path, fd, start, end), GRID_FIELDS):
         clip_id, hop, classes, posteriors = fields.values()
         if clip_id in seen:
             raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
@@ -780,52 +758,99 @@ def _range_starts(fd: int, size: int, k: int) -> list[int]:
     return starts
 
 
-def _send_grids(sink: BinaryIO, path: str | os.PathLike, fd: int, start: int, end: int,
-                vocab: ClassVocabulary) -> None:
-    """A child's work: pickle the grids of bytes ``[start, end)`` into ``sink``."""
-    pickle.dump(_parse_grid_range(path, fd, start, end, vocab), sink, pickle.HIGHEST_PROTOCOL)
-    sink.flush()
+# A file is cut into no more ranges than it holds of these: forking, piping
+# and reaping a child took about 3 ms in a 57 MB process on a 2-vCPU host, and
+# parsing 1 MiB about 30 ms, so each child pays for itself about ten times
+# over, and a dump under 2 MiB is parsed as one range on any host.
+_MIN_RANGE_BYTES = 1 << 20
+
+_T = TypeVar("_T")
+
+
+def _in_child(
+    fork: Callable[[Callable[[], None]], Callable[[], int]],
+    pipes: contextlib.ExitStack,
+    work: Callable[[], _T],
+) -> Callable[[], _T | None]:
+    """Run ``work`` in a child from ``fork``; the child pickles its result into
+    a new pipe whose read end ``pipes`` holds. Give a function that reads the
+    result and reaps the child: None if the child failed.
+
+    The child first closes every read end in ``pipes``, its own too. So if
+    this process dies before reading, the child's write fails with EPIPE and
+    it leaves, instead of blocking on a full pipe for ever.
+    """
+    r, w = os.pipe()
+    pipe = pipes.enter_context(open(r, "rb"))
+    with open(w, "wb") as sink:  # this process's copy closes after the fork
+
+        def send() -> None:
+            pipes.close()
+            pickle.dump(work(), sink, pickle.HIGHEST_PROTOCOL)
+            sink.flush()
+
+        reap = fork(send)
+
+    def result() -> _T | None:
+        data = pipe.read()
+        return pickle.loads(data) if reap() == 0 else None
+
+    return result
+
+
+def _parse_ranges(
+    path: str | os.PathLike, fd: int, starts: list[int], size: int, vocab: ClassVocabulary
+) -> list[FrameGrid] | None:
+    """The grids of a ``size``-byte file cut at ``starts``: this process parses
+    the first range and a forked child each later one (``_in_child``). An
+    error in the first range is raised as is. None if a later range failed, a
+    clip id repeats across ranges, or no pipe or child could be made."""
+    ends = starts[1:] + [size]
+    with _forking() as fork, contextlib.ExitStack() as pipes:
+        try:
+            later = [
+                _in_child(fork, pipes, functools.partial(
+                    _parse_grid_range, path, fd, start, end, vocab))
+                for start, end in zip(starts[1:], ends[1:])
+            ]
+        except OSError:  # EMFILE, EAGAIN, ENOMEM: no more fds or processes
+            return None
+        grids = _parse_grid_range(path, fd, 0, ends[0], vocab)
+        for result in later:
+            part = result()
+            if part is None:
+                return None
+            grids += part
+    return grids if len({grid.clip_id for grid in grids}) == len(grids) else None
 
 
 def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[FrameGrid]:
     """Read posterior grids with unique clip ids; columns follow the vocabulary.
 
-    A regular file is parsed on every CPU of the process's affinity mask: it
-    is cut into k byte ranges (``_range_starts``), a forked child parses each
-    later range with the checks of a serial pass and pickles its grids back
-    through a pipe, while this process parses the first range. An error in
-    the first range has its true line number and is raised as is. If a later
-    range fails, or a clip id repeats across ranges, the whole file is parsed
-    again as one range, and that parse's error is raised, so every message is
-    the one a serial pass gives without lines being counted across ranges. A
-    FIFO, a file with one range and a single CPU take the one-range parse
-    from the start. The grids are the serial pass's, in file order.
+    A regular file is parsed on every CPU of the process's affinity mask, but
+    in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``): it is cut
+    into k byte ranges (``_range_starts``), a forked child parses each later
+    range with the checks of a serial pass and pickles its grids back through
+    a pipe, while this process parses the first range. An error in the first
+    range has its true line number and is raised as is. If a later range
+    fails, a clip id repeats across ranges, or no pipe or child can be made,
+    the whole file is parsed again as one range, and that parse's error is
+    raised, so every message is the one a serial pass gives without lines
+    being counted across ranges. A FIFO, a file with one range and a single
+    CPU take the one-range parse from the start. The grids are the serial
+    pass's, in file order.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
         info = os.fstat(fd)
-        if not stat.S_ISREG(info.st_mode):
-            return _parse_grid_range(path, fd, 0, None, vocab)
-        starts = _range_starts(fd, info.st_size, _cpus())
-        ends = starts[1:] + [info.st_size]
-        with _forking() as fork, contextlib.ExitStack() as pipes:
-            later = []  # (pipe from the child, reap) per later range
-            for start, end in zip(starts[1:], ends[1:]):
-                r, w = os.pipe()
-                pipe = pipes.enter_context(open(r, "rb"))
-                with open(w, "wb") as sink:  # this process's copy closes after the fork
-                    later.append((pipe, fork(functools.partial(
-                        _send_grids, sink, path, fd, start, end, vocab))))
-            grids = _parse_grid_range(path, fd, 0, ends[0], vocab)
-            for pipe, reap in later:
-                data = pipe.read()
-                if reap() != 0:
-                    break
-                grids += pickle.loads(data)
-            else:
-                if len({grid.clip_id for grid in grids}) == len(grids):
+        if stat.S_ISREG(info.st_mode):
+            k = min(_cpus(), info.st_size // _MIN_RANGE_BYTES)
+            if k > 1:
+                starts = _range_starts(fd, info.st_size, k)
+                grids = _parse_ranges(path, fd, starts, info.st_size, vocab)
+                if grids is not None:
                     return grids
-        return _parse_grid_range(path, fd, 0, info.st_size, vocab)
+        return _parse_grid_range(path, fd, 0, None, vocab)
 
 
 def _cpus() -> int:

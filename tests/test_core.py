@@ -1,7 +1,12 @@
 """Domain types, file round trips and validation messages."""
 
+import errno
 import json
 import os
+import select
+import signal
+import subprocess
+import sys
 import threading
 import types
 
@@ -400,7 +405,9 @@ class TestShardedParse:
 
     @staticmethod
     def parse(monkeypatch, path, vocab, k):
+        """Parse on k CPUs, with no floor on the range size."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(sedfuse.core, "_MIN_RANGE_BYTES", 1)
         return parse_framegrids(path, vocab)
 
     @staticmethod
@@ -508,10 +515,94 @@ class TestShardedParse:
         path = tmp_path / "grids.jsonl"
         path.write_bytes(self.dump(vocab4, rng, "\n"))
         serial = self.parse(monkeypatch, path, vocab4, 1)
-        monkeypatch.setattr(sedfuse.core, "_send_grids", lambda *args: os._exit(3))
+        parent, parse_range = os.getpid(), sedfuse.core._parse_grid_range
+
+        def child_exits_3(*args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return parse_range(*args)
+
+        monkeypatch.setattr(sedfuse.core, "_parse_grid_range", child_exits_3)
         self.assert_same_grids(self.parse(monkeypatch, path, vocab4, 2), serial)
         assert made.forks == 1
         self.assert_nothing_left(made)
+
+    @pytest.mark.parametrize("fails", ["fork", "pipe"])
+    def test_no_pipe_or_child_falls_back_to_one_range(
+        self, tmp_path, vocab4, rng, monkeypatch, made, fails
+    ):
+        # The second of three ranges gets no pipe or no process (EAGAIN): the
+        # first child is killed and the whole file is parsed here.
+        path = tmp_path / "grids.jsonl"
+        path.write_bytes(self.dump(vocab4, rng, "\n"))
+        serial = self.parse(monkeypatch, path, vocab4, 1)
+        real, calls = getattr(os, fails), []
+
+        def second_fails():
+            calls.append(fails)
+            if len(calls) == 2:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real()
+
+        monkeypatch.setattr(os, fails, second_fails)
+        self.assert_same_grids(self.parse(monkeypatch, path, vocab4, 3), serial)
+        assert len(calls) == 2 and made.forks == 1
+        self.assert_nothing_left(made)
+
+    def test_range_floor(self, tmp_path, vocab4, rng, monkeypatch, made):
+        # k is at most the file's size in units of _MIN_RANGE_BYTES: a small
+        # dump is one range, with no fork, on any number of CPUs.
+        path = tmp_path / "grids.jsonl"
+        data = self.dump(vocab4, rng, "\n")
+        path.write_bytes(data)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
+        serial = parse_framegrids(path, vocab4)
+        assert len(data) < 2 * sedfuse.core._MIN_RANGE_BYTES and made.forks == 0
+        for floor, forks in [(len(data) // 2 + 1, 0), (len(data) // 2, 1), (len(data) // 3, 2)]:
+            monkeypatch.setattr(sedfuse.core, "_MIN_RANGE_BYTES", floor)
+            made.forks = 0
+            self.assert_same_grids(parse_framegrids(path, vocab4), serial)
+            assert made.forks == forks
+        self.assert_nothing_left(made)
+
+    def test_child_leaves_when_the_parent_dies(self, tmp_path, vocab4, rng):
+        # A process killed before it reads its children's pipes: a child whose
+        # grids are more than a pipe takes (64 KiB) gets EPIPE and exits, as it
+        # holds no read end. Its exit closes the stdout it shares with the dead
+        # process, which is how this test sees it.
+        path = tmp_path / "grids.jsonl"
+        path.write_text("\n".join(_grid_record(f"c{i}", rng.random((4000, 4))) for i in range(2)))
+        script = f"""
+import os, signal, sys
+sys.path.insert(0, {os.path.dirname(os.path.dirname(sedfuse.core.__file__))!r})
+import sedfuse.core as core
+parent, real_fork, parse_range = os.getpid(), os.fork, core._parse_grid_range
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+def parse_range_or_die(*args):
+    if os.getpid() == parent:  # the first range: die before reading any pipe
+        os.kill(parent, signal.SIGKILL)
+    return parse_range(*args)
+os.fork, core._parse_grid_range = fork, parse_range_or_die
+os.sched_getaffinity = lambda pid: {{0, 1}}
+core._MIN_RANGE_BYTES = 1
+core.parse_framegrids(sys.argv[1], core.ClassVocabulary({vocab4.classes!r}))
+"""
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script, str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        )
+        with proc:
+            assert proc.wait(timeout=60) == -signal.SIGKILL
+            child = int(proc.stdout.readline())
+            readable, _, _ = select.select([proc.stdout], [], [], 30)
+            if not readable:
+                os.kill(child, signal.SIGKILL)
+                pytest.fail("the child is still blocked on its pipe")
+            assert proc.stdout.read() == b""
 
     def test_fifo(self, tmp_path, vocab4, rng, monkeypatch, made):
         data = self.dump(vocab4, rng, "\n")
@@ -556,6 +647,7 @@ class TestNotUTF8:
     @pytest.mark.parametrize("k", [1, 2])
     def test_grids_line_ends(self, tmp_path, vocab4, rng, monkeypatch, newline, k):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
+        monkeypatch.setattr(sedfuse.core, "_MIN_RANGE_BYTES", 1)
         path = tmp_path / "grids.jsonl"
         rows = [_grid_record(f"c{i}", rng.random((3, 4))).encode() for i in range(3)]
         path.write_bytes(newline.encode().join([*rows, b"\xff{}", b""]))
