@@ -118,7 +118,7 @@ class _Run:
         """Write ``run_manifest.json``: what ran, with what, producing what, and
         the peak RSS (not deterministic, so never in ``report.json``)."""
         # The larger of this process's peak and that of the largest child it
-        # reaped: the grid writer's forked encoders.
+        # reaped: the forked children that encode and parse grid dumps.
         peak_kib = max(
             resource.getrusage(who).ru_maxrss
             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)

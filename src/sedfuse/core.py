@@ -15,8 +15,9 @@ share across threads. Floats are serialized with ``repr`` so every
 write/parse round trip is value-exact. Grid dumps are encoded and parsed on
 every CPU of the process's affinity mask: ``write_framegrids`` forks one
 child per later shard of the grids and ``parse_framegrids`` one per later
-byte range of the file, and the bytes, grids and errors are those of one
-serial pass.
+byte range of the file. Each child hands its result back in an unnamed temp
+file (``_forking``), and the bytes, grids and errors are those of one serial
+pass.
 Every file is written to a temp file and renamed, with the mode a plain
 ``open`` would give it.
 """
@@ -36,7 +37,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from typing import (
-    Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar,
+    IO, Callable, ClassVar, Iterable, Iterator, Mapping, Sequence, TypeVar,
 )
 
 import numpy as np
@@ -685,7 +686,17 @@ MANIFEST_FIELDS = {"mixture_id": (STRING, REQUIRED), "sources": (NAMES, REQUIRED
 
 
 def first_record(path: str | os.PathLike, table: Mapping) -> dict:
-    """The fields of a JSONL file's first record, read as strictly as a full parse."""
+    """The fields of a JSONL file's first record, read as strictly as a full parse.
+
+    The caller reads the file again, so it must be a regular file: a pipe or a
+    FIFO would give its data to this read only. Another file raises
+    ``ValidationError`` before anything is read.
+    """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise ValidationError(
+            f"{path}: not a regular file; its first record is read before the whole "
+            "file, so a pipe or FIFO would lose data"
+        )
     for _, fields in _load_jsonl(path, table):
         return fields
     raise ValidationError(f"{path}: no records")
@@ -758,69 +769,39 @@ def _range_starts(fd: int, size: int, k: int) -> list[int]:
     return starts
 
 
-# A file is cut into no more ranges than it holds of these: forking, piping
-# and reaping a child took about 3 ms in a 57 MB process on a 2-vCPU host, and
-# parsing 1 MiB about 30 ms, so each child pays for itself about ten times
-# over, and a dump under 2 MiB is parsed as one range on any host.
+# A file is cut into no more ranges than it holds of these: forking a child,
+# passing its grids back through a temp file and reaping it took about 2 ms in
+# a 57 MB process on a 2-vCPU host, and parsing 1 MiB about 30 ms, so each
+# child pays for itself over ten times, and a dump under 2 MiB is parsed as one
+# range on any host.
 _MIN_RANGE_BYTES = 1 << 20
-
-_T = TypeVar("_T")
-
-
-def _in_child(
-    fork: Callable[[Callable[[], None]], Callable[[], int]],
-    pipes: contextlib.ExitStack,
-    work: Callable[[], _T],
-) -> Callable[[], _T | None]:
-    """Run ``work`` in a child from ``fork``; the child pickles its result into
-    a new pipe whose read end ``pipes`` holds. Give a function that reads the
-    result and reaps the child: None if the child failed.
-
-    The child first closes every read end in ``pipes``, its own too. So if
-    this process dies before reading, the child's write fails with EPIPE and
-    it leaves, instead of blocking on a full pipe for ever.
-    """
-    r, w = os.pipe()
-    pipe = pipes.enter_context(open(r, "rb"))
-    with open(w, "wb") as sink:  # this process's copy closes after the fork
-
-        def send() -> None:
-            pipes.close()
-            pickle.dump(work(), sink, pickle.HIGHEST_PROTOCOL)
-            sink.flush()
-
-        reap = fork(send)
-
-    def result() -> _T | None:
-        data = pipe.read()
-        return pickle.loads(data) if reap() == 0 else None
-
-    return result
 
 
 def _parse_ranges(
     path: str | os.PathLike, fd: int, starts: list[int], size: int, vocab: ClassVocabulary
 ) -> list[FrameGrid] | None:
     """The grids of a ``size``-byte file cut at ``starts``: this process parses
-    the first range and a forked child each later one (``_in_child``). An
-    error in the first range is raised as is. None if a later range failed, a
-    clip id repeats across ranges, or no pipe or child could be made."""
+    the first range and a forked child (``_forking``) each later one, which it
+    pickles into its temp file. An error in the first range is raised as is.
+    None if a later range failed, a clip id repeats across ranges, or no temp
+    file or child could be made."""
     ends = starts[1:] + [size]
-    with _forking() as fork, contextlib.ExitStack() as pipes:
+
+    def parse_into(start: int, end: int, file: IO[bytes]) -> None:
+        pickle.dump(_parse_grid_range(path, fd, start, end, vocab), file, pickle.HIGHEST_PROTOCOL)
+
+    with _forking(None) as fork:
         try:
-            later = [
-                _in_child(fork, pipes, functools.partial(
-                    _parse_grid_range, path, fd, start, end, vocab))
-                for start, end in zip(starts[1:], ends[1:])
-            ]
-        except OSError:  # EMFILE, EAGAIN, ENOMEM: no more fds or processes
+            later = [fork(functools.partial(parse_into, start, end))
+                     for start, end in zip(starts[1:], ends[1:])]
+        except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
             return None
         grids = _parse_grid_range(path, fd, 0, ends[0], vocab)
-        for result in later:
-            part = result()
-            if part is None:
+        for done in later:
+            file = done()
+            if file is None:
                 return None
-            grids += part
+            grids += pickle.load(file)
     return grids if len({grid.clip_id for grid in grids}) == len(grids) else None
 
 
@@ -830,15 +811,16 @@ def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[Fr
     A regular file is parsed on every CPU of the process's affinity mask, but
     in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``): it is cut
     into k byte ranges (``_range_starts``), a forked child parses each later
-    range with the checks of a serial pass and pickles its grids back through
-    a pipe, while this process parses the first range. An error in the first
-    range has its true line number and is raised as is. If a later range
-    fails, a clip id repeats across ranges, or no pipe or child can be made,
-    the whole file is parsed again as one range, and that parse's error is
-    raised, so every message is the one a serial pass gives without lines
-    being counted across ranges. A FIFO, a file with one range and a single
-    CPU take the one-range parse from the start. The grids are the serial
-    pass's, in file order.
+    range with the checks of a serial pass and pickles its grids into an
+    unnamed temp file in the system's temp directory (the dump's own
+    directory may be read-only), while this process parses the first range.
+    An error in the first range has its true line number and is raised as
+    is. If a later range fails, a clip id repeats across ranges, or no temp
+    file or child can be made, the whole file is parsed again as one range,
+    and that parse's error is raised, so every message is the one a serial
+    pass gives without lines being counted across ranges. A FIFO, a file
+    with one range and a single CPU take the one-range parse from the start.
+    The grids are the serial pass's, in file order.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
@@ -860,15 +842,22 @@ def _cpus() -> int:
 
 
 @contextlib.contextmanager
-def _forking() -> Iterator[Callable[[Callable[[], None]], Callable[[], int]]]:
-    """Give ``fork(work) -> reap``, then kill and reap every child not reaped.
+def _forking(
+    directory: str | None,
+) -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], IO[bytes] | None]]]:
+    """Give ``fork(work) -> done``; on leaving, kill and reap every child not
+    yet reaped, then close every file.
 
-    ``fork`` forks a child that runs ``work`` and leaves by ``os._exit``, 0
-    if ``work`` returned and 1 if it raised, so no ``finally``, ``atexit`` or
-    buffer flush of this process runs in it. ``reap()`` waits for that child
-    and gives its exit code. On leaving, each child not yet reaped gets
-    SIGKILL and is reaped: this process may have failed before it read a
-    child's pipe, and that child then blocks on the full pipe.
+    ``fork`` makes an unnamed temp file in ``directory`` (the system's temp
+    directory if None; ``O_TMPFILE`` on Linux) and forks a child that runs
+    ``work(file)``, flushes the file and leaves by ``os._exit``, 0 if
+    ``work`` returned and 1 if it raised, so no ``finally``, ``atexit`` or
+    buffer flush of this process runs in it. ``done()`` waits for that
+    child and gives its file at offset 0, or None if the child failed. A
+    child writes only to its own file, so it never waits on this process; a
+    child still running when this process leaves (it raised first) is
+    killed, so no work outlives the call. The files have no name, so
+    nothing is left on disk, even if this process is killed.
 
     The process that forks may have threads: importing numpy starts
     OpenBLAS's pool. A child runs only ``json``, ``pickle``, numpy array
@@ -877,34 +866,40 @@ def _forking() -> Iterator[Callable[[Callable[[], None]], Callable[[], int]]]:
     in a process with threads.
     """
     pids: list[int] = []  # children not yet reaped
+    with contextlib.ExitStack() as files:
 
-    def fork(work: Callable[[], None]) -> Callable[[], int]:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                work()
-                status = 0
-            finally:
-                os._exit(status)
-        pids.append(pid)
+        def fork(work: Callable[[IO[bytes]], None]) -> Callable[[], IO[bytes] | None]:
+            file = files.enter_context(tempfile.TemporaryFile(dir=directory))
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    work(file)
+                    file.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            pids.append(pid)
 
-        def reap() -> int:
-            _, status = os.waitpid(pid, 0)
-            pids.remove(pid)
-            return os.waitstatus_to_exitcode(status)
+            def done() -> IO[bytes] | None:
+                _, status = os.waitpid(pid, 0)
+                pids.remove(pid)
+                if os.waitstatus_to_exitcode(status) != 0:
+                    return None
+                file.seek(0)
+                return file
 
-        return reap
+            return done
 
-    try:
-        yield fork
-    finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        try:
+            yield fork
+        finally:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
-# A child's shard is copied in blocks of this many characters (bytes, as json
+# A child's shard is copied in blocks of this many bytes (characters, as json
 # writes ASCII), so no shard is ever held whole.
 _COPY_BLOCK = 1 << 16
 
@@ -916,12 +911,12 @@ def write_framegrids(
 
     The grids are cut into k consecutive shards, k the CPUs of
     ``os.sched_getaffinity`` (1 where that does not exist) but at most one
-    per grid. A forked child (``_forking``) encodes each later shard into a
-    temp file while this process encodes the first; each child is then
-    reaped in order and its file streamed in. So a dump is never one string,
-    and the bytes are those of one serial pass. A failed child raises
-    ``OSError`` here, naming ``path``. No child or shard file outlives the
-    call.
+    per grid. A forked child (``_forking``) encodes each later shard into an
+    unnamed temp file in ``path``'s directory while this process encodes the
+    first; each child is then reaped in order and its file streamed in. So a
+    dump is never one string, and the bytes are those of one serial pass. A
+    failed child raises ``OSError`` here, naming ``path``. No child or shard
+    file outlives the call.
     """
     for grid in grids:
         _check_columns(grid, vocab)
@@ -936,39 +931,25 @@ def write_framegrids(
             }
             yield json.dumps(record, separators=(",", ":")) + "\n"
 
-    def write_shard(shard: str, part: Sequence[FrameGrid]) -> None:
-        with open(shard, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(encode(part))
+    def write_shard(shard: Sequence[FrameGrid], file: IO[bytes]) -> None:
+        file.writelines(line.encode("ascii") for line in encode(shard))
 
     k = max(1, min(_cpus(), len(grids)))
     bounds = [len(grids) * i // k for i in range(k + 1)]
-    directory = os.path.dirname(os.path.abspath(path))
-    shards: list[str] = []
-    try:
-        with _forking() as fork:
-            reaps = []  # in shard order
-            for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                fd, shard = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-                os.close(fd)
-                shards.append(shard)
-                reaps.append(fork(functools.partial(write_shard, shard, grids[lo:hi])))
+    with _forking(os.path.dirname(os.path.abspath(path))) as fork:
+        later = [fork(functools.partial(write_shard, grids[lo:hi]))  # in shard order
+                 for lo, hi in zip(bounds[1:-1], bounds[2:])]
 
-            def lines() -> Iterator[str]:
-                yield from encode(grids[: bounds[1]])
-                for i, (shard, reap) in enumerate(zip(shards, reaps), start=1):
-                    code = reap()
-                    if code != 0:
-                        raise OSError(
-                            f"{path}: the process encoding shard {i} of {k} exited with "
-                            f"status {code}"
-                        )
-                    with open(shard, "r", encoding="utf-8", newline="") as fh:
-                        yield from iter(lambda: fh.read(_COPY_BLOCK), "")
+        def lines() -> Iterator[str]:
+            yield from encode(grids[: bounds[1]])
+            for i, done in enumerate(later, start=1):
+                file = done()
+                if file is None:
+                    raise OSError(f"{path}: the process encoding shard {i} of {k} failed")
+                for block in iter(functools.partial(file.read, _COPY_BLOCK), b""):
+                    yield block.decode("ascii")
 
-            atomic_write_text(path, lines())
-    finally:
-        for shard in shards:
-            os.unlink(shard)
+        atomic_write_text(path, lines())
 
 
 # ---------------------------------------------------------------------------

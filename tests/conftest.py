@@ -1,3 +1,6 @@
+import gc
+import os
+
 import numpy as np
 import pytest
 
@@ -17,3 +20,26 @@ def vocab10():
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def _open_fds() -> set[str] | None:
+    """The fds open in this process, None where ``/proc`` does not list them."""
+    try:
+        return set(os.listdir("/proc/self/fd"))
+    except FileNotFoundError:
+        return None
+
+
+@pytest.fixture(autouse=True)
+def nothing_left():
+    """After each test: no child process is left unreaped, and no fd is open
+    that was not open before the test."""
+    before = _open_fds()
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if before is not None and not _open_fds() <= before:
+        # A test that keeps a raised exception keeps a reference cycle through
+        # its traceback, which may hold the generator that has a file open.
+        gc.collect()
+        assert _open_fds() <= before

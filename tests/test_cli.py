@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import threading
 import types
 import warnings
 import weakref
@@ -167,6 +168,38 @@ class TestVocabularyPeek:
         assert rc == 2
         err = capsys.readouterr().err
         assert f"{bad}:1:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--grids", "--tags"])
+    def test_fifo_exits_2_naming_it(self, dataset, tmp_path, capsys, flag):
+        # The vocabulary comes from the first record before the whole file is
+        # read, so a FIFO would lose data: it is refused before it is opened.
+        fifo = tmp_path / "input.fifo"
+        os.mkfifo(fifo)
+        out = tmp_path / "o"
+        if flag == "--grids":
+            argv = ["decode", "--grids", fifo]
+        else:
+            argv = ["spl", "--tags", fifo, "--weak", dataset / "weak.tsv",
+                    "--manifest", dataset / "sep_manifest.jsonl"]
+        # Were the FIFO opened, the open would wait for a writer: this one
+        # gives it end of file instead, so the test fails rather than hangs.
+        timer = threading.Timer(10, _open_and_close_for_writing, [fifo])
+        timer.start()
+        try:
+            rc = run(*argv, "--out", out)
+        finally:
+            timer.cancel()
+            timer.join()
+        err = capsys.readouterr().err
+        assert rc == 2 and f"{fifo}: not a regular file" in err, err
+        assert not out.exists()
+
+
+def _open_and_close_for_writing(fifo):
+    try:
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    except OSError:  # ENXIO: no process has it open for reading
+        pass
 
 
 GOOD_GRID = (
@@ -721,7 +754,7 @@ class TestManifestFile:
 
     @pytest.mark.parametrize("self_kib, children_kib", [(1_000, 2_000_000), (2_000_000, 1_000)])
     def test_peak_rss_counts_child_processes(self, tmp_path, monkeypatch, self_kib, children_kib):
-        # The grid writer's forked encoders are reaped children: the larger peak counts.
+        # The grid writer's and parser's forked children are reaped: the larger peak counts.
         usage = {cli.resource.RUSAGE_SELF: self_kib, cli.resource.RUSAGE_CHILDREN: children_kib}
         monkeypatch.setattr(
             cli.resource, "getrusage", lambda who: types.SimpleNamespace(ru_maxrss=usage[who])

@@ -7,6 +7,7 @@ import select
 import signal
 import subprocess
 import sys
+import tempfile
 import threading
 import types
 
@@ -42,6 +43,9 @@ from sedfuse.fusion import ClassF1Table, classwise_weights, combine_pair
 from sedfuse.metrics import CollarConfig, PSDSConfig
 from sedfuse.spl import PseudoLabel, Verdict, assign_pseudo_label
 from sedfuse.synth import ModelSkill, SeparationSkill
+
+# The directory that holds the sedfuse package, for scripts run in a subprocess.
+SRC_DIR = os.path.dirname(os.path.dirname(sedfuse.core.__file__))
 
 
 class TestVocabulary:
@@ -349,8 +353,29 @@ class TestGridsJSONL:
         if error is OSError:
             assert str(path) in str(err.value)
         assert list(tmp_path.iterdir()) == []
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+
+    def test_killed_writer_leaves_no_shard_file(self, tmp_path, vocab4):
+        # A process killed before it reaps its first child: the children's shard
+        # files have no name, so only atomic_write_text's temp file is left.
+        out = tmp_path / "out"
+        out.mkdir()
+        script = f"""
+import os, signal, sys
+sys.path.insert(0, {SRC_DIR!r})
+import numpy as np
+import sedfuse.core as core
+os.sched_getaffinity = lambda pid: {{0, 1, 2}}
+os.waitpid = lambda pid, options: os.kill(os.getpid(), signal.SIGKILL)
+grids = [core.FrameGrid(f"c{{i}}", 0.1, np.full((5, 4), 0.5)) for i in range(3)]
+core.write_framegrids(grids, core.ClassVocabulary({vocab4.classes!r}), sys.argv[1])
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(out / "grids.jsonl")],
+            capture_output=True, timeout=60,
+        )
+        assert proc.returncode == -signal.SIGKILL, proc.stderr.decode()
+        left = [p.name for p in out.iterdir()]
+        assert len(left) == 1 and left[0].startswith(".tmp-") and left[0].endswith("~"), left
 
     @pytest.mark.parametrize("umask", [0o022, 0o077])
     def test_outputs_follow_the_umask(self, tmp_path, vocab4, rng, umask):
@@ -381,26 +406,20 @@ def _grid_record(clip_id: str, values, classes=FOUR) -> str:
 
 
 class TestShardedParse:
-    """A dump parsed in k byte ranges gives the grids and the errors of one range,
-    and leaves no process and no pipe behind."""
+    """A dump parsed in k byte ranges gives the grids and the errors of one range.
+    That no process or fd is left behind is checked after every test."""
 
     @pytest.fixture
     def made(self, monkeypatch):
-        """The forks and the pipe fds of the test."""
-        made = types.SimpleNamespace(forks=0, fds=[])
-        real_fork, real_pipe = os.fork, os.pipe
+        """The forks of the test."""
+        made = types.SimpleNamespace(forks=0)
+        real_fork = os.fork
 
         def fork():
             made.forks += 1
             return real_fork()
 
-        def pipe():
-            fds = real_pipe()
-            made.fds.extend(fds)
-            return fds
-
         monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(os, "pipe", pipe)
         return made
 
     @staticmethod
@@ -409,14 +428,6 @@ class TestShardedParse:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
         monkeypatch.setattr(sedfuse.core, "_MIN_RANGE_BYTES", 1)
         return parse_framegrids(path, vocab)
-
-    @staticmethod
-    def assert_nothing_left(made):
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        for fd in made.fds:
-            with pytest.raises(OSError):
-                os.fstat(fd)
 
     @staticmethod
     def dump(vocab, rng, newline, n=6):
@@ -456,7 +467,6 @@ class TestShardedParse:
         self.assert_same_grids(grids, serial)
         # A "\r"-only file has no "\n" to cut after: one range, no fork.
         assert made.forks == (0 if newline == "\r" else min(k, len(line_starts)) - 1)
-        self.assert_nothing_left(made)
 
     @pytest.mark.parametrize(
         "bad, shown",
@@ -490,13 +500,12 @@ class TestShardedParse:
         assert type(sharded.value) is type(serial.value)
         assert str(sharded.value) == str(serial.value)
         assert f"{path}:{bad_line}: " in str(sharded.value) and shown in str(sharded.value)
-        self.assert_nothing_left(made)
 
     def test_error_in_first_range_kills_the_children(
         self, tmp_path, vocab4, rng, monkeypatch, made
     ):
-        # Each later range holds more than a pipe takes (64 KiB), so its child
-        # would block on the pipe this process never reads.
+        # This process fails at line 1 while its children still parse their
+        # large ranges: they are killed and reaped, not waited for.
         path = tmp_path / "grids.jsonl"
         big = [_grid_record(f"c{i}", rng.random((4000, 4))) for i in range(3)]
         path.write_text("\n".join(["{nope", *big]) + "\n")
@@ -507,7 +516,6 @@ class TestShardedParse:
         assert made.forks == 2
         assert str(sharded.value) == str(serial.value)
         assert str(sharded.value).startswith(f"{path}:1: invalid JSON")
-        self.assert_nothing_left(made)
 
     def test_failed_child_falls_back_to_one_range(self, tmp_path, vocab4, rng, monkeypatch, made):
         # A child that fails for a reason other than the data: the whole file is
@@ -525,29 +533,31 @@ class TestShardedParse:
         monkeypatch.setattr(sedfuse.core, "_parse_grid_range", child_exits_3)
         self.assert_same_grids(self.parse(monkeypatch, path, vocab4, 2), serial)
         assert made.forks == 1
-        self.assert_nothing_left(made)
 
-    @pytest.mark.parametrize("fails", ["fork", "pipe"])
-    def test_no_pipe_or_child_falls_back_to_one_range(
-        self, tmp_path, vocab4, rng, monkeypatch, made, fails
+    @pytest.mark.parametrize(
+        "module, name, code",
+        [(os, "fork", errno.EAGAIN), (tempfile, "TemporaryFile", errno.ENOSPC)],
+        ids=["fork", "TemporaryFile"],
+    )
+    def test_no_file_or_child_falls_back_to_one_range(
+        self, tmp_path, vocab4, rng, monkeypatch, made, module, name, code
     ):
-        # The second of three ranges gets no pipe or no process (EAGAIN): the
-        # first child is killed and the whole file is parsed here.
+        # The second of three ranges gets no temp file (ENOSPC) or no process
+        # (EAGAIN): the first child is killed and the whole file is parsed here.
         path = tmp_path / "grids.jsonl"
         path.write_bytes(self.dump(vocab4, rng, "\n"))
         serial = self.parse(monkeypatch, path, vocab4, 1)
-        real, calls = getattr(os, fails), []
+        real, calls = getattr(module, name), []
 
-        def second_fails():
-            calls.append(fails)
+        def second_fails(*args, **kwargs):
+            calls.append(name)
             if len(calls) == 2:
-                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-            return real()
+                raise OSError(code, os.strerror(code))
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(os, fails, second_fails)
+        monkeypatch.setattr(module, name, second_fails)
         self.assert_same_grids(self.parse(monkeypatch, path, vocab4, 3), serial)
         assert len(calls) == 2 and made.forks == 1
-        self.assert_nothing_left(made)
 
     def test_range_floor(self, tmp_path, vocab4, rng, monkeypatch, made):
         # k is at most the file's size in units of _MIN_RANGE_BYTES: a small
@@ -563,18 +573,17 @@ class TestShardedParse:
             made.forks = 0
             self.assert_same_grids(parse_framegrids(path, vocab4), serial)
             assert made.forks == forks
-        self.assert_nothing_left(made)
 
     def test_child_leaves_when_the_parent_dies(self, tmp_path, vocab4, rng):
-        # A process killed before it reads its children's pipes: a child whose
-        # grids are more than a pipe takes (64 KiB) gets EPIPE and exits, as it
-        # holds no read end. Its exit closes the stdout it shares with the dead
+        # A process killed before it reaps its children: a child writes only to
+        # its own temp file, so it never waits on the dead process and exits once
+        # its range is parsed. Its exit closes the stdout it shares with the dead
         # process, which is how this test sees it.
         path = tmp_path / "grids.jsonl"
         path.write_text("\n".join(_grid_record(f"c{i}", rng.random((4000, 4))) for i in range(2)))
         script = f"""
 import os, signal, sys
-sys.path.insert(0, {os.path.dirname(os.path.dirname(sedfuse.core.__file__))!r})
+sys.path.insert(0, {SRC_DIR!r})
 import sedfuse.core as core
 parent, real_fork, parse_range = os.getpid(), os.fork, core._parse_grid_range
 def fork():
@@ -583,7 +592,7 @@ def fork():
         print(pid, flush=True)
     return pid
 def parse_range_or_die(*args):
-    if os.getpid() == parent:  # the first range: die before reading any pipe
+    if os.getpid() == parent:  # the first range: die before reaping any child
         os.kill(parent, signal.SIGKILL)
     return parse_range(*args)
 os.fork, core._parse_grid_range = fork, parse_range_or_die
@@ -601,7 +610,7 @@ core.parse_framegrids(sys.argv[1], core.ClassVocabulary({vocab4.classes!r}))
             readable, _, _ = select.select([proc.stdout], [], [], 30)
             if not readable:
                 os.kill(child, signal.SIGKILL)
-                pytest.fail("the child is still blocked on its pipe")
+                pytest.fail("the child did not exit")
             assert proc.stdout.read() == b""
 
     def test_fifo(self, tmp_path, vocab4, rng, monkeypatch, made):
@@ -619,7 +628,6 @@ core.parse_framegrids(sys.argv[1], core.ClassVocabulary({vocab4.classes!r}))
         assert not writer.is_alive()
         assert made.forks == 0
         self.assert_same_grids(grids, self.parse(monkeypatch, path, vocab4, 1))
-        self.assert_nothing_left(made)
 
 
 class TestNotUTF8:
