@@ -29,15 +29,12 @@ from typing import Sequence
 
 from . import __version__
 from .core import (
-    GRID_FIELDS,
-    TAG_FIELDS,
     ClassVocabulary,
     EventList,
     SedfuseError,
     ValidationError,
     VocabularyError,
     atomic_write_text,
-    first_record,
     load_json_object,
     parse_events,
     parse_framegrids,
@@ -158,11 +155,6 @@ def _decode_cfg_from_args(args, vocab: ClassVocabulary, run: _Run) -> PostProces
     return cfg
 
 
-def _vocab_from_grids_file(path) -> ClassVocabulary:
-    """Peek the class list of the first record; order defines the run vocab."""
-    return ClassVocabulary(first_record(path, GRID_FIELDS)["classes"])
-
-
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -229,8 +221,7 @@ def cmd_spl(args) -> int:
     manifest = parse_manifest(run.reads(args.manifest))
     results = []
     if len(manifest) > 0:  # an empty manifest reads no tags, whose file may be empty
-        vocab = _vocab_from_tags_file(args.tags)
-        tags = parse_tags(run.reads(args.tags), vocab)
+        tags, vocab = parse_tags(run.reads(args.tags))
         weak = parse_weak_labels(run.reads(args.weak), vocab)
         labels = {clip: set(names) for clip, names in weak.labels.items()}
         if args.strong:
@@ -245,11 +236,6 @@ def cmd_spl(args) -> int:
     return EXIT_OK
 
 
-def _vocab_from_tags_file(path) -> ClassVocabulary:
-    probs = first_record(path, TAG_FIELDS)["probs"]
-    return ClassVocabulary(tuple(k for k in probs if k != ClassVocabulary.other_label))
-
-
 # ---------------------------------------------------------------------------
 # fuse
 # ---------------------------------------------------------------------------
@@ -257,10 +243,8 @@ def _vocab_from_tags_file(path) -> ClassVocabulary:
 
 def cmd_fuse(args) -> int:
     run = _Run("fuse", args)
-    if not args.grids:
-        raise ValidationError("at least one --grids input is required")
-    vocab = _vocab_from_grids_file(args.grids[0])
-    model_grids = [parse_framegrids(run.reads(path), vocab) for path in args.grids]
+    first, vocab = parse_framegrids(run.reads(args.grids[0]))
+    model_grids = [first] + [parse_framegrids(run.reads(p), vocab)[0] for p in args.grids[1:]]
     out = _out_dir(args)
     decode_cfg = _decode_cfg_from_args(args, vocab, run)
 
@@ -348,8 +332,7 @@ def _parse_betas(raw: str | None) -> list[float]:
 
 def cmd_decode(args) -> int:
     run = _Run("decode", args)
-    vocab = _vocab_from_grids_file(args.grids)
-    grids = parse_framegrids(run.reads(args.grids), vocab)
+    grids, vocab = parse_framegrids(run.reads(args.grids))
     cfg = _decode_cfg_from_args(args, vocab, run)
     out = _out_dir(args)
     events = decode_many(grids, cfg, vocab)
@@ -373,8 +356,8 @@ def cmd_score(args) -> int:
     if "f1" in want and not (args.est or args.grids):
         raise ValidationError("--metric f1 needs --est or --grids")
 
-    if args.grids:
-        vocab = _vocab_from_grids_file(args.grids)
+    if args.grids:  # one parse serves the vocabulary, the F1 decode and the PSDS sweep
+        grids, vocab = parse_framegrids(run.reads(args.grids))
         ref = parse_events(run.reads(args.ref), vocab)
     else:  # F1 of two event files, whose labels make the vocabulary
         ref, est = parse_events(run.reads(args.ref)), parse_events(run.reads(args.est))
@@ -385,9 +368,6 @@ def cmd_score(args) -> int:
     out = _out_dir(args)
 
     name = args.system_name
-    # One parse serves both the F1 decode and the PSDS sweep.
-    if need_grids or not args.est:
-        grids = parse_framegrids(run.reads(args.grids), vocab)
     f1_reports = {}
     if "f1" in want:
         if args.grids and args.est:

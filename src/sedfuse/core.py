@@ -17,7 +17,7 @@ every CPU of the process's affinity mask: ``write_framegrids`` forks one
 child per later shard of the grids and ``parse_framegrids`` one per later
 byte range of the file. Each child hands its result back in an unnamed temp
 file (``_forking``), and the bytes, grids and errors are those of one serial
-pass.
+pass. Every input is read once, so a pipe or FIFO reads as a regular file.
 Every file is written to a temp file and renamed, with the mode a plain
 ``open`` would give it.
 """
@@ -417,10 +417,11 @@ def _text_lines(
         offset += len(chunk)
 
 
-def _lines(path: str | os.PathLike) -> Iterator[tuple[int, str]]:
-    """The number and text of each line of the file (``_text_lines``)."""
+@contextlib.contextmanager
+def _lines(path: str | os.PathLike) -> Iterator[Iterator[tuple[int, str]]]:
+    """The file's lines (``_text_lines``); the caller's ``with`` closes it, even on a raise."""
     with open(path, "rb") as fh:
-        yield from _text_lines(path, fh.fileno(), 0, None)
+        yield _text_lines(path, fh.fileno(), 0, None)
 
 
 # ---------------------------------------------------------------------------
@@ -456,9 +457,10 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
 # ---------------------------------------------------------------------------
 
 
-def _tsv_rows(path: str | os.PathLike, header: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+def _tsv_rows(
+    path: str | os.PathLike, lines: Iterator[tuple[int, str]], header: tuple[str, ...]
+) -> Iterator[tuple[int, list[str]]]:
     """The line number and columns of each non-empty row after ``header``."""
-    lines = _lines(path)
     if tuple(next(lines, (1, ""))[1].rstrip("\n").split("\t")) != header:
         expected = "\t".join(header)
         raise ParseError(path, 1, f"expected header {expected!r}")
@@ -475,19 +477,19 @@ def _tsv_rows(path: str | os.PathLike, header: tuple[str, ...]) -> Iterator[tupl
 def parse_events(path: str | os.PathLike, vocab: ClassVocabulary | None = None) -> EventList:
     """Read a 4-column annotation TSV; row order is preserved."""
     events: list[Event] = []
-    for line_no, cols in _tsv_rows(path, EVENTS_HEADER):
-        clip_id, onset_s, offset_s, label = cols
-        try:
-            onset = float(onset_s)
-            offset = float(offset_s)
-        except ValueError:
-            raise ParseError(path, line_no, f"non-numeric time in {cols[1:3]}") from None
-        if vocab is not None and label not in vocab:
-            raise VocabularyError(f"{path}:{line_no}: unknown class {label!r}")
-        try:
-            events.append(Event(clip_id, onset, offset, label))
-        except ValidationError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
+    with _lines(path) as lines:
+        for line_no, cols in _tsv_rows(path, lines, EVENTS_HEADER):
+            clip_id, onset_s, offset_s, label = cols
+            try:
+                onset, offset = float(onset_s), float(offset_s)
+            except ValueError:
+                raise ParseError(path, line_no, f"non-numeric time in {cols[1:3]}") from None
+            if vocab is not None and label not in vocab:
+                raise VocabularyError(f"{path}:{line_no}: unknown class {label!r}")
+            try:
+                events.append(Event(clip_id, onset, offset, label))
+            except ValidationError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
     return EventList(events)
 
 
@@ -508,16 +510,17 @@ def write_events(events: EventList, path: str | os.PathLike) -> None:
 def parse_weak_labels(path: str | os.PathLike, vocab: ClassVocabulary) -> WeakLabelSet:
     """Read clip-level labels; duplicate class names in a row collapse."""
     labels: dict[str, frozenset[str]] = {}
-    for line_no, (clip_id, joined) in _tsv_rows(path, WEAK_HEADER):
-        if clip_id in labels:
-            raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
-        names = joined.split(",")
-        if not all(names):
-            raise ParseError(path, line_no, "empty class name in label list")
-        for name in names:
-            if name not in vocab:
-                raise VocabularyError(f"{path}:{line_no}: unknown class {name!r}")
-        labels[clip_id] = frozenset(names)
+    with _lines(path) as lines:
+        for line_no, (clip_id, joined) in _tsv_rows(path, lines, WEAK_HEADER):
+            if clip_id in labels:
+                raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
+            names = joined.split(",")
+            if not all(names):
+                raise ParseError(path, line_no, "empty class name in label list")
+            for name in names:
+                if name not in vocab:
+                    raise VocabularyError(f"{path}:{line_no}: unknown class {name!r}")
+            labels[clip_id] = frozenset(names)
     return WeakLabelSet(labels)
 
 
@@ -627,7 +630,8 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
     is raised again naming the file. Nothing else is caught: another exception
     from ``build`` is a bug.
     """
-    text = "".join(line for _, line in _lines(path))
+    with _lines(path) as lines:
+        text = "".join(line for _, line in lines)
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -667,11 +671,6 @@ def _records(
         yield line_no, fields
 
 
-def _load_jsonl(path: str | os.PathLike, table: Mapping) -> Iterator[tuple[int, dict]]:
-    """Each record's line number and the fields of ``table``, in table order."""
-    return _records(path, _lines(path), table)
-
-
 # The field tables of the JSONL records. Deeper checks (names, ranges,
 # posterior cells) belong to the domain types and to ``parse_framegrids``.
 GRID_FIELDS = {
@@ -685,32 +684,25 @@ TAG_FIELDS = {
 MANIFEST_FIELDS = {"mixture_id": (STRING, REQUIRED), "sources": (NAMES, REQUIRED)}
 
 
-def first_record(path: str | os.PathLike, table: Mapping) -> dict:
-    """The fields of a JSONL file's first record, read as strictly as a full parse.
-
-    The caller reads the file again, so it must be a regular file: a pipe or a
-    FIFO would give its data to this read only. Another file raises
-    ``ValidationError`` before anything is read.
-    """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        raise ValidationError(
-            f"{path}: not a regular file; its first record is read before the whole "
-            "file, so a pipe or FIFO would lose data"
-        )
-    for _, fields in _load_jsonl(path, table):
-        return fields
-    raise ValidationError(f"{path}: no records")
+def _vocab_at(path: str | os.PathLike, line_no: int, names: Iterable[str]) -> ClassVocabulary:
+    """The vocabulary of a record's class names; an error names ``path:line``."""
+    try:
+        return ClassVocabulary(names)
+    except ValidationError as exc:
+        raise type(exc)(f"{path}:{line_no}: {exc}") from None
 
 
 def _parse_grid_range(
-    path: str | os.PathLike, fd: int, start: int, end: int | None, vocab: ClassVocabulary
-) -> list[FrameGrid]:
-    """The grids of bytes ``[start, end)``, clip ids unique within them; an
-    error names its line counted from ``start``."""
+    path: str | os.PathLike, fd: int, start: int, end: int | None, vocab: ClassVocabulary | None
+) -> tuple[list[FrameGrid], ClassVocabulary]:
+    """The grids of bytes ``[start, end)``, clip ids unique within them, and
+    ``vocab`` or the first record's; an error names its line from ``start``."""
     grids: list[FrameGrid] = []
     seen: set[str] = set()
     for line_no, fields in _records(path, _text_lines(path, fd, start, end), GRID_FIELDS):
         clip_id, hop, classes, posteriors = fields.values()
+        if vocab is None:
+            vocab = _vocab_at(path, line_no, classes)
         if clip_id in seen:
             raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
         seen.add(clip_id)
@@ -736,7 +728,16 @@ def _parse_grid_range(
             grids.append(FrameGrid(clip_id, hop, arr[:, perm]))
         except ValidationError as exc:
             raise type(exc)(f"{path}:{line_no}: {exc}") from None
-    return grids
+    if vocab is None:
+        raise ValidationError(f"{path}: no records")
+    return grids, vocab
+
+
+def _first_vocab(path: str | os.PathLike, fd: int, size: int) -> ClassVocabulary:
+    """The first record's classes, read with the checks of the serial pass."""
+    for line_no, fields in _records(path, _text_lines(path, fd, 0, size), GRID_FIELDS):
+        return _vocab_at(path, line_no, fields["classes"])
+    raise ValidationError(f"{path}: no records")
 
 
 def _line_start(fd: int, at: int, size: int) -> int:
@@ -788,7 +789,8 @@ def _parse_ranges(
     ends = starts[1:] + [size]
 
     def parse_into(start: int, end: int, file: IO[bytes]) -> None:
-        pickle.dump(_parse_grid_range(path, fd, start, end, vocab), file, pickle.HIGHEST_PROTOCOL)
+        grids, _ = _parse_grid_range(path, fd, start, end, vocab)
+        pickle.dump(grids, file, pickle.HIGHEST_PROTOCOL)
 
     with _forking(None) as fork:
         try:
@@ -796,7 +798,7 @@ def _parse_ranges(
                      for start, end in zip(starts[1:], ends[1:])]
         except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
             return None
-        grids = _parse_grid_range(path, fd, 0, ends[0], vocab)
+        grids, _ = _parse_grid_range(path, fd, 0, ends[0], vocab)
         for done in later:
             file = done()
             if file is None:
@@ -805,22 +807,26 @@ def _parse_ranges(
     return grids if len({grid.clip_id for grid in grids}) == len(grids) else None
 
 
-def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[FrameGrid]:
-    """Read posterior grids with unique clip ids; columns follow the vocabulary.
+def parse_framegrids(
+    path: str | os.PathLike, vocab: ClassVocabulary | None = None
+) -> tuple[list[FrameGrid], ClassVocabulary]:
+    """Read posterior grids with unique clip ids, and their vocabulary: ``vocab``,
+    or if None the first record's ``classes`` in their order (a file with no
+    record then raises ``ValidationError``). Columns follow the vocabulary.
 
-    A regular file is parsed on every CPU of the process's affinity mask, but
-    in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``): it is cut
-    into k byte ranges (``_range_starts``), a forked child parses each later
-    range with the checks of a serial pass and pickles its grids into an
-    unnamed temp file in the system's temp directory (the dump's own
-    directory may be read-only), while this process parses the first range.
-    An error in the first range has its true line number and is raised as
-    is. If a later range fails, a clip id repeats across ranges, or no temp
-    file or child can be made, the whole file is parsed again as one range,
-    and that parse's error is raised, so every message is the one a serial
-    pass gives without lines being counted across ranges. A FIFO, a file
-    with one range and a single CPU take the one-range parse from the start.
-    The grids are the serial pass's, in file order.
+    A regular file is parsed on every CPU of the process's affinity mask, in
+    no more ranges than it holds MiB (``_MIN_RANGE_BYTES``). This process
+    reads the first record if it needs the vocabulary, cuts the file into k
+    byte ranges (``_range_starts``) and forks a child per later range, which
+    parses it with the checks of a serial pass and pickles its grids into an
+    unnamed temp file in the system's temp directory (the dump's own may be
+    read-only). It parses the first range itself, and an error there is
+    raised as is. If a later range fails, a clip id repeats across ranges,
+    or no temp file or child can be made, the whole file is parsed again as
+    one range and that parse's error is raised, so every message is the
+    serial pass's, without lines counted across ranges. A FIFO, a file with
+    one range and a single CPU take the one-range parse from the start. The
+    grids are the serial pass's, in file order.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
@@ -828,10 +834,12 @@ def parse_framegrids(path: str | os.PathLike, vocab: ClassVocabulary) -> list[Fr
         if stat.S_ISREG(info.st_mode):
             k = min(_cpus(), info.st_size // _MIN_RANGE_BYTES)
             if k > 1:
+                if vocab is None:
+                    vocab = _first_vocab(path, fd, info.st_size)
                 starts = _range_starts(fd, info.st_size, k)
                 grids = _parse_ranges(path, fd, starts, info.st_size, vocab)
                 if grids is not None:
-                    return grids
+                    return grids, vocab
         return _parse_grid_range(path, fd, 0, None, vocab)
 
 
@@ -957,17 +965,27 @@ def write_framegrids(
 # ---------------------------------------------------------------------------
 
 
-def parse_tags(path: str | os.PathLike, vocab: ClassVocabulary) -> list[TagPrediction]:
+def parse_tags(
+    path: str | os.PathLike, vocab: ClassVocabulary | None = None
+) -> tuple[list[TagPrediction], ClassVocabulary]:
+    """Read tag predictions, and their vocabulary as ``parse_framegrids`` does,
+    from the ``probs`` keys but the reserved label."""
     tags: list[TagPrediction] = []
-    for line_no, fields in _load_jsonl(path, TAG_FIELDS):
-        source_id, parent, probs = fields.values()
-        try:
-            tag = TagPrediction(source_id, parent, probs)
-            tag.validate_vocab(vocab)
-        except ValidationError as exc:
-            raise type(exc)(f"{path}:{line_no}: {exc}") from None
-        tags.append(tag)
-    return tags
+    with _lines(path) as lines:
+        for line_no, fields in _records(path, lines, TAG_FIELDS):
+            source_id, parent, probs = fields.values()
+            if vocab is None:
+                vocab = _vocab_at(path, line_no,
+                                  (k for k in probs if k != ClassVocabulary.other_label))
+            try:
+                tag = TagPrediction(source_id, parent, probs)
+                tag.validate_vocab(vocab)
+            except ValidationError as exc:
+                raise type(exc)(f"{path}:{line_no}: {exc}") from None
+            tags.append(tag)
+    if vocab is None:
+        raise ValidationError(f"{path}: no records")
+    return tags, vocab
 
 
 def write_tags(
@@ -993,11 +1011,12 @@ def write_tags(
 
 def parse_manifest(path: str | os.PathLike) -> SeparationManifest:
     sources: dict[str, tuple[str, ...]] = {}
-    for line_no, fields in _load_jsonl(path, MANIFEST_FIELDS):
-        mixture_id, source_ids = fields.values()
-        if mixture_id in sources:
-            raise ParseError(path, line_no, f"duplicate mixture id {mixture_id!r}")
-        sources[mixture_id] = source_ids
+    with _lines(path) as lines:
+        for line_no, fields in _records(path, lines, MANIFEST_FIELDS):
+            mixture_id, source_ids = fields.values()
+            if mixture_id in sources:
+                raise ParseError(path, line_no, f"duplicate mixture id {mixture_id!r}")
+            sources[mixture_id] = source_ids
     try:
         return SeparationManifest(sources)
     except ValidationError as exc:

@@ -1,4 +1,3 @@
-import gc
 import os
 
 import numpy as np
@@ -38,8 +37,5 @@ def nothing_left():
     yield
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    if before is not None and not _open_fds() <= before:
-        # A test that keeps a raised exception keeps a reference cycle through
-        # its traceback, which may hold the generator that has a file open.
-        gc.collect()
+    if before is not None:
         assert _open_fds() <= before

@@ -144,6 +144,9 @@ class TestSPL:
 
 
 class TestVocabularyPeek:
+    """decode, score, fuse and spl take the vocabulary from the first record of
+    --grids or --tags, in the one pass that reads the file."""
+
     def test_grids_first_line_not_json_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "grids.jsonl"
         bad.write_text("not json\n")
@@ -169,30 +172,69 @@ class TestVocabularyPeek:
         err = capsys.readouterr().err
         assert f"{bad}:1:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("flag, names, message", [
+        ("--grids", ["a", "a"], "class names must be unique"),
+        ("--grids", ["other"], "reserved label 'other' must not be a target class"),
+        ("--grids", [], "vocabulary needs at least one class"),
+        ("--grids", ["a,b"], "class name 'a,b' contains forbidden character ','"),
+        ("--tags", {"other": 0.5}, "vocabulary needs at least one class"),
+    ], ids=["repeated", "other", "empty", "comma", "tags-only-other"])
+    def test_bad_class_list_exits_2_naming_its_line(
+        self, dataset, tmp_path, capsys, flag, names, message
+    ):
+        bad = tmp_path / "input.jsonl"
+        if flag == "--grids":
+            record = {"clip_id": "c0", "hop_seconds": 0.1, "classes": names,
+                      "posteriors": [[0.5]]}
+        else:
+            record = {"source_id": "s0", "parent_clip_id": "m0", "probs": names}
+        bad.write_text("\n" + json.dumps(record) + "\n")
+        assert run(*_reading(flag, bad, dataset), "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:2: {message}" in err and "Traceback" not in err, err
+
     @pytest.mark.parametrize("flag", ["--grids", "--tags"])
-    def test_fifo_exits_2_naming_it(self, dataset, tmp_path, capsys, flag):
-        # The vocabulary comes from the first record before the whole file is
-        # read, so a FIFO would lose data: it is refused before it is opened.
+    def test_empty_input_exits_2_naming_it(self, dataset, tmp_path, capsys, flag):
+        empty = tmp_path / "input.jsonl"
+        empty.write_text("")
+        assert run(*_reading(flag, empty, dataset), "--out", tmp_path / "o") == 2
+        assert f"error: {empty}: no records" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--grids", "--tags"])
+    def test_fifo_gives_the_outputs_of_the_regular_file(self, dataset, tmp_path, flag):
+        # The input is read once, so a FIFO (or <(zcat dump.jsonl.gz)) works.
+        regular = dataset / ("grids_model_1.jsonl" if flag == "--grids" else "tags.jsonl")
+        assert run(*_reading(flag, regular, dataset), "--out", tmp_path / "file") == 0
         fifo = tmp_path / "input.fifo"
         os.mkfifo(fifo)
-        out = tmp_path / "o"
-        if flag == "--grids":
-            argv = ["decode", "--grids", fifo]
-        else:
-            argv = ["spl", "--tags", fifo, "--weak", dataset / "weak.tsv",
-                    "--manifest", dataset / "sep_manifest.jsonl"]
-        # Were the FIFO opened, the open would wait for a writer: this one
-        # gives it end of file instead, so the test fails rather than hangs.
+        writer = threading.Thread(target=fifo.write_bytes, args=(regular.read_bytes(),),
+                                  daemon=True)
+        writer.start()
+        # Were the FIFO opened a second time, that open would wait for a writer:
+        # this one gives it end of file instead, so the test fails rather than hangs.
         timer = threading.Timer(10, _open_and_close_for_writing, [fifo])
         timer.start()
         try:
-            rc = run(*argv, "--out", out)
+            rc = run(*_reading(flag, fifo, dataset), "--out", tmp_path / "fifo")
         finally:
             timer.cancel()
             timer.join()
-        err = capsys.readouterr().err
-        assert rc == 2 and f"{fifo}: not a regular file" in err, err
-        assert not out.exists()
+            writer.join(timeout=10)
+        assert rc == 0 and not writer.is_alive()
+
+        def outputs(out):
+            return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "run_manifest.json"}
+
+        assert outputs(tmp_path / "fifo") == outputs(tmp_path / "file")
+
+
+def _reading(flag, path, dataset):
+    """The arguments of a call that takes its vocabulary from ``path``, given as
+    ``flag``: decode for --grids, spl with the dataset's manifest for --tags."""
+    if flag == "--grids":
+        return ["decode", "--grids", path]
+    return ["spl", "--tags", path, "--weak", dataset / "weak.tsv",
+            "--manifest", dataset / "sep_manifest.jsonl"]
 
 
 def _open_and_close_for_writing(fifo):
@@ -449,8 +491,8 @@ class TestFuse:
             "--beta", "0", "--out", out_cw,
         ) == 0
         vocab = ClassVocabulary(tuple(classes))
-        a = parse_framegrids(out_avg / "fused.jsonl", vocab)
-        b = parse_framegrids(out_cw / "fused.jsonl", vocab)
+        a, _ = parse_framegrids(out_avg / "fused.jsonl", vocab)
+        b, _ = parse_framegrids(out_cw / "fused.jsonl", vocab)
         for ga, gb in zip(a, b):
             np.testing.assert_allclose(ga.values, gb.values, atol=1e-12)
 
@@ -463,8 +505,8 @@ class TestFuse:
             "--alpha", "1.0", "--out", out,
         ) == 0
         vocab = ClassVocabulary(tuple(f"event_{i:02d}" for i in range(4)))
-        fused = parse_framegrids(out / "fused.jsonl", vocab)
-        first = parse_framegrids(dataset / "grids_model_1.jsonl", vocab)
+        fused, _ = parse_framegrids(out / "fused.jsonl", vocab)
+        first, _ = parse_framegrids(dataset / "grids_model_1.jsonl", vocab)
         for ga, gb in zip(fused, first):
             np.testing.assert_array_equal(ga.values, gb.values)
 
@@ -597,6 +639,19 @@ class TestDecodeScore:
         assert len(calls) == 1
         manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
         assert len(manifest["inputs"]) == len(set(manifest["inputs"]))
+
+    def test_score_f1_lists_the_grids_it_reads(self, dataset, tmp_path):
+        est = tmp_path / "decoded"
+        grids = dataset / "grids_model_1.jsonl"
+        assert run("decode", "--grids", grids, "--out", est) == 0
+        rc = run(
+            "score", "--ref", dataset / "events.tsv", "--est", est / "events.tsv",
+            "--grids", grids, "--metric", "f1", "--out", tmp_path / "o",
+        )
+        assert rc == 0
+        manifest = json.loads((tmp_path / "o" / "run_manifest.json").read_text())
+        want = [dataset / "events.tsv", est / "events.tsv", grids]
+        assert sorted(manifest["inputs"]) == sorted(map(str, want))
 
     def test_score_f1_parses_each_events_file_once(self, dataset, tmp_path, monkeypatch):
         import sedfuse.cli

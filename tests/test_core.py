@@ -241,7 +241,7 @@ class TestGridsJSONL:
         grid = FrameGrid("c1", 10 / 512, np.full((512, 10), 0.5))
         path = tmp_path / "grids.jsonl"
         write_framegrids([grid], vocab10, path)
-        back = parse_framegrids(path, vocab10)
+        back, _ = parse_framegrids(path, vocab10)
         assert len(back) == 1
         assert back[0].n_frames == 512
         np.testing.assert_array_equal(back[0].values, grid.values)
@@ -262,7 +262,7 @@ class TestGridsJSONL:
         ]
         path = tmp_path / "grids.jsonl"
         write_framegrids(grids, vocab4, path)
-        back = parse_framegrids(path, vocab4)
+        back, _ = parse_framegrids(path, vocab4)
         assert [g.clip_id for g in back] == ["c0", "c1"]
 
     def test_column_reorder_is_permutation(self, tmp_path, vocab4, rng):
@@ -270,7 +270,7 @@ class TestGridsJSONL:
         path = tmp_path / "grids.jsonl"
         write_framegrids([grid], vocab4, path)
         shuffled = ClassVocabulary(("Speech", "Cat", "Dog", "Dishes"))
-        reordered = parse_framegrids(path, shuffled)[0]
+        reordered = parse_framegrids(path, shuffled)[0][0]
         for i, name in enumerate(shuffled.classes):
             np.testing.assert_array_equal(
                 reordered.values[:, i], grid.values[:, vocab4.index(name)]
@@ -278,7 +278,7 @@ class TestGridsJSONL:
         # restoring the original order reproduces the grid exactly
         path2 = tmp_path / "again.jsonl"
         write_framegrids([reordered], shuffled, path2)
-        restored = parse_framegrids(path2, vocab4)[0]
+        restored = parse_framegrids(path2, vocab4)[0][0]
         np.testing.assert_array_equal(restored.values, grid.values)
 
     def test_class_set_mismatch(self, tmp_path, vocab4):
@@ -289,11 +289,19 @@ class TestGridsJSONL:
         with pytest.raises(VocabularyError):
             parse_framegrids(path, vocab4)
 
+    def test_no_records(self, tmp_path, vocab4):
+        path = tmp_path / "grids.jsonl"
+        path.write_text("\n \n")
+        with pytest.raises(ValidationError) as err:
+            parse_framegrids(path)
+        assert str(err.value) == f"{path}: no records"
+        assert parse_framegrids(path, vocab4) == ([], vocab4)
+
     def test_bit_exact_round_trip(self, tmp_path, vocab10, rng):
         grids = [FrameGrid(f"c{i}", 10 / 512, rng.random((32, 10))) for i in range(3)]
         path = tmp_path / "grids.jsonl"
         write_framegrids(grids, vocab10, path)
-        back = parse_framegrids(path, vocab10)
+        back, _ = parse_framegrids(path, vocab10)
         for a, b in zip(grids, back):
             np.testing.assert_array_equal(a.values, b.values)
             assert a.hop_seconds == b.hop_seconds
@@ -427,7 +435,7 @@ class TestShardedParse:
         """Parse on k CPUs, with no floor on the range size."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(k)), raising=False)
         monkeypatch.setattr(sedfuse.core, "_MIN_RANGE_BYTES", 1)
-        return parse_framegrids(path, vocab)
+        return parse_framegrids(path, vocab)[0]
 
     @staticmethod
     def dump(vocab, rng, newline, n=6):
@@ -566,12 +574,12 @@ class TestShardedParse:
         data = self.dump(vocab4, rng, "\n")
         path.write_bytes(data)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
-        serial = parse_framegrids(path, vocab4)
+        serial, _ = parse_framegrids(path, vocab4)
         assert len(data) < 2 * sedfuse.core._MIN_RANGE_BYTES and made.forks == 0
         for floor, forks in [(len(data) // 2 + 1, 0), (len(data) // 2, 1), (len(data) // 3, 2)]:
             monkeypatch.setattr(sedfuse.core, "_MIN_RANGE_BYTES", floor)
             made.forks = 0
-            self.assert_same_grids(parse_framegrids(path, vocab4), serial)
+            self.assert_same_grids(parse_framegrids(path, vocab4)[0], serial)
             assert made.forks == forks
 
     def test_child_leaves_when_the_parent_dies(self, tmp_path, vocab4, rng):
@@ -612,6 +620,22 @@ core.parse_framegrids(sys.argv[1], core.ClassVocabulary({vocab4.classes!r}))
                 os.kill(child, signal.SIGKILL)
                 pytest.fail("the child did not exit")
             assert proc.stdout.read() == b""
+
+    def test_vocabulary_from_the_first_record(self, tmp_path, rng, monkeypatch, made):
+        # A dump of 2 MiB on 2 CPUs is parsed in two ranges: the vocabulary,
+        # read before the fork, is the first record's, in its order.
+        first = FOUR[::-1]
+        lines = [_grid_record(f"c{i}", rng.random((4000, 4)), FOUR if i else first)
+                 for i in range(8)]
+        path = tmp_path / "grids.jsonl"
+        path.write_text("\n" + "\n".join(lines) + "\n")
+        assert path.stat().st_size >= 2 * sedfuse.core._MIN_RANGE_BYTES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        grids, vocab = parse_framegrids(path)
+        assert vocab.classes == first and made.forks == 1
+        expected, given = parse_framegrids(path, ClassVocabulary(first))
+        assert given == vocab
+        self.assert_same_grids(grids, expected)
 
     def test_fifo(self, tmp_path, vocab4, rng, monkeypatch, made):
         data = self.dump(vocab4, rng, "\n")
@@ -688,8 +712,28 @@ class TestTagsJSONL:
         ]
         path = tmp_path / "tags.jsonl"
         write_tags(tags, vocab4, path)
-        back = parse_tags(path, vocab4)
+        back, _ = parse_tags(path, vocab4)
         assert back == tags
+
+    def test_vocabulary_from_the_first_record(self, tmp_path, vocab4):
+        path = tmp_path / "tags.jsonl"
+        probs = {"other": 0.1, "Speech": 0.2, "Cat": 0.3, "Dog": 0.4, "Dishes": 0.5}
+        path.write_text("".join(
+            json.dumps({"source_id": s, "parent_clip_id": "m1", "probs": probs}) + "\n"
+            for s in ("s0", "s1")
+        ))
+        tags, vocab = parse_tags(path)
+        assert vocab.classes == ("Speech", "Cat", "Dog", "Dishes")
+        assert [tag.source_id for tag in tags] == ["s0", "s1"]
+        assert parse_tags(path, vocab4)[1] is vocab4
+
+    def test_no_records(self, tmp_path, vocab4):
+        path = tmp_path / "tags.jsonl"
+        path.write_text("\n \n")
+        with pytest.raises(ValidationError) as err:
+            parse_tags(path)
+        assert str(err.value) == f"{path}: no records"
+        assert parse_tags(path, vocab4) == ([], vocab4)
 
     def test_missing_other(self, tmp_path, vocab4):
         path = tmp_path / "tags.jsonl"
