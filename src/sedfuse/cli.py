@@ -17,6 +17,7 @@ written atomically; inputs are never mutated.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -25,7 +26,7 @@ import sys
 import time
 import traceback
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import __version__
 from .core import (
@@ -34,6 +35,7 @@ from .core import (
     SedfuseError,
     ValidationError,
     VocabularyError,
+    _forking,
     atomic_write_text,
     load_json_object,
     parse_events,
@@ -115,7 +117,8 @@ class _Run:
         """Write ``run_manifest.json``: what ran, with what, producing what, and
         the peak RSS (not deterministic, so never in ``report.json``)."""
         # The larger of this process's peak and that of the largest child it
-        # reaped: the forked children that encode and parse grid dumps.
+        # reaped: the forked children that encode and parse grid dumps, and the
+        # one that writes the dataset's dumps, reaped before this is called.
         peak_kib = max(
             resource.getrusage(who).ru_maxrss
             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
@@ -164,7 +167,8 @@ def cmd_simulate(args) -> int:
     run = _Run("simulate", args)
     scenario = _load_scenario_args(args, run)
     out = _out_dir(args)
-    _write_dataset(scenario, out, run)
+    with _write_dataset(scenario, out, run) as (_, wait):
+        wait()
     run.finish(out, seed=scenario.config.seed)
     print(f"wrote synthetic dataset for {scenario.config.n_clips} clips to {out}")
     return EXIT_OK
@@ -182,7 +186,22 @@ def _load_scenario_args(args, run: _Run) -> Scenario:
     return scenario
 
 
-def _write_dataset(scenario: Scenario, out: Path, run: _Run) -> dict:
+@contextlib.contextmanager
+def _write_dataset(
+    scenario: Scenario, out: Path, run: _Run
+) -> Iterator[tuple[dict, Callable[[], None]]]:
+    """Simulate the dataset and write it to ``out``; give the dataset and a
+    ``wait`` that returns once the grid dumps are written.
+
+    One forked child (``_forking``) writes the model dumps in turn, each with
+    ``write_framegrids`` on every CPU, while this process writes the small
+    files and the caller goes on. If no temp file or child can be had, this
+    process writes the dumps at once; if the child fails, ``wait`` writes
+    them here, so an error is that of the serial write. On leaving, the child
+    is waited for, never killed: after a raise, the dumps are as complete as a
+    serial run leaves them, with no temp file, and a failed child's dumps are
+    written here unless an interrupt or exit is under way.
+    """
     cfg = scenario.config
     vocab = cfg.vocab
     truth, weak = gen_truth(cfg)
@@ -196,12 +215,16 @@ def _write_dataset(scenario: Scenario, out: Path, run: _Run) -> dict:
     )
     write_events(truth, run.writes(out / "events.tsv"))
     write_weak_labels(weak, vocab, run.writes(out / "weak.tsv"))
-    for name, grids in zip(scenario.model_names, model_grids):
-        write_framegrids(grids, vocab, run.writes(out / f"grids_{name}.jsonl"))
-    write_tags(tags, vocab, run.writes(out / "tags.jsonl"))
-    write_manifest(manifest, run.writes(out / "sep_manifest.jsonl"))
-    write_events(source_truth, run.writes(out / "source_events.tsv"))
-    return {
+    dumps = [
+        (grids, run.writes(out / f"grids_{name}.jsonl"))
+        for name, grids in zip(scenario.model_names, model_grids)
+    ]
+
+    def write_dumps(_file=None) -> None:
+        for grids, path in dumps:
+            write_framegrids(grids, vocab, path)
+
+    dataset = {
         "truth": truth,
         "weak": weak,
         "model_grids": model_grids,
@@ -209,6 +232,30 @@ def _write_dataset(scenario: Scenario, out: Path, run: _Run) -> dict:
         "tags": tags,
         "source_truth": source_truth,
     }
+    with _forking(None) as fork:
+        try:
+            writer = fork(write_dumps)
+        except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
+            writer = None
+            write_dumps()
+
+        def wait(rewrite: bool = True) -> None:
+            nonlocal writer
+            if writer is not None:
+                failed = writer() is None  # an interrupt here leaves it to wait for again
+                writer = None
+                if failed and rewrite:
+                    write_dumps()
+
+        try:
+            write_tags(tags, vocab, run.writes(out / "tags.jsonl"))
+            write_manifest(manifest, run.writes(out / "sep_manifest.jsonl"))
+            write_events(source_truth, run.writes(out / "source_events.tsv"))
+            yield dataset, wait
+        except BaseException as exc:  # wait for the child; an interrupt rewrites nothing
+            wait(rewrite=isinstance(exc, Exception))
+            raise
+        wait()
 
 
 # ---------------------------------------------------------------------------
@@ -422,68 +469,71 @@ def cmd_experiment(args) -> int:
     data_dir.mkdir(exist_ok=True)
     stage = "simulate"
     try:
-        dataset = _write_dataset(scenario, data_dir, run)
-        cfg = scenario.config
-        vocab = cfg.vocab
-        truth: EventList = dataset["truth"]
-        weak = dataset["weak"]
-        model_grids = dataset["model_grids"]
+        with _write_dataset(scenario, data_dir, run) as (dataset, wait_for_dumps):
+            cfg = scenario.config
+            vocab = cfg.vocab
+            truth: EventList = dataset["truth"]
+            weak = dataset["weak"]
+            model_grids = dataset["model_grids"]
 
-        stage = "spl"
-        results = select_mixtures(
-            dataset["manifest"], dataset["tags"], weak.labels, scenario.tau, vocab
-        )
-        write_selection(results, run.writes(out / "selection.jsonl"))
-        summary = selection_report(results)
-        selected_ids = {sid for r in results for sid, _ in r.selected}
-        acc_all = tag_accuracy(dataset["tags"], dataset["source_truth"], vocab)
-        acc_sel = tag_accuracy(
-            dataset["tags"], dataset["source_truth"], vocab, subset=selected_ids
-        )
+            stage = "spl"
+            results = select_mixtures(
+                dataset["manifest"], dataset["tags"], weak.labels, scenario.tau, vocab
+            )
+            write_selection(results, run.writes(out / "selection.jsonl"))
+            summary = selection_report(results)
+            selected_ids = {sid for r in results for sid, _ in r.selected}
+            acc_all = tag_accuracy(dataset["tags"], dataset["source_truth"], vocab)
+            acc_sel = tag_accuracy(
+                dataset["tags"], dataset["source_truth"], vocab, subset=selected_ids
+            )
 
-        stage = "fuse"
-        decode_cfg = _decode_cfg_from_args(args, vocab, run)
-        collar = CollarConfig()
-        # Each system is decoded once, for its F1 and its events file.
-        events, f1_reports = {}, {}
-        for name, grids in zip(scenario.model_names, model_grids):
-            events[name] = decode_many(grids, decode_cfg, vocab)
-            f1_reports[name] = event_f1(truth, events[name], collar, vocab)
-        f1_table = ClassF1Table.from_reports(f1_reports, vocab)
-        f1_table.save(run.writes(out / "f1_table.json"))
-
-        logistic_model = fit_logistic_fusion(
-            model_grids, truth, vocab, scenario.model_names
-        )
-        sweep = sweep_beta(
-            model_grids, f1_table, truth, DEFAULT_BETA_SWEEP, decode_cfg, vocab, collar
-        )
-        sweep.save(run.writes(out / "curves.json"))
-        weights = classwise_weights(f1_table, sweep.best)
-
-        stage = "decode+score"
-        # A fused system is built when it is scored and dropped after, so at
-        # most one fused dump is held next to the model dumps.
-        clip_groups = _aligned_clip_sets(model_grids)
-        systems = {name: (lambda g=g: g) for name, g in zip(scenario.model_names, model_grids)}
-        systems.update(
-            average=lambda: [fuse_average(g) for g in clip_groups],
-            logistic=lambda: [apply_logistic_fusion(logistic_model, g) for g in clip_groups],
-            classwise=lambda: [fuse_classwise(g, weights) for g in clip_groups],
-        )
-        psds1_reports = {}
-        psds2_reports = {}
-        for name, build in systems.items():
-            grids = build()
-            if name not in events:
+            stage = "fuse"
+            decode_cfg = _decode_cfg_from_args(args, vocab, run)
+            collar = CollarConfig()
+            # Each system is decoded once, for its F1 and its events file.
+            events, f1_reports = {}, {}
+            for name, grids in zip(scenario.model_names, model_grids):
                 events[name] = decode_many(grids, decode_cfg, vocab)
                 f1_reports[name] = event_f1(truth, events[name], collar, vocab)
-            write_events(events[name], run.writes(out / f"events_{name}.tsv"))
-            p1, p2 = psds_many(grids, truth, decode_cfg, [PSDS1, PSDS2], vocab)
-            psds1_reports[name] = p1
-            psds2_reports[name] = p2
-            del grids  # before the next system is built
+            f1_table = ClassF1Table.from_reports(f1_reports, vocab)
+            f1_table.save(run.writes(out / "f1_table.json"))
 
+            logistic_model = fit_logistic_fusion(
+                model_grids, truth, vocab, scenario.model_names
+            )
+            sweep = sweep_beta(
+                model_grids, f1_table, truth, DEFAULT_BETA_SWEEP, decode_cfg, vocab, collar
+            )
+            sweep.save(run.writes(out / "curves.json"))
+            weights = classwise_weights(f1_table, sweep.best)
+
+            stage = "decode+score"
+            # A fused system is built when it is scored and dropped after, so at
+            # most one fused dump is held next to the model dumps.
+            clip_groups = _aligned_clip_sets(model_grids)
+            systems = {name: (lambda g=g: g) for name, g in zip(scenario.model_names, model_grids)}
+            systems.update(
+                average=lambda: [fuse_average(g) for g in clip_groups],
+                logistic=lambda: [apply_logistic_fusion(logistic_model, g) for g in clip_groups],
+                classwise=lambda: [fuse_classwise(g, weights) for g in clip_groups],
+            )
+            psds1_reports = {}
+            psds2_reports = {}
+            for name, build in systems.items():
+                grids = build()
+                if name not in events:
+                    events[name] = decode_many(grids, decode_cfg, vocab)
+                    f1_reports[name] = event_f1(truth, events[name], collar, vocab)
+                write_events(events[name], run.writes(out / f"events_{name}.tsv"))
+                p1, p2 = psds_many(grids, truth, decode_cfg, [PSDS1, PSDS2], vocab)
+                psds1_reports[name] = p1
+                psds2_reports[name] = p2
+                del grids  # before the next system is built
+
+            # The dumps are the simulate stage's output, written beside the stages above.
+            stage = "simulate"
+            wait_for_dumps()
         stage = "report"
         tables = report_tables(f1_reports, psds1_reports, psds2_reports)
         report = tables.to_dict()

@@ -2,11 +2,13 @@
 
 import contextlib
 import copy
+import errno
 import functools
 import gc
 import io
 import json
 import os
+import tempfile
 import threading
 import types
 import warnings
@@ -20,7 +22,7 @@ from hypothesis import strategies as st
 from sedfuse import cli, decode, fusion, metrics, synth
 from sedfuse.cli import main
 from sedfuse.core import parse_events, parse_framegrids
-from sedfuse.core import ClassVocabulary
+from sedfuse.core import ClassVocabulary, ValidationError
 
 TINY = {
     "seed": 7,
@@ -770,6 +772,190 @@ class TestExperiment:
         run("experiment", "--config", cfg, "--seed", "7", "--out", out1)
         run("experiment", "--config", cfg, "--seed", "8", "--out", out2)
         assert (out1 / "report.json").read_bytes() != (out2 / "report.json").read_bytes()
+
+
+def _outputs(out):
+    """Every file under ``out`` but the run manifest, by relative path."""
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*"))
+            if p.is_file() and p.name != "run_manifest.json"}
+
+
+DUMPS = ["grids_model_1.jsonl", "grids_model_2.jsonl", "grids_model_3.jsonl"]
+
+
+class TestBackgroundDumpWriter:
+    """The experiment's grid dumps are written by one forked child while the
+    experiment scores; whatever fails, the outputs and errors are a serial run's."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, tmp_path_factory):
+        base = tmp_path_factory.mktemp("reference")
+        out = base / "out"
+        assert run("experiment", "--config", write_tiny_scenario(base), "--out", out) == 0
+        return _outputs(out)
+
+    @pytest.fixture
+    def in_parent(self, monkeypatch):
+        """The dumps this process writes itself (a child's calls are not seen);
+        ``in_parent.child`` replaces what a child's call does."""
+        real, parent = cli.write_framegrids, os.getpid()
+        calls = types.SimpleNamespace(paths=[], child=real)
+
+        def write_framegrids(grids, vocab, path):
+            if os.getpid() != parent:
+                return calls.child(grids, vocab, path)
+            calls.paths.append(os.path.basename(path))
+            return real(grids, vocab, path)
+
+        monkeypatch.setattr(cli, "write_framegrids", write_framegrids)
+        return calls
+
+    def experiment(self, tmp_path, *argv):
+        out = tmp_path / "out"
+        return run("experiment", "--config", write_tiny_scenario(tmp_path), "--out", out,
+                   *argv), out
+
+    def test_normal_run_writes_the_dumps_in_a_child(self, tmp_path, reference, in_parent):
+        rc, out = self.experiment(tmp_path)
+        assert rc == 0 and in_parent.paths == []
+        assert _outputs(out) == reference
+
+    @pytest.mark.parametrize("module, name", [(os, "fork"), (tempfile, "TemporaryFile")])
+    def test_no_child_writes_in_process(
+        self, tmp_path, reference, in_parent, monkeypatch, module, name
+    ):
+        # The first fork or temp file is the writer's; write_framegrids's own follow.
+        real, calls = getattr(module, name), []
+
+        def first_fails(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == 1:
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, first_fails)
+        rc, out = self.experiment(tmp_path)
+        assert rc == 0 and calls
+        assert in_parent.paths == DUMPS
+        assert _outputs(out) == reference
+
+    def test_failed_child_is_written_in_process(self, tmp_path, reference, in_parent):
+        in_parent.child = lambda *args: os._exit(3)
+        rc, out = self.experiment(tmp_path)
+        assert rc == 0 and in_parent.paths == DUMPS
+        assert _outputs(out) == reference
+
+    @pytest.mark.parametrize("error, code, shown", [
+        (OSError(errno.ENOSPC, "No space left on device"), 1,
+         "OSError: [Errno 28] No space left on device"),
+        (ValidationError("bad grid"), 2,
+         "error: experiment stage 'simulate' failed: bad grid"),
+    ], ids=["OSError", "ValidationError"])
+    def test_failed_child_and_rewrite_raise_the_serial_error(
+        self, tmp_path, capsys, monkeypatch, error, code, shown
+    ):
+        # The child fails on its first dump, and so does this process's write:
+        # the error and exit code are those of a serial write.
+        parent, calls = os.getpid(), []
+
+        def write_framegrids(grids, vocab, path):
+            if os.getpid() == parent:
+                calls.append(path)
+            raise error
+
+        monkeypatch.setattr(cli, "write_framegrids", write_framegrids)
+        rc, out = self.experiment(tmp_path)
+        assert rc == code and len(calls) == 1
+        assert shown in capsys.readouterr().err
+        assert "report.json" not in _outputs(out)
+
+    def test_parent_failure_waits_for_the_writer(
+        self, tmp_path, reference, in_parent, monkeypatch, capsys
+    ):
+        # The child starts its dumps only when the fuse stage begins, which
+        # then fails: the dumps are complete, with no temp file left.
+        read_end, write_end = os.pipe()
+        real, child, held = cli._decode_cfg_from_args, in_parent.child, []
+
+        def held_until_fuse(*args):
+            if not held:  # the first dump
+                held.append(True)
+                os.read(read_end, 1)
+            return child(*args)
+
+        def releasing(*args):
+            os.write(write_end, b"x")
+            return real(*args)
+
+        in_parent.child = held_until_fuse
+        monkeypatch.setattr(cli, "_decode_cfg_from_args", releasing)
+        config = tmp_path / "decode.json"
+        config.write_text("{not json")
+        try:
+            rc, out = self.experiment(tmp_path, "--decode-config", config)
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert rc == 2
+        assert "experiment stage 'fuse' failed" in capsys.readouterr().err
+        outputs = _outputs(out)
+        for name in DUMPS:
+            assert outputs[f"data/{name}"] == reference[f"data/{name}"], name
+        assert not list(out.rglob(".tmp-*~")) and in_parent.paths == []
+
+    def test_interrupt_waits_for_the_writer_and_rewrites_nothing(
+        self, tmp_path, in_parent, monkeypatch
+    ):
+        in_parent.child = lambda *args: os._exit(3)
+
+        def interrupted(*args):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "psds_many", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            self.experiment(tmp_path)
+        assert in_parent.paths == []
+        out = tmp_path / "out"
+        assert not [p for p in out.rglob("*") if p.name.startswith("grids_")]
+
+    def test_dumps_are_written_while_scoring(self, tmp_path, reference, monkeypatch):
+        # Whichever process writes the first dump holds it until the first PSDS
+        # sweep, which runs in this process: a serial writer would wait for it
+        # forever, so a timer releases the writer and fails the test rather than
+        # letting it hang.
+        read_end, write_end = os.pipe()
+        write_framegrids, psds_many = cli.write_framegrids, cli.psds_many
+        held, released, timed_out = [], [], []
+
+        def held_until_scoring(*args):
+            if not held:  # the first dump
+                held.append(True)
+                os.read(read_end, 1)
+            return write_framegrids(*args)
+
+        def releasing(*args):
+            if not released:
+                released.append(True)
+                os.write(write_end, b"x")
+            return psds_many(*args)
+
+        def release():
+            timed_out.append(True)
+            os.write(write_end, b"x")
+
+        monkeypatch.setattr(cli, "write_framegrids", held_until_scoring)
+        monkeypatch.setattr(cli, "psds_many", releasing)
+        timer = threading.Timer(10, release)
+        timer.start()
+        try:
+            rc, out = self.experiment(tmp_path)
+        finally:
+            timer.cancel()
+            timer.join()
+            os.close(read_end)
+            os.close(write_end)
+        assert not timed_out, "the dumps were not written beside the scoring"
+        assert rc == 0 and _outputs(out) == reference
 
 
 class TestModelNameNotAFileName:
