@@ -799,28 +799,14 @@ def _parse_ranges(
     path: str | os.PathLike, fd: int, starts: list[int], size: int, vocab: ClassVocabulary
 ) -> list[FrameGrid] | None:
     """The grids of a ``size``-byte file cut at ``starts``: this process parses
-    the first range and a forked child (``_forking``) each later one, which it
-    pickles into its temp file. An error in the first range is raised as is.
-    None if a later range failed, a clip id repeats across ranges, or no temp
-    file or child could be made."""
-    ends = starts[1:] + [size]
-
-    def parse_into(start: int, end: int, file: IO[bytes]) -> None:
-        grids, _ = _parse_grid_range(path, fd, start, end, vocab)
-        pickle.dump(grids, file, pickle.HIGHEST_PROTOCOL)
-
-    with _forking(None) as fork:
-        try:
-            later = [fork(functools.partial(parse_into, start, end))
-                     for start, end in zip(starts[1:], ends[1:])]
-        except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
-            return None
-        grids, _ = _parse_grid_range(path, fd, 0, ends[0], vocab)
-        for done in later:
-            file = done()
-            if file is None:
-                return None
-            grids += pickle.load(file)
+    the first range and a child of ``_map_forked`` each later one. An error in
+    the first range is raised as is. None if a later range failed, a clip id
+    repeats across ranges, or no temp file or child could be made."""
+    ranges = list(zip(starts, starts[1:] + [size]))
+    parts = _map_forked(lambda bounds: _parse_grid_range(path, fd, *bounds, vocab)[0], ranges)
+    if parts is None:
+        return None
+    grids = [grid for part in parts for grid in part]
     return grids if len({grid.clip_id for grid in grids}) == len(grids) else None
 
 
@@ -831,8 +817,8 @@ def parse_framegrids(
     or if None the first record's ``classes`` in their order (a file with no
     record then raises ``ValidationError``). Columns follow the vocabulary.
 
-    A regular file is parsed on every CPU of the process's affinity mask, in
-    no more ranges than it holds MiB (``_MIN_RANGE_BYTES``). This process
+    A regular file is parsed on every free CPU of the process's affinity mask
+    (``_cpus``), in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``). This process
     reads the first record if it needs the vocabulary, cuts the file into k
     byte ranges (``_range_starts``) and forks a child per later range, which
     parses it with the checks of a serial pass and pickles its grids into an
@@ -860,10 +846,17 @@ def parse_framegrids(
         return _parse_grid_range(path, fd, 0, None, vocab)
 
 
+# The children of ``_forking`` this process has not reaped: the CPUs they hold
+# are not free for more forks (the experiment's dump writer holds one while the
+# fits run). A child starts with none.
+_unreaped: set[int] = set()
+
+
 def _cpus() -> int:
-    """The CPUs of the process's affinity mask (1 where that does not exist)."""
+    """The CPUs of the process's affinity mask (1 where that does not exist),
+    less one per child of ``_forking`` not yet reaped, and at least 1."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else 1
+    return max(1, (len(affinity(0)) if affinity else 1) - len(_unreaped))
 
 
 @contextlib.contextmanager
@@ -884,18 +877,23 @@ def _forking(
     killed, so no work outlives the call. The files have no name, so
     nothing is left on disk, even if this process is killed.
 
-    Three callers fork: ``write_framegrids`` and ``_parse_ranges``, whose
-    children hold shards of one dump, and the CLI's ``_write_dataset``,
-    whose one child writes the dataset's dumps while the experiment scores.
-    That caller waits for its child before it leaves, also when it raises,
-    so its child is never killed: a killed writer would leave its dump
-    unwritten and its temp file behind.
+    Three callers fork: ``write_framegrids``, whose children encode shards
+    of one dump; ``_map_forked``, whose children run the later parts of a
+    job (the byte ranges of ``_parse_ranges``, the parameter blocks of
+    ``fusion._dev_curve`` and the class blocks of
+    ``fusion.fit_logistic_fusion``); and the CLI's ``_write_dataset``, whose
+    one child writes the dataset's dumps while the experiment scores. That
+    caller waits for its child before it leaves, also when it raises, so its
+    child is never killed: a killed writer would leave its dump unwritten
+    and its temp file behind.
 
     The process that forks may have threads: importing numpy starts
-    OpenBLAS's pool. A child runs only ``json``, ``pickle``, numpy array
-    building and file I/O, and takes no BLAS lock, so Python 3.11 is quiet,
-    but Python 3.12 and later emit a ``DeprecationWarning`` for ``os.fork``
-    in a process with threads.
+    OpenBLAS's pool, idle while this process forks. A child runs ``json``,
+    ``pickle``, numpy and file I/O; the one BLAS caller, the logistic fit,
+    keeps each product below OpenBLAS's threading size
+    (``fusion._row_blocks``), so a child never needs the pool. Python 3.11
+    is quiet, but Python 3.12 and later emit a ``DeprecationWarning`` for
+    ``os.fork`` in a process with threads.
     """
     pids: list[int] = []  # children not yet reaped
     with contextlib.ExitStack() as files:
@@ -906,16 +904,19 @@ def _forking(
             if pid == 0:
                 status = 1
                 try:
+                    _unreaped.clear()
                     work(file)
                     file.flush()
                     status = 0
                 finally:
                     os._exit(status)
             pids.append(pid)
+            _unreaped.add(pid)
 
             def done() -> IO[bytes] | None:
                 _, status = os.waitpid(pid, 0)
                 pids.remove(pid)
+                _unreaped.discard(pid)
                 if os.waitstatus_to_exitcode(status) != 0:
                     return None
                 file.seek(0)
@@ -929,6 +930,46 @@ def _forking(
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+                _unreaped.discard(pid)
+
+
+_Part = TypeVar("_Part")
+_Result = TypeVar("_Result")
+
+
+def _map_forked(
+    work: Callable[[_Part], _Result], parts: Sequence[_Part]
+) -> list[_Result] | None:
+    """``[work(part) for part in parts]``: this process runs the first part and
+    a child forked through ``_forking`` each later one, which pickles its
+    result into its temp file. An error in the first part is raised as is.
+    None if no temp file or child could be made, or a child failed: the
+    caller then runs the whole job in this process, so its results and
+    errors are the serial pass's. One part forks nothing.
+
+    Each caller decides how many parts its work pays for: a fork, its
+    transfer and its reap cost about 2 to 3 ms. ``parse_framegrids`` cuts a dump
+    into ranges of at least ``_MIN_RANGE_BYTES``; ``fusion._dev_curve``
+    (``fit_alpha`` and ``sweep_beta``) and ``fusion.fit_logistic_fusion``
+    deal their parameters and classes in contiguous blocks above the floors
+    ``fusion._MIN_SWEEP_CELLS`` and ``fusion._MIN_FIT_ROWS``.
+    """
+
+    def run(part: _Part, file: IO[bytes]) -> None:
+        pickle.dump(work(part), file, pickle.HIGHEST_PROTOCOL)
+
+    with _forking(None) as fork:
+        try:
+            later = [fork(functools.partial(run, part)) for part in parts[1:]]
+        except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
+            return None
+        results = [work(parts[0])]
+        for done in later:
+            file = done()
+            if file is None:
+                return None
+            results.append(pickle.load(file))
+    return results
 
 
 # A child's shard is copied in blocks of this many bytes (characters, as json
@@ -941,14 +982,15 @@ def write_framegrids(
 ) -> None:
     """One line per grid, encoded on every CPU of the process's affinity mask.
 
-    The grids are cut into k consecutive shards, k the CPUs of
-    ``os.sched_getaffinity`` (1 where that does not exist) but at most one
-    per grid. A forked child (``_forking``) encodes each later shard into an
+    The grids are cut into k consecutive shards, k the free CPUs of
+    ``_cpus`` but at most one per grid. A forked child (``_forking``) encodes each later shard into an
     unnamed temp file in ``path``'s directory while this process encodes the
     first; each child is then reaped in order and its file streamed in. So a
-    dump is never one string, and the bytes are those of one serial pass. A
-    failed child raises ``OSError`` here, naming ``path``. No child or shard
-    file outlives the call.
+    dump is never one string, and the bytes are those of one serial pass.
+    From the first shard that gets no temp file or child on, this process
+    encodes the shards itself, with the same bytes. A failed child raises
+    ``OSError`` here, naming ``path``. No child or shard file outlives the
+    call.
     """
     for grid in grids:
         _check_columns(grid, vocab)
@@ -968,18 +1010,25 @@ def write_framegrids(
 
     k = max(1, min(_cpus(), len(grids)))
     bounds = [len(grids) * i // k for i in range(k + 1)]
+    shards = [grids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     with _forking(os.path.dirname(os.path.abspath(path))) as fork:
-        later = [fork(functools.partial(write_shard, grids[lo:hi]))  # in shard order
-                 for lo, hi in zip(bounds[1:-1], bounds[2:])]
+        later = []  # in shard order
+        for shard in shards[1:]:
+            try:
+                later.append(fork(functools.partial(write_shard, shard)))
+            except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
+                break
 
         def lines() -> Iterator[str]:
-            yield from encode(grids[: bounds[1]])
+            yield from encode(shards[0])
             for i, done in enumerate(later, start=1):
                 file = done()
                 if file is None:
                     raise OSError(f"{path}: the process encoding shard {i} of {k} failed")
                 for block in iter(functools.partial(file.read, _COPY_BLOCK), b""):
                     yield block.decode("ascii")
+            for shard in shards[1 + len(later):]:
+                yield from encode(shard)
 
         atomic_write_text(path, lines())
 

