@@ -232,7 +232,7 @@ def _write_dataset(
         "tags": tags,
         "source_truth": source_truth,
     }
-    with _forking(None) as fork:
+    with _forking() as fork:
         try:
             writer = fork(write_dumps)
         except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes

@@ -13,11 +13,12 @@ immediately instead of being coerced or skipped, so label drift cannot
 pass silently. All values are immutable after construction and safe to
 share across threads. Floats are serialized with ``repr`` so every
 write/parse round trip is value-exact. Grid dumps are encoded and parsed on
-every CPU of the process's affinity mask: ``write_framegrids`` forks one
-child per later shard of the grids and ``parse_framegrids`` one per later
-byte range of the file. Each child hands its result back in an unnamed temp
-file (``_forking``), and the bytes, grids and errors are those of one serial
-pass. Every input is read once, so a pipe or FIFO reads as a regular file.
+every CPU of the process's affinity mask: ``write_framegrids`` deals the
+grids in shards and ``parse_framegrids`` the file in byte ranges
+(``_blocks``), and ``_map_forked`` forks one child per later part. Each
+child streams its items back through an unnamed temp file (``_forking``),
+and the bytes, grids and errors are those of one serial pass. Every input
+is read once, so a pipe or FIFO reads as a regular file.
 Every file is written to a temp file and renamed, with the mode a plain
 ``open`` would give it.
 """
@@ -758,10 +759,8 @@ def _first_vocab(path: str | os.PathLike, fd: int, size: int) -> ClassVocabulary
 
 
 def _line_start(fd: int, at: int, size: int) -> int:
-    r"""The first line start at or after ``at``: 0, or just after a ``\n``;
+    r"""The first line start at or after ``at`` > 0: just after a ``\n``;
     ``size`` if there is none."""
-    if at == 0:
-        return 0
     at -= 1  # a "\n" just before ``at`` makes ``at`` itself a line start
     while at < size:
         block = os.pread(fd, _READ_BLOCK, at)
@@ -774,14 +773,14 @@ def _line_start(fd: int, at: int, size: int) -> int:
     return size
 
 
-def _range_starts(fd: int, size: int, k: int) -> list[int]:
-    r"""The start of each range of a ``size``-byte file cut in at most k: the
-    first line start at or after ``size * i // k`` for i < k, each one once.
-    A line starts after a ``\n``, which is never part of a UTF-8 sequence nor
-    the ``\r`` of a ``\r\n``."""
+def _range_starts(fd: int, size: int) -> list[int]:
+    r"""The start of each range of a ``size``-byte file: the first line start
+    at or after the start of each of its ``_blocks``, at most one per
+    ``_MIN_RANGE_BYTES``, each one once. A line starts after a ``\n``, which
+    is never part of a UTF-8 sequence nor the ``\r`` of a ``\r\n``."""
     starts = [0]
-    for i in range(1, k):
-        start = _line_start(fd, size * i // k, size)
+    for block in _blocks(size, size // _MIN_RANGE_BYTES)[1:]:
+        start = _line_start(fd, block.start, size)
         if starts[-1] < start < size:
             starts.append(start)
     return starts
@@ -803,10 +802,12 @@ def _parse_ranges(
     the first range is raised as is. None if a later range failed, a clip id
     repeats across ranges, or no temp file or child could be made."""
     ranges = list(zip(starts, starts[1:] + [size]))
-    parts = _map_forked(lambda bounds: _parse_grid_range(path, fd, *bounds, vocab)[0], ranges)
-    if parts is None:
+    try:
+        with _map_forked(lambda bounds: _parse_grid_range(path, fd, *bounds, vocab)[0],
+                         ranges) as items:
+            grids = list(items)
+    except _NoChild:
         return None
-    grids = [grid for part in parts for grid in part]
     return grids if len({grid.clip_id for grid in grids}) == len(grids) else None
 
 
@@ -818,28 +819,27 @@ def parse_framegrids(
     record then raises ``ValidationError``). Columns follow the vocabulary.
 
     A regular file is parsed on every free CPU of the process's affinity mask
-    (``_cpus``), in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``). This process
-    reads the first record if it needs the vocabulary, cuts the file into k
-    byte ranges (``_range_starts``) and forks a child per later range, which
-    parses it with the checks of a serial pass and pickles its grids into an
-    unnamed temp file in the system's temp directory (the dump's own may be
-    read-only). It parses the first range itself, and an error there is
-    raised as is. If a later range fails, a clip id repeats across ranges,
-    or no temp file or child can be made, the whole file is parsed again as
-    one range and that parse's error is raised, so every message is the
-    serial pass's, without lines counted across ranges. A FIFO, a file with
-    one range and a single CPU take the one-range parse from the start. The
-    grids are the serial pass's, in file order.
+    (``_cpus``), in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``).
+    This process cuts the file into byte ranges at line starts
+    (``_range_starts``), reads the first record if it needs the vocabulary,
+    and streams the grids of each later range back from a child of
+    ``_map_forked``, which parses it with the checks of a serial pass. It
+    parses the first range itself, and an error there is raised as is. If a
+    later range fails, a clip id repeats across ranges, or no temp file or
+    child can be made, the whole file is parsed again as one range and that
+    parse's error is raised, so every message is the serial pass's, without
+    lines counted across ranges. A FIFO, a file with one range and a single
+    CPU take the one-range parse from the start. The grids are the serial
+    pass's, in file order.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
         info = os.fstat(fd)
         if stat.S_ISREG(info.st_mode):
-            k = min(_cpus(), info.st_size // _MIN_RANGE_BYTES)
-            if k > 1:
+            starts = _range_starts(fd, info.st_size)
+            if len(starts) > 1:
                 if vocab is None:
                     vocab = _first_vocab(path, fd, info.st_size)
-                starts = _range_starts(fd, info.st_size, k)
                 grids = _parse_ranges(path, fd, starts, info.st_size, vocab)
                 if grids is not None:
                     return grids, vocab
@@ -859,33 +859,38 @@ def _cpus() -> int:
     return max(1, (len(affinity(0)) if affinity else 1) - len(_unreaped))
 
 
+def _blocks(n: int, most: int) -> list[range]:
+    """``range(n)`` dealt in k contiguous blocks for ``_map_forked``: k is the
+    free CPUs of ``_cpus``, but at most ``most`` and n, and at least 1."""
+    k = max(1, min(_cpus(), n, most))
+    return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
 @contextlib.contextmanager
-def _forking(
-    directory: str | None,
-) -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], IO[bytes] | None]]]:
+def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], IO[bytes] | None]]]:
     """Give ``fork(work) -> done``; on leaving, kill and reap every child not
     yet reaped, then close every file.
 
-    ``fork`` makes an unnamed temp file in ``directory`` (the system's temp
-    directory if None; ``O_TMPFILE`` on Linux) and forks a child that runs
-    ``work(file)``, flushes the file and leaves by ``os._exit``, 0 if
-    ``work`` returned and 1 if it raised, so no ``finally``, ``atexit`` or
-    buffer flush of this process runs in it. ``done()`` waits for that
-    child and gives its file at offset 0, or None if the child failed. A
-    child writes only to its own file, so it never waits on this process; a
-    child still running when this process leaves (it raised first) is
-    killed, so no work outlives the call. The files have no name, so
-    nothing is left on disk, even if this process is killed.
+    ``fork`` makes an unnamed temp file in the system's temp directory
+    (``O_TMPFILE`` on Linux; a dump's own directory may be read-only) and
+    forks a child that runs ``work(file)``, flushes the file and leaves by
+    ``os._exit``, 0 if ``work`` returned and 1 if it raised, so no
+    ``finally``, ``atexit`` or buffer flush of this process runs in it.
+    ``done()`` waits for that child and gives its file at offset 0, or None
+    if the child failed. A child writes only to its own file, so it never
+    waits on this process; a child still running when this process leaves
+    (it raised first) is killed, so no work outlives the call. The files
+    have no name, so nothing is left on disk, even if this process is
+    killed.
 
-    Three callers fork: ``write_framegrids``, whose children encode shards
-    of one dump; ``_map_forked``, whose children run the later parts of a
-    job (the byte ranges of ``_parse_ranges``, the parameter blocks of
-    ``fusion._dev_curve`` and the class blocks of
-    ``fusion.fit_logistic_fusion``); and the CLI's ``_write_dataset``, whose
-    one child writes the dataset's dumps while the experiment scores. That
-    caller waits for its child before it leaves, also when it raises, so its
-    child is never killed: a killed writer would leave its dump unwritten
-    and its temp file behind.
+    Two callers fork: ``_map_forked``, whose children run the later parts of
+    a job (the shards of ``write_framegrids``, the byte ranges of
+    ``_parse_ranges``, the parameter blocks of ``fusion._dev_curve`` and the
+    class blocks of ``fusion.fit_logistic_fusion``); and the CLI's
+    ``_write_dataset``, whose one child writes the dataset's dumps while the
+    experiment scores. That caller waits for its child before it leaves,
+    also when it raises, so its child is never killed: a killed writer would
+    leave its dump unwritten and its temp file behind.
 
     The process that forks may have threads: importing numpy starts
     OpenBLAS's pool, idle while this process forks. A child runs ``json``,
@@ -899,7 +904,7 @@ def _forking(
     with contextlib.ExitStack() as files:
 
         def fork(work: Callable[[IO[bytes]], None]) -> Callable[[], IO[bytes] | None]:
-            file = files.enter_context(tempfile.TemporaryFile(dir=directory))
+            file = files.enter_context(tempfile.TemporaryFile())
             pid = os.fork()
             if pid == 0:
                 status = 1
@@ -933,48 +938,56 @@ def _forking(
                 _unreaped.discard(pid)
 
 
+class _NoChild(Exception):
+    """A part of ``_map_forked`` got no temp file or child, or its child failed."""
+
+
 _Part = TypeVar("_Part")
-_Result = TypeVar("_Result")
+_Item = TypeVar("_Item")
 
 
+@contextlib.contextmanager
 def _map_forked(
-    work: Callable[[_Part], _Result], parts: Sequence[_Part]
-) -> list[_Result] | None:
-    """``[work(part) for part in parts]``: this process runs the first part and
-    a child forked through ``_forking`` each later one, which pickles its
-    result into its temp file. An error in the first part is raised as is.
-    None if no temp file or child could be made, or a child failed: the
-    caller then runs the whole job in this process, so its results and
-    errors are the serial pass's. One part forks nothing.
+    work: Callable[[_Part], Iterable[_Item]], parts: Sequence[_Part]
+) -> Iterator[Iterator[_Item]]:
+    """Give the items of ``work(part)`` for each part in turn: this process
+    runs the first part and a child forked through ``_forking`` each later
+    one, which pickles its items one at a time into its temp file, to be
+    loaded here one at a time, so no part's output is held whole. An error
+    in the first part is raised as is. ``_NoChild`` is raised if a part gets
+    no temp file or child, or its child fails: the caller then runs the
+    whole job in this process, so its results and errors are the serial
+    pass's. One part forks nothing. On leaving, also before the items run
+    out, every child still running is killed.
 
-    Each caller decides how many parts its work pays for: a fork, its
-    transfer and its reap cost about 2 to 3 ms. ``parse_framegrids`` cuts a dump
-    into ranges of at least ``_MIN_RANGE_BYTES``; ``fusion._dev_curve``
-    (``fit_alpha`` and ``sweep_beta``) and ``fusion.fit_logistic_fusion``
-    deal their parameters and classes in contiguous blocks above the floors
-    ``fusion._MIN_SWEEP_CELLS`` and ``fusion._MIN_FIT_ROWS``.
+    Each caller deals its parts with ``_blocks``, as many as its work pays
+    for: a fork, its transfer and its reap cost about 2 to 3 ms.
+    ``parse_framegrids`` cuts a dump into ranges of at least
+    ``_MIN_RANGE_BYTES``; ``fusion._dev_curve`` (``fit_alpha`` and
+    ``sweep_beta``) and ``fusion.fit_logistic_fusion`` deal their parameters
+    and classes above the floors ``fusion._MIN_SWEEP_CELLS`` and
+    ``fusion._MIN_FIT_ROWS``.
     """
 
     def run(part: _Part, file: IO[bytes]) -> None:
-        pickle.dump(work(part), file, pickle.HIGHEST_PROTOCOL)
+        for item in work(part):
+            pickle.dump(item, file, pickle.HIGHEST_PROTOCOL)
 
-    with _forking(None) as fork:
-        try:
-            later = [fork(functools.partial(run, part)) for part in parts[1:]]
-        except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
-            return None
-        results = [work(parts[0])]
+    def items() -> Iterator[_Item]:
+        yield from work(parts[0])
         for done in later:
             file = done()
             if file is None:
-                return None
-            results.append(pickle.load(file))
-    return results
+                raise _NoChild
+            while file.peek(1):
+                yield pickle.load(file)
 
-
-# A child's shard is copied in blocks of this many bytes (characters, as json
-# writes ASCII), so no shard is ever held whole.
-_COPY_BLOCK = 1 << 16
+    with _forking() as fork:
+        try:
+            later = [fork(functools.partial(run, part)) for part in parts[1:]]
+        except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
+            raise _NoChild from None
+        yield items()
 
 
 def write_framegrids(
@@ -982,21 +995,20 @@ def write_framegrids(
 ) -> None:
     """One line per grid, encoded on every CPU of the process's affinity mask.
 
-    The grids are cut into k consecutive shards, k the free CPUs of
-    ``_cpus`` but at most one per grid. A forked child (``_forking``) encodes each later shard into an
-    unnamed temp file in ``path``'s directory while this process encodes the
-    first; each child is then reaped in order and its file streamed in. So a
-    dump is never one string, and the bytes are those of one serial pass.
-    From the first shard that gets no temp file or child on, this process
-    encodes the shards itself, with the same bytes. A failed child raises
-    ``OSError`` here, naming ``path``. No child or shard file outlives the
+    The grids are dealt in consecutive shards (``_blocks``), one per free
+    CPU but at most one per grid, and their lines streamed into the file
+    through ``_map_forked``: this process encodes the first shard and a
+    child each later one. So a dump is never one string, and the bytes are
+    those of one serial pass. If a shard gets no temp file or child, or its
+    child fails, this process writes the whole dump again itself, so an
+    error is that of the serial pass. No child or shard file outlives the
     call.
     """
     for grid in grids:
         _check_columns(grid, vocab)
 
-    def encode(shard: Sequence[FrameGrid]) -> Iterator[str]:
-        for grid in shard:
+    def encode(block: range) -> Iterator[str]:
+        for grid in map(grids.__getitem__, block):
             record = {
                 "clip_id": grid.clip_id,
                 "hop_seconds": grid.hop_seconds,
@@ -1005,32 +1017,11 @@ def write_framegrids(
             }
             yield json.dumps(record, separators=(",", ":")) + "\n"
 
-    def write_shard(shard: Sequence[FrameGrid], file: IO[bytes]) -> None:
-        file.writelines(line.encode("ascii") for line in encode(shard))
-
-    k = max(1, min(_cpus(), len(grids)))
-    bounds = [len(grids) * i // k for i in range(k + 1)]
-    shards = [grids[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
-    with _forking(os.path.dirname(os.path.abspath(path))) as fork:
-        later = []  # in shard order
-        for shard in shards[1:]:
-            try:
-                later.append(fork(functools.partial(write_shard, shard)))
-            except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
-                break
-
-        def lines() -> Iterator[str]:
-            yield from encode(shards[0])
-            for i, done in enumerate(later, start=1):
-                file = done()
-                if file is None:
-                    raise OSError(f"{path}: the process encoding shard {i} of {k} failed")
-                for block in iter(functools.partial(file.read, _COPY_BLOCK), b""):
-                    yield block.decode("ascii")
-            for shard in shards[1 + len(later):]:
-                yield from encode(shard)
-
-        atomic_write_text(path, lines())
+    try:
+        with _map_forked(encode, _blocks(len(grids), len(grids))) as lines:
+            atomic_write_text(path, lines)
+    except _NoChild:
+        atomic_write_text(path, encode(range(len(grids))))
 
 
 # ---------------------------------------------------------------------------

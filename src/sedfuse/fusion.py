@@ -24,10 +24,10 @@ with the array matcher of :mod:`sedfuse.metrics`, so no ``Event`` object is
 built. The logistic fit holds one class's design matrix at a time, built
 from the per-clip grids, with boolean targets, and sums its products over
 fixed row blocks. The sweeps deal their parameters and the logistic fit its
-classes to forked children (``_in_blocks``), with the serial pass's
-results. The average keeps
-``np.mean``: through the kernel, 44% of seed-42 cells move by up to
-2.2e-16, and the frozen average F1 rests on ``np.mean``.
+classes to forked children (``_in_blocks``, on ``core._map_forked``), with
+the serial pass's results. The average keeps ``np.mean``: through the
+kernel, 44% of seed-42 cells move by up to 2.2e-16, and the frozen average
+F1 rests on ``np.mean``.
 
 All math is pure and deterministic with fixed summation order.
 """
@@ -50,9 +50,10 @@ from .core import (
     EventList,
     FrameGrid,
     ValidationError,
+    _blocks,
     _check_columns,
-    _cpus,
     _map_forked,
+    _NoChild,
     atomic_write_text,
     checked,
     fmt_float,
@@ -121,6 +122,7 @@ def _fuse_weighted(
         else:
             diffs = [g.values - first.values for g in group[1:]]
             values = _fuse_into(np.empty_like(first.values), first.values, diffs, weights)
+            np.clip(values, 0.0, 1.0, out=values)
         fused.append(FrameGrid(first.clip_id, first.hop_seconds, values))
     return fused
 
@@ -144,13 +146,15 @@ def _check_weights(weights: np.ndarray, n_models: int, n_classes: int) -> None:
 def _fuse_into(
     out: np.ndarray, base: np.ndarray, diffs: Sequence[np.ndarray], weights: np.ndarray
 ) -> np.ndarray:
-    """The kernel: ``out = clip(base + W[1] * diffs[0] + W[2] * diffs[1] + ..., 0, 1)``,
-    summed left to right; ``diffs[m - 1]`` is ``g_{m+1} - g_1``, classes on the last axis."""
+    """The kernel: ``out = base + W[1] * diffs[0] + W[2] * diffs[1] + ...``, summed
+    left to right; ``diffs[m - 1]`` is ``g_{m+1} - g_1``, classes on the last axis.
+    Unclipped: a cell that rounding puts above 1 or below 0 reaches the levels of
+    1.0 or 0.0 at the sweeps' thresholds, all in (0, 1); ``_fuse_weighted`` clips."""
     np.multiply(diffs[0], weights[1], out=out)
     np.add(base, out, out=out)
     for m in range(2, len(weights)):
         out += weights[m] * diffs[m - 1]
-    return np.clip(out, 0.0, 1.0, out=out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -290,14 +294,14 @@ _MIN_FIT_ROWS = 1 << 17
 
 
 def _in_blocks(work: Callable[[range], list], n: int, most: int) -> list:
-    """``work(range(n))``, one result per item, with the items dealt in k
-    contiguous blocks to ``core._map_forked``: k is the free CPUs of
-    ``core._cpus``, but at most ``most`` and n, and at least 1. If no child can be made
-    or one fails, ``work(range(n))`` runs here."""
-    k = max(1, min(_cpus(), n, most))
-    bounds = [n * i // k for i in range(k + 1)]
-    parts = _map_forked(work, [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])])
-    return [result for part in parts for result in part] if parts is not None else work(range(n))
+    """``work(range(n))``, one result per item, with the items dealt in at
+    most ``most`` blocks (``core._blocks``) to ``core._map_forked``. If no
+    child can be made or one fails, ``work(range(n))`` runs here."""
+    try:
+        with _map_forked(work, _blocks(n, most)) as results:
+            return list(results)
+    except _NoChild:
+        return work(range(n))
 
 
 def fit_alpha(
