@@ -894,11 +894,11 @@ def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], 
 
     The process that forks may have threads: importing numpy starts
     OpenBLAS's pool, idle while this process forks. A child runs ``json``,
-    ``pickle``, numpy and file I/O; the one BLAS caller, the logistic fit,
-    keeps each product below OpenBLAS's threading size
-    (``fusion._row_blocks``), so a child never needs the pool. Python 3.11
-    is quiet, but Python 3.12 and later emit a ``DeprecationWarning`` for
-    ``os.fork`` in a process with threads.
+    ``pickle``, numpy and file I/O; the one BLAS caller on whole dumps, the
+    logistic fit's ``fusion._newton_terms``, makes each product on one block
+    of ``fusion._row_blocks``, below OpenBLAS's threading size, so a child
+    never needs the pool. Python 3.11 is quiet, but Python 3.12 and later
+    emit a ``DeprecationWarning`` for ``os.fork`` in a process with threads.
     """
     pids: list[int] = []  # children not yet reaped
     with contextlib.ExitStack() as files:

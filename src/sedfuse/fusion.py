@@ -22,12 +22,12 @@ and decodes it with the decode kernel, so the block stays in cache across
 the sweep. Each parameter's runs are scored
 with the array matcher of :mod:`sedfuse.metrics`, so no ``Event`` object is
 built. The logistic fit holds one class's design matrix at a time, built
-from the per-clip grids, with boolean targets, and sums its products over
-fixed row blocks. The sweeps deal their parameters and the logistic fit its
-classes to forked children (``_in_blocks``, on ``core._map_forked``), with
-the serial pass's results. The average keeps ``np.mean``: through the
-kernel, 44% of seed-42 cells move by up to 2.2e-16, and the frozen average
-F1 rests on ``np.mean``.
+from the per-clip grids, with boolean targets; each Newton trial gets its
+loss, gradient and Hessian from one pass over fixed row blocks. The sweeps
+deal their parameters and the logistic fit its classes to forked children
+(``_in_blocks``, on ``core._map_forked``), with the serial pass's results.
+The average keeps ``np.mean``: through the kernel, 44% of seed-42 cells move
+by up to 2.2e-16, and the frozen average F1 rests on ``np.mean``.
 
 All math is pure and deterministic with fixed summation order.
 """
@@ -503,32 +503,30 @@ def logistic_loss_and_grad(
     Uses the softplus identity BCE = softplus(z) - y*z, which needs no
     probability clipping and stays exact for large |z|.
     """
-    return _loss_grad_p(w, b, x, y)[:3]
+    return _newton_terms(w, b, x, y)[:3]
 
 
-def _loss_grad_p(w, b, x, y) -> tuple[float, np.ndarray, float, np.ndarray]:
-    """``logistic_loss_and_grad`` and the probabilities p it computed on the way.
-    Its products run on the row blocks of ``_row_blocks``."""
-    blocks = _row_blocks(x)
-    z = np.empty(len(x))
-    for rows in blocks:
-        np.matmul(x[rows], w, out=z[rows])
-    z += b
-    t = np.exp(-np.abs(z))
-    p = np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
-    loss = float(np.mean(np.maximum(z, 0.0) - y * z + np.log1p(t)))
-    err = p - y
-    grad_w = sum((x[rows].T @ err[rows] for rows in blocks), np.zeros(x.shape[1])) / len(y)
-    grad_b = float(np.mean(err))
-    return loss, grad_w, grad_b, p
-
-
-def _hessian(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """``(x.T * (p * (1 - p))) @ x``, summed over the row blocks of ``_row_blocks``."""
-    return sum(
-        ((x[rows].T * (p[rows] * (1.0 - p[rows]))) @ x[rows] for rows in _row_blocks(x)),
-        np.zeros((x.shape[1], x.shape[1])),
-    )
+def _newton_terms(w, b, x, y) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """``logistic_loss_and_grad`` and its Hessian over w, ``(x.T * (p * (1 - p))) @ x / n``,
+    in one pass over the blocks of ``_row_blocks``, whose products add in block order.
+    The loss terms fill one full-length array, for ``np.mean`` to sum in its own order."""
+    n, k = x.shape
+    terms = np.empty(n)
+    grad_w, err_sum, hessian = np.zeros(k), 0.0, np.zeros((k, k))
+    for rows in _row_blocks(x):
+        block, target = x[rows], y[rows]
+        z = block @ w + b
+        t = np.exp(-np.abs(z))
+        terms[rows] = np.maximum(z, 0.0) - target * z + np.log1p(t)
+        p = _sigmoid(z, t)
+        del z, t
+        err = p - target
+        grad_w += block.T @ err
+        err_sum += float(err.sum())
+        del err
+        p *= 1.0 - p
+        hessian += (block.T * p) @ block
+    return float(np.mean(terms)), grad_w / n, err_sum / n, hessian / n
 
 
 def _row_blocks(x: np.ndarray) -> list[slice]:
@@ -541,9 +539,11 @@ def _row_blocks(x: np.ndarray) -> list[slice]:
     return [slice(i, i + size) for i in range(0, len(x), size)]
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    t = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + t), t / (1.0 + t))
+def _sigmoid(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` with no overflow; ``t`` is ``exp(-|z|)`` where the caller has it."""
+    if t is None:
+        t = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, t) / (1.0 + t)
 
 
 @dataclass
@@ -599,9 +599,11 @@ def fit_logistic_fusion(
     Deterministic damped Newton (IRLS) on the weights and bias from zero
     initialization: each step solves the Hessian system, then halves until
     the loss does not rise, so descent is monotone. A class converges when
-    its loss improves by less than ``_LOGISTIC_TOL``. The products with the
-    (frames, M + 1) design matrix (``x @ w``, the gradient's ``x.T @ err``
-    and the Hessian) are summed over the row blocks of ``_row_blocks``.
+    its loss improves by less than ``_LOGISTIC_TOL``. Each trial reads the
+    (frames, M + 1) design matrix once: ``_newton_terms`` gives its loss,
+    gradient and Hessian in one pass over the row blocks of ``_row_blocks``,
+    and the next step solves with the Hessian of the trial it accepted. The
+    grids' columns must match ``vocab``, and ``model_names`` the models.
 
     The classes are dealt in contiguous blocks to every free CPU
     (``core._cpus``), each block at least ``_MIN_FIT_ROWS`` rows times classes
@@ -613,8 +615,13 @@ def fit_logistic_fusion(
     n_models = len(model_grids)
     if model_names is None:
         model_names = tuple(f"model_{m + 1}" for m in range(n_models))
+    elif len(model_names) != n_models:
+        raise ValidationError(f"{len(model_names)} model names for {n_models} models")
     clips = _aligned_clip_sets(model_grids)
-    y_all = _frame_targets([group[0] for group in clips], dev_truth, vocab)
+    firsts = [group[0] for group in clips]
+    for grid in firsts:
+        _check_columns(grid, vocab)
+    y_all = _frame_targets(firsts, dev_truth, vocab)
     # Step damping only: keeps the Hessian solvable where p(1 - p) vanishes.
     ridge = 1e-10 * np.eye(n_models + 1)
 
@@ -625,15 +632,13 @@ def fit_logistic_fusion(
             return np.full(n_models, 1.0 / n_models), 0.0, 0, float("nan"), True, float("nan")
         x = _design_matrix(clips, c)
         theta = np.zeros(n_models + 1)
-        # p is sigmoid(x @ theta) of the call that accepted theta: x @ theta + 0.0 is x @ theta.
-        loss, grad, _, p = _loss_grad_p(theta, 0.0, x, y)
+        loss, grad, _, hessian = _newton_terms(theta, 0.0, x, y)
         for it in range(1, _LOGISTIC_MAX_ITER + 1):
-            step = np.linalg.solve(_hessian(x, p) / len(y) + ridge, grad)
-            del p  # the line search sets p again; its trials can reuse this memory
-            # Halve the Newton step until the loss does not rise; a step
-            # that underflows to zero passes, so the loop ends.
+            step = np.linalg.solve(hessian + ridge, grad)
+            # Halve the Newton step until the loss does not rise (a step that underflows
+            # to zero passes, so the loop ends); the accepted trial sets the next Hessian.
             while True:
-                new_loss, new_grad, _, p = _loss_grad_p(theta - step, 0.0, x, y)
+                new_loss, new_grad, _, hessian = _newton_terms(theta - step, 0.0, x, y)
                 if new_loss <= loss:
                     break
                 step *= 0.5

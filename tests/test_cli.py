@@ -8,6 +8,7 @@ import gc
 import io
 import json
 import os
+import sys
 import tempfile
 import threading
 import types
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sedfuse import cli, decode, fusion, metrics, synth
+from sedfuse import cli, core, decode, fusion, metrics, synth
 from sedfuse.cli import main
 from sedfuse.core import parse_events, parse_framegrids
 from sedfuse.core import ClassVocabulary, ValidationError
@@ -956,6 +957,60 @@ class TestBackgroundDumpWriter:
             os.close(write_end)
         assert not timed_out, "the dumps were not written beside the scoring"
         assert rc == 0 and _outputs(out) == reference
+
+
+# The functions that fork, one for each forked path: the experiment's dump
+# writer, the grid writer's shards, the parser's byte ranges, the sweeps'
+# parameter blocks and the logistic fit's class blocks.
+FORKING = ("_write_dataset", "write_framegrids", "_parse_ranges", "_dev_curve",
+           "fit_logistic_fusion")
+
+
+class TestAnyCPUCount:
+    """A seed-42 experiment, then a logistic fuse over its dumps, write the same
+    bytes on 1 CPU as on 4, where every forked path deals more than one part."""
+
+    @pytest.fixture
+    def forked(self, monkeypatch):
+        """The functions of ``FORKING`` that have forked in this process."""
+        forked, real = set(), os.fork
+
+        def fork():
+            frame = sys._getframe(1)
+            while frame.f_code.co_name not in FORKING:
+                frame = frame.f_back
+            forked.add(frame.f_code.co_name)
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forked
+
+    @staticmethod
+    def run_on(monkeypatch, tmp_path, cpus):
+        """Both runs on ``cpus`` CPUs with no fork floor: every output but the
+        run manifests."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(core, "_MIN_RANGE_BYTES", 1)
+        monkeypatch.setattr(fusion, "_MIN_SWEEP_CELLS", 1)
+        monkeypatch.setattr(fusion, "_MIN_FIT_ROWS", 1)
+        out = tmp_path / f"{cpus}_cpus"
+        cfg = tmp_path / "scenario.json"
+        cfg.write_text(json.dumps({"seed": 42, "n_clips": 12}))
+        assert run("experiment", "--config", cfg, "--out", out / "experiment") == 0
+        data = out / "experiment" / "data"
+        grids = [arg for name in DUMPS for arg in ("--grids", data / name)]
+        assert run("fuse", "--mode", "logistic", *grids, "--truth", data / "events.tsv",
+                   "--out", out / "logistic") == 0
+        return _outputs(out)
+
+    def test_same_bytes_on_one_cpu_and_on_four(self, monkeypatch, tmp_path, forked):
+        one = self.run_on(monkeypatch, tmp_path, 1)
+        assert forked == {"_write_dataset"}
+        forked.clear()
+        four = self.run_on(monkeypatch, tmp_path, 4)
+        assert forked == set(FORKING)
+        assert four.keys() == one.keys()
+        assert [name for name in one if four[name] != one[name]] == []
 
 
 class TestModelNameNotAFileName:

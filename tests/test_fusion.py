@@ -435,6 +435,20 @@ class TestLogisticFusion:
         for a, b in zip(got, expected):
             assert np.array_equal(a, b, equal_nan=True)
 
+    @pytest.mark.parametrize("classes", [("a",), ("a", "b", "c")])
+    def test_fit_checks_the_grids_columns(self, rng, classes):
+        # With fewer classes the fit took the first columns; with more, it gave
+        # a model that apply_logistic_fusion refuses.
+        truth, oracle, noise = _oracle_pair_setup(rng)
+        with pytest.raises(ValidationError, match="c0: grid has 2 columns, vocabulary has"):
+            fit_logistic_fusion([oracle, noise], truth, ClassVocabulary(classes))
+
+    @pytest.mark.parametrize("names", [("only_one",), ("m1", "m2", "m3")])
+    def test_fit_takes_one_name_per_model(self, rng, names):
+        truth, oracle, noise = _oracle_pair_setup(rng)
+        with pytest.raises(ValidationError, match=f"{len(names)} model names for 2 models"):
+            fit_logistic_fusion([oracle, noise], truth, VOCAB2, model_names=names)
+
     def test_metadata_reports_convergence(self, rng):
         truth, oracle, noise = _oracle_pair_setup(rng)
         meta = fit_logistic_fusion([oracle, noise], truth, VOCAB2).metadata()
@@ -834,9 +848,9 @@ class TestForkedFits:
         assert forks.count == 0
 
 
-# One Newton step's products on 2^20 rows of 4 columns, run under a given
-# OPENBLAS_NUM_THREADS: over the whole matrix, OpenBLAS splits them across its
-# threads and sums in another order.
+# One Newton step's terms on 2^20 rows of 4 columns, run under a given
+# OPENBLAS_NUM_THREADS: over the whole matrix, OpenBLAS splits the products
+# across its threads and sums in another order.
 _BLAS_SCRIPT = """
 import hashlib, sys
 sys.path.insert(0, {src!r})
@@ -845,10 +859,10 @@ from sedfuse import fusion
 rng = np.random.default_rng(5)
 x = np.column_stack([rng.random((1 << 20, 3)), np.ones(1 << 20)])
 y = (rng.random(1 << 20) < x[:, 0]).astype(np.float64)
-loss, grad, _, p = fusion._loss_grad_p(np.array([1.0, -2.0, 0.5, 0.1]), 0.0, x, y)
-step = np.linalg.solve(fusion._hessian(x, p) / len(y), grad)
-print(hashlib.sha256(np.array(loss).tobytes() + grad.tobytes() + p.tobytes() + step.tobytes())
-      .hexdigest())
+loss, grad, _, hessian = fusion._newton_terms(np.array([1.0, -2.0, 0.5, 0.1]), 0.0, x, y)
+step = np.linalg.solve(hessian, grad)
+print(hashlib.sha256(np.array(loss).tobytes() + grad.tobytes() + hessian.tobytes()
+                     + step.tobytes()).hexdigest())
 """
 
 
