@@ -846,17 +846,24 @@ def parse_framegrids(
         return _parse_grid_range(path, fd, 0, None, vocab)
 
 
-# The children of ``_forking`` this process has not reaped: the CPUs they hold
-# are not free for more forks (the experiment's dump writer holds one while the
-# fits run). A child starts with none.
+# The children of ``_forking`` this process has not reaped: while they run, the
+# CPUs they hold are not free for more forks (the experiment's dump writer holds
+# one while the fits run). A child starts with none.
 _unreaped: set[int] = set()
 
 
 def _cpus() -> int:
     """The CPUs of the process's affinity mask (1 where that does not exist),
-    less one per child of ``_forking`` not yet reaped, and at least 1."""
+    less one per child of ``_forking`` not yet reaped that is still running,
+    and at least 1. ``waitid`` with ``WNOWAIT`` sees that a child has exited
+    and leaves it to ``done()`` to reap; where there is no ``waitid``, every
+    child not yet reaped counts as running."""
     affinity = getattr(os, "sched_getaffinity", None)
-    return max(1, (len(affinity(0)) if affinity else 1) - len(_unreaped))
+    waitid = getattr(os, "waitid", None)
+    running = len(_unreaped) if waitid is None else sum(
+        waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None for pid in _unreaped
+    )
+    return max(1, (len(affinity(0)) if affinity else 1) - running)
 
 
 def _blocks(n: int, most: int) -> list[range]:
@@ -886,11 +893,14 @@ def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], 
     Two callers fork: ``_map_forked``, whose children run the later parts of
     a job (the shards of ``write_framegrids``, the byte ranges of
     ``_parse_ranges``, the parameter blocks of ``fusion._dev_curve`` and the
-    class blocks of ``fusion.fit_logistic_fusion``); and the CLI's
-    ``_write_dataset``, whose one child writes the dataset's dumps while the
-    experiment scores. That caller waits for its child before it leaves,
-    also when it raises, so its child is never killed: a killed writer would
-    leave its dump unwritten and its temp file behind.
+    class blocks of ``fusion.fit_logistic_fusion`` and
+    ``metrics.psds_many``); and the CLI's ``_write_dataset``, whose one child
+    writes the dataset's dumps while the experiment scores. That caller waits
+    for its child before it leaves, also when it raises, so its child is
+    never killed: a killed writer would leave its dump unwritten and its
+    temp file behind. A child holds a CPU of ``_cpus`` from its fork until it
+    exits, so the experiment scores in one process while its writer runs and
+    on every CPU once the writer has exited, before it is reaped.
 
     The process that forks may have threads: importing numpy starts
     OpenBLAS's pool, idle while this process forks. A child runs ``json``,
@@ -963,10 +973,11 @@ def _map_forked(
     Each caller deals its parts with ``_blocks``, as many as its work pays
     for: a fork, its transfer and its reap cost about 2 to 3 ms.
     ``parse_framegrids`` cuts a dump into ranges of at least
-    ``_MIN_RANGE_BYTES``; ``fusion._dev_curve`` (``fit_alpha`` and
-    ``sweep_beta``) and ``fusion.fit_logistic_fusion`` deal their parameters
-    and classes above the floors ``fusion._MIN_SWEEP_CELLS`` and
-    ``fusion._MIN_FIT_ROWS``.
+    ``_MIN_RANGE_BYTES``; through ``_in_blocks``, ``fusion._dev_curve``
+    (``fit_alpha`` and ``sweep_beta``), ``fusion.fit_logistic_fusion`` and
+    ``metrics.psds_many`` deal their parameters and classes above the floors
+    ``fusion._MIN_SWEEP_CELLS``, ``fusion._MIN_FIT_ROWS`` and
+    ``metrics._MIN_PSDS_CELLS``.
     """
 
     def run(part: _Part, file: IO[bytes]) -> None:
@@ -988,6 +999,17 @@ def _map_forked(
         except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
             raise _NoChild from None
         yield items()
+
+
+def _in_blocks(work: Callable[[range], Iterable[_Item]], n: int, most: int) -> list[_Item]:
+    """``work(range(n))``, one result per item, with the items dealt in at
+    most ``most`` blocks (``_blocks``) to ``_map_forked``. If no child can be
+    made or one fails, ``work(range(n))`` runs here."""
+    try:
+        with _map_forked(work, _blocks(n, most)) as results:
+            return list(results)
+    except _NoChild:
+        return list(work(range(n)))
 
 
 def write_framegrids(

@@ -134,11 +134,6 @@ def _frame_groups(grids: Sequence[FrameGrid]) -> list[np.ndarray]:
     return blocks
 
 
-def _stack_by_frames(grids: Sequence[FrameGrid]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Blocks of ``_frame_groups``: (clip indices, fresh (N, T, C) stack) pairs, one at a time."""
-    return ((idx, np.stack([grids[k].values for k in idx])) for idx in _frame_groups(grids))
-
-
 @functools.lru_cache(maxsize=None)
 def _median_network(window: int) -> tuple[tuple[int, int, bool, bool], ...]:
     """Batcher's odd-even merge sort on ``window`` lanes, cut to what the middle lane needs.
@@ -330,7 +325,8 @@ def decode_many(
     windows = cfg.window_vector(vocab)
     thresholds = cfg.threshold_vector(vocab)
     parts = []
-    for idx, stack in _stack_by_frames(grids):
+    for idx in _frame_groups(grids):
+        stack = np.stack([grids[k].values for k in idx])
         clip, cls, start, end = _active_runs(_smoothed_levels(stack, thresholds[None], windows))
         parts.append((idx[clip], cls, start, end))
     if not parts:

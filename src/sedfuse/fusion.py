@@ -25,7 +25,7 @@ built. The logistic fit holds one class's design matrix at a time, built
 from the per-clip grids, with boolean targets; each Newton trial gets its
 loss, gradient and Hessian from one pass over fixed row blocks. The sweeps
 deal their parameters and the logistic fit its classes to forked children
-(``_in_blocks``, on ``core._map_forked``), with the serial pass's results.
+(``core._in_blocks``, on ``core._map_forked``), with the serial pass's results.
 The average keeps ``np.mean``: through the kernel, 44% of seed-42 cells move
 by up to 2.2e-16, and the frozen average F1 rests on ``np.mean``.
 
@@ -50,10 +50,8 @@ from .core import (
     EventList,
     FrameGrid,
     ValidationError,
-    _blocks,
     _check_columns,
-    _map_forked,
-    _NoChild,
+    _in_blocks,
     atomic_write_text,
     checked,
     fmt_float,
@@ -232,7 +230,7 @@ def _dev_curve(
     The callers are ``fit_alpha`` and ``sweep_beta``. The parameters are
     dealt in contiguous blocks to every free CPU (``core._cpus``), each block
     at least ``_MIN_SWEEP_CELLS`` cells of the M stacked models times
-    parameters (``_in_blocks``), and each block is swept on its own; the
+    parameters (``core._in_blocks``), and each block is swept on its own; the
     curves join in parameter order.
     """
     if not clips:
@@ -291,17 +289,6 @@ def _dev_curve(
 # times classes) are not dealt.
 _MIN_SWEEP_CELLS = 1 << 24
 _MIN_FIT_ROWS = 1 << 17
-
-
-def _in_blocks(work: Callable[[range], list], n: int, most: int) -> list:
-    """``work(range(n))``, one result per item, with the items dealt in at
-    most ``most`` blocks (``core._blocks``) to ``core._map_forked``. If no
-    child can be made or one fails, ``work(range(n))`` runs here."""
-    try:
-        with _map_forked(work, _blocks(n, most)) as results:
-            return list(results)
-    except _NoChild:
-        return work(range(n))
 
 
 def fit_alpha(
@@ -607,7 +594,7 @@ def fit_logistic_fusion(
 
     The classes are dealt in contiguous blocks to every free CPU
     (``core._cpus``), each block at least ``_MIN_FIT_ROWS`` rows times classes
-    (``_in_blocks``). Each process fits its classes one at a time, so it
+    (``core._in_blocks``). Each process fits its classes one at a time, so it
     holds one class's design matrix at once.
     """
     if not dev_truth.events:
@@ -618,6 +605,8 @@ def fit_logistic_fusion(
     elif len(model_names) != n_models:
         raise ValidationError(f"{len(model_names)} model names for {n_models} models")
     clips = _aligned_clip_sets(model_grids)
+    if not clips:
+        raise ValidationError("development set is empty")
     firsts = [group[0] for group in clips]
     for grid in firsts:
         _check_columns(grid, vocab)

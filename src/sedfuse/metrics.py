@@ -31,12 +31,20 @@ touch a merged reference piece of the other class (offset >= start, onset <
 end; at offset == start the prefix entry is rounded). Any other run has both
 ends in one gap, where ``covered_before`` gives one prefix entry for both: its
 ratio is exactly 0, below any ``cttc > 0``.
+
+Each class writes only its own counts, and everything the sweep reads of the
+reference is built before it. So ``psds_many`` deals its classes in contiguous
+blocks to every free CPU (``core._in_blocks``), each block at least
+``_MIN_PSDS_CELLS`` cells times operating points, and each process stacks and
+smooths only its own classes' columns. The counts are integers, so the reports
+are the serial pass's; if no child can be had or one fails, the whole sweep
+runs again in this process, and an error is the serial pass's.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -47,6 +55,7 @@ from .core import (
     ANY,
     NUMBER,
     ValidationError,
+    _in_blocks,
     checked,
     fmt_float,
     list_of,
@@ -57,7 +66,6 @@ from .decode import (
     PostProcessConfig,
     _level_runs,
     _smoothed_levels,
-    _stack_by_frames,
 )
 
 
@@ -444,6 +452,15 @@ def _touching(on_key, off_key, m, up_t, down_t, cov: _Coverage, n_rows: int) -> 
     return np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
 
 
+# A sweep is dealt to no more parts than it holds of these cells times operating
+# points. A fork, its transfer and its reap took about 3 ms in a process holding
+# a 600-clip dump on a 2-vCPU host, where a class of that dump (3.1e5 cells
+# times 50 points) took 47 to 54 ms, about 3.3 ns per cell per point. So each
+# part holds about 55 ms of work or more, and the 8-clip sets (2.0e6 cells
+# times operating points) are not dealt.
+_MIN_PSDS_CELLS = 1 << 24
+
+
 def psds_many(
     grids: Sequence[FrameGrid],
     ref: EventList,
@@ -454,12 +471,15 @@ def psds_many(
     """Score several PSDS parameterizations sharing one detection sweep.
 
     All configs must use the same operating points (they share the decoded
-    detections; only the counting criteria differ).
+    detections; only the counting criteria differ). The classes are counted
+    on every free CPU (module docstring).
     """
     if not ref.events:
         raise ValidationError("reference event list is empty")
     if not grids:
         raise ValidationError("no posterior grids given")
+    if not psds_cfgs:
+        raise ValidationError("no PSDS configs given")
     if len({cfg.operating_points for cfg in psds_cfgs}) > 1:
         raise ValidationError("all PSDS configs must share operating points")
     ref.validate_vocab(vocab)
@@ -488,9 +508,6 @@ def psds_many(
 
     ops = psds_cfgs[0].operating_points
     n_cfg, n_op = len(psds_cfgs), len(ops)
-    tp = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
-    fp = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
-    ct = np.zeros((n_cfg, n_op, n_classes, n_classes), dtype=np.int64)
 
     # Decode once, then sweep level crossings (module docstring). Clip j's levels
     # sit at levels[first[j]:first[j] + frames[j]], then a 0 that ends its runs.
@@ -498,59 +515,74 @@ def psds_many(
     frames = np.array([g.n_frames for g in grids])
     first = np.cumsum(frames + 1) - (frames + 1)
     op_column = np.asarray(ops)[:, None]  # one pass per operating point covers every class
-    stacks = [
-        (first[idx][:, None] + np.arange(stack.shape[1]),
-         _smoothed_levels(stack, op_column, windows))
-        for idx, stack in _stack_by_frames(grids)
-    ]
+    groups = [(idx, first[idx][:, None] + np.arange(grids[idx[0]].n_frames))
+              for idx in decode._frame_groups(grids)]
     hops = np.array([g.hop_seconds for g in grids])
-    levels = np.zeros(int(np.sum(frames + 1)), dtype=np.min_scalar_type(n_op))
     cross = evaluated if any(cfg.alpha_ct > 0 for cfg in psds_cfgs) else evaluated[:0]
 
     def clip_of(at):  # the clip of each position of ``levels``
         return np.searchsorted(first, at, side="right") - 1
-    for c in range(n_classes):
-        for pos, smoothed in stacks:
-            levels[pos] = smoothed[:, :, c]
-        up, down, blocks = _level_runs(levels, n_op)
-        up_t, down_t = (
-            (at - first[k]) * hops[k] + bases[k]
-            for at, k in ((up, clip_of(up)), (down, clip_of(down)))
-        )
-        up_cov, down_cov = gt_cov[c].covered_before(up_t), gt_cov[c].covered_before(down_t)
-        m = max(len(up), len(down))  # keys k * m + step order a block's runs
-        for k0, k1, op, start, end in blocks:
-            n_block = k1 - k0
-            on, off = up_t[start], down_t[end]
-            lengths = off - on
-            _check_lengths(lengths, lambda i: grids[clip_of(up[start[i]])].clip_id)
-            ratio_same = (down_cov[end] - up_cov[start]) / lengths
-            passing = [ratio_same >= cfg.dtc for cfg in psds_cfgs]
-            on_key, off_key = (op.astype(np.int64) * m + at for at in (start, end))
-            for gi, cfg in enumerate(psds_cfgs):
-                fp[gi, k0:k1, c] = np.bincount(op[~passing[gi]], minlength=n_block)
-                kept = np.flatnonzero(passing[gi])
-                if n_ref[c] > 0:  # row groups whose (rows, 2 * refs) searches fit the budget
-                    rows = max(1, decode._BLOCK_CELLS // (2 * int(n_ref[c])))
-                    keys = on_key[kept]
-                    cut = np.searchsorted(keys, np.arange(0, n_block + rows, rows) * m)
-                    for r0, i, j in zip(range(0, n_block, rows), cut[:-1], cut[1:]):
-                        if j > i:
-                            r1, d = min(r0 + rows, n_block), kept[i:j]
-                            share = _row_coverage(keys[i:j], on[d], off[d], m, r0, r1,
-                                                  up_t, gt_on_arr[c], gt_off_arr[c])
-                            tp[gi, k0 + r0 : k0 + r1, c] = np.sum(share >= cfg.gtc, axis=1)
-            # Only detections that touch c2's coverage can cross-trigger (module docstring).
-            for c2 in cross[cross != c]:
-                cov = gt_cov[c2]
-                d = _touching(on_key, off_key, m, up_t, down_t, cov, n_block)
-                ratio_cross = (cov.covered_before(off[d]) - cov.covered_before(on[d])) / lengths[d]
-                for gi, cfg in enumerate(psds_cfgs):
-                    if cfg.alpha_ct > 0:
-                        hit = d[~passing[gi][d] & (ratio_cross >= cfg.cttc)]
-                        ct[gi, k0:k1, c, c2] = np.bincount(op[hit], minlength=n_block)
-        del up, down, up_t, down_t, up_cov, down_cov  # before the next class's steps
 
+    def count(part: range) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """(tp[:, :, c], fp[:, :, c], ct[:, :, c, :]) for each class c of ``part``,
+        from its own columns of the grids, stacked and smoothed here."""
+        cols = slice(part.start, part.stop)
+        stacks = [
+            (pos, _smoothed_levels(np.stack([grids[k].values[:, cols] for k in idx]),
+                                   op_column, windows[cols]))
+            for idx, pos in groups
+        ]
+        levels = np.zeros(int(np.sum(frames + 1)), dtype=np.min_scalar_type(n_op))
+        for c in part:
+            tp = np.zeros((n_cfg, n_op), dtype=np.int64)
+            fp = np.zeros((n_cfg, n_op), dtype=np.int64)
+            ct = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
+            for pos, smoothed in stacks:
+                levels[pos] = smoothed[:, :, c - part.start]
+            up, down, blocks = _level_runs(levels, n_op)
+            up_t, down_t = (
+                (at - first[k]) * hops[k] + bases[k]
+                for at, k in ((up, clip_of(up)), (down, clip_of(down)))
+            )
+            up_cov, down_cov = gt_cov[c].covered_before(up_t), gt_cov[c].covered_before(down_t)
+            m = max(len(up), len(down))  # keys k * m + step order a block's runs
+            for k0, k1, op, start, end in blocks:
+                n_block = k1 - k0
+                on, off = up_t[start], down_t[end]
+                lengths = off - on
+                _check_lengths(lengths, lambda i: grids[clip_of(up[start[i]])].clip_id)
+                ratio_same = (down_cov[end] - up_cov[start]) / lengths
+                passing = [ratio_same >= cfg.dtc for cfg in psds_cfgs]
+                on_key, off_key = (op.astype(np.int64) * m + at for at in (start, end))
+                for gi, cfg in enumerate(psds_cfgs):
+                    fp[gi, k0:k1] = np.bincount(op[~passing[gi]], minlength=n_block)
+                    kept = np.flatnonzero(passing[gi])
+                    if n_ref[c] > 0:  # row groups whose (rows, 2 * refs) searches fit the budget
+                        rows = max(1, decode._BLOCK_CELLS // (2 * int(n_ref[c])))
+                        keys = on_key[kept]
+                        cut = np.searchsorted(keys, np.arange(0, n_block + rows, rows) * m)
+                        for r0, i, j in zip(range(0, n_block, rows), cut[:-1], cut[1:]):
+                            if j > i:
+                                r1, d = min(r0 + rows, n_block), kept[i:j]
+                                share = _row_coverage(keys[i:j], on[d], off[d], m, r0, r1,
+                                                      up_t, gt_on_arr[c], gt_off_arr[c])
+                                tp[gi, k0 + r0 : k0 + r1] = np.sum(share >= cfg.gtc, axis=1)
+                # Only detections that touch c2's coverage can cross-trigger (module docstring).
+                for c2 in cross[cross != c]:
+                    cov = gt_cov[c2]
+                    d = _touching(on_key, off_key, m, up_t, down_t, cov, n_block)
+                    covered = cov.covered_before(off[d]) - cov.covered_before(on[d])
+                    ratio_cross = covered / lengths[d]
+                    for gi, cfg in enumerate(psds_cfgs):
+                        if cfg.alpha_ct > 0:
+                            hit = d[~passing[gi][d] & (ratio_cross >= cfg.cttc)]
+                            ct[gi, k0:k1, c2] = np.bincount(op[hit], minlength=n_block)
+            del up, down, up_t, down_t, up_cov, down_cov  # before the next class's steps
+            yield tp, fp, ct
+
+    cells = sum(g.values.size for g in grids)
+    counts = _in_blocks(count, n_classes, cells * n_op // _MIN_PSDS_CELLS)
+    tp, fp, ct = (np.stack(arrays, axis=2) for arrays in zip(*counts))
     return [
         _roc_report(cfg, ops, vocab, evaluated, n_ref, gt_dur, total_dur, tp[gi], fp[gi], ct[gi])
         for gi, cfg in enumerate(psds_cfgs)

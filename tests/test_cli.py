@@ -961,9 +961,9 @@ class TestBackgroundDumpWriter:
 
 # The functions that fork, one for each forked path: the experiment's dump
 # writer, the grid writer's shards, the parser's byte ranges, the sweeps'
-# parameter blocks and the logistic fit's class blocks.
+# parameter blocks, and the class blocks of the logistic fit and of PSDS.
 FORKING = ("_write_dataset", "write_framegrids", "_parse_ranges", "_dev_curve",
-           "fit_logistic_fusion")
+           "fit_logistic_fusion", "psds_many")
 
 
 class TestAnyCPUCount:
@@ -993,6 +993,7 @@ class TestAnyCPUCount:
         monkeypatch.setattr(core, "_MIN_RANGE_BYTES", 1)
         monkeypatch.setattr(fusion, "_MIN_SWEEP_CELLS", 1)
         monkeypatch.setattr(fusion, "_MIN_FIT_ROWS", 1)
+        monkeypatch.setattr(metrics, "_MIN_PSDS_CELLS", 1)
         out = tmp_path / f"{cpus}_cpus"
         cfg = tmp_path / "scenario.json"
         cfg.write_text(json.dumps({"seed": 42, "n_clips": 12}))

@@ -390,18 +390,38 @@ class TestGridsJSONL:
         assert later > 1_900_000 and peak < later
 
     def test_unreaped_children_hold_a_cpu(self, monkeypatch):
-        # While a child of _forking is not reaped (the experiment's dump
-        # writer), this process counts one CPU less; the child counts all.
+        # While a child of _forking runs (the experiment's dump writer), this
+        # process counts one CPU less; the child counts all. Each child waits on
+        # its own pipe, so it runs until this process has counted.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert sedfuse.core._cpus() == 3
+        first, second = os.pipe(), os.pipe()
+        try:
+            assert sedfuse.core._cpus() == 3
+            with sedfuse.core._forking() as fork:
+                done = fork(lambda file: file.write(bytes([sedfuse.core._cpus()]))
+                            and os.read(first[0], 1))
+                assert sedfuse.core._cpus() == 2
+                fork(lambda file: os.read(second[0], 1))  # killed on leaving
+                assert sedfuse.core._cpus() == 1
+                os.write(first[1], b"x")
+                assert done().read() == bytes([3])
+                assert sedfuse.core._cpus() == 2
+            assert sedfuse.core._cpus() == 3
+        finally:
+            for fd in (*first, *second):
+                os.close(fd)
+
+    def test_exited_child_frees_its_cpu(self, monkeypatch):
+        # A child that has exited holds no CPU, though it is not reaped until
+        # done(), which still gives its file.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         with sedfuse.core._forking() as fork:
-            done = fork(lambda file: file.write(bytes([sedfuse.core._cpus()])))
-            assert sedfuse.core._cpus() == 2
-            fork(lambda file: None)
-            assert sedfuse.core._cpus() == 1
-            assert done().read() == bytes([3])
-            assert sedfuse.core._cpus() == 2
-        assert sedfuse.core._cpus() == 3
+            done = fork(lambda file: file.write(b"written"))
+            [pid] = sedfuse.core._unreaped
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+            assert sedfuse.core._cpus() == 3
+            assert done().read() == b"written"
+            assert sedfuse.core._unreaped == set()
 
     def test_failed_write_leaves_no_file(self, tmp_path, vocab4, rng, monkeypatch):
         # The column check runs before any shard is forked.

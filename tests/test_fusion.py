@@ -331,6 +331,11 @@ class TestFitAlpha:
 
 
 class TestLogisticFusion:
+    def test_models_without_clips(self):
+        truth = EventList([Event("c0", 0.0, 1.0, VOCAB2.classes[0])])
+        with pytest.raises(ValidationError, match="^development set is empty$"):
+            fit_logistic_fusion([[], []], truth, VOCAB2)
+
     def test_gradient_matches_finite_differences(self, rng):
         for _ in range(100):
             n = int(rng.integers(5, 40))

@@ -1,7 +1,9 @@
 """Collar F1 (with an exhaustive matching oracle) and PSDS (with a brute-force oracle)."""
 
 import dataclasses
+import errno
 import json
+import os
 import re
 from unittest import mock
 
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sedfuse import decode, metrics
+from sedfuse import core, decode, metrics
 from sedfuse.core import ClassVocabulary, Event, EventList, FrameGrid, ValidationError
 from sedfuse.decode import PostProcessConfig, decode_many
 from sedfuse.metrics import (
@@ -418,6 +420,12 @@ class TestPSDS:
         with pytest.raises(ValidationError):
             psds(grids, EventList([]), PostProcessConfig(), PSDS1, V1)
 
+    def test_no_configs_rejected(self, rng):
+        grids = [FrameGrid("c", 0.1, rng.random((16, 1)))]
+        ref = EventList([Event("c", 0.0, 0.5, "A")])
+        with pytest.raises(ValidationError, match="no PSDS configs given"):
+            psds_many(grids, ref, PostProcessConfig(), [], V1)
+
     def test_config_validation(self):
         with pytest.raises(ValidationError):
             PSDSConfig(dtc=0.0)
@@ -577,6 +585,132 @@ class TestPSDSOracle:
         # holds one point, and each stack one clip.
         with mock.patch.object(decode, "_BLOCK_CELLS", 1):
             _check_psds_oracle(setup, ops)
+
+
+def _psds_or_error(setup, cfgs):
+    """``psds_many``'s reports as dicts, or the type and message of its error."""
+    grids, ref, pp, vocab = setup
+    try:
+        return [r.to_dict() for r in psds_many(grids, ref, pp, cfgs, vocab)]
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def _forked_only(work, n, most):
+    """``core._in_blocks`` without its serial rerun: a child that fails raises."""
+    with core._map_forked(work, core._blocks(n, most)) as results:
+        return list(results)
+
+
+def _five_classes():
+    """Three clips of five classes, with references of every class at other times."""
+    vocab = ClassVocabulary(tuple("abcde"))
+    rng = np.random.default_rng(3)
+    grids = [FrameGrid(f"c{i}", 0.25, rng.random((12, 5))) for i in range(3)]
+    ref = EventList([
+        Event(f"c{i}", 0.25 * ((i + 2 * j) % 5), 0.25 * ((i + 2 * j) % 5 + 2 + j), label)
+        for i in range(3) for j, label in enumerate("abcde")
+    ])
+    return grids, ref, PostProcessConfig(), vocab
+
+
+class TestForkedPSDS:
+    """``psds_many`` deals its classes to forked children above a floor of cells
+    times operating points: whatever fails, the reports and errors are the
+    serial pass's. That no process or fd is left behind is checked after every
+    test."""
+
+    @pytest.fixture
+    def dealt(self, monkeypatch):
+        """Set the CPU count, with a floor of 1 so that each CPU gets a class;
+        count the forks."""
+        monkeypatch.setattr(metrics, "_MIN_PSDS_CELLS", 1)
+        forks, real = [], os.fork
+
+        def on(cpus):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                raising=False)
+            forks.clear()
+            return forks
+
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        return on
+
+    @settings(max_examples=20, deadline=None)
+    @given(setup=psds_setups(), ops=OPERATING_POINTS, cpus=st.sampled_from((2, 3, 8)))
+    def test_forked_equals_serial_and_brute_force(self, setup, ops, cpus):
+        grids, ref, pp, vocab = setup
+        cfgs = [PSDSConfig.from_dict({**base.to_dict(), "operating_points": ops})
+                for base in (PSDS1, PSDS2)]
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            serial = _psds_or_error(setup, cfgs)
+        forks, real = [], os.fork
+        with mock.patch.object(metrics, "_MIN_PSDS_CELLS", 1), \
+                mock.patch.object(metrics, "_in_blocks", _forked_only), \
+                mock.patch.object(os, "fork", lambda: forks.append(1) or real()), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                                  create=True):
+            forked = _psds_or_error(setup, cfgs)
+        assert forked == serial
+        assert len(forks) == min(cpus, len(vocab)) - 1
+        oracle = brute_force_psds(grids, ref, pp, cfgs, vocab)
+        assert forked == [r.to_dict() for r in oracle]
+
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_forked_equals_serial(self, dealt, monkeypatch, cpus):
+        dealt(1)
+        serial = _psds_or_error(_five_classes(), [PSDS1, PSDS2])
+        forks = dealt(cpus)
+        monkeypatch.setattr(metrics, "_in_blocks", _forked_only)
+        assert _psds_or_error(_five_classes(), [PSDS1, PSDS2]) == serial
+        assert len(forks) == min(cpus, 5) - 1
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_error_in_a_later_block_is_the_serial_error(self, dealt, cpus):
+        # Clip c0's hop puts c1 so far along the dataset's time line that c1's
+        # detections lose their length there: classes b and c detect in c1, so
+        # their blocks fail in children, and the serial pass raises b's error.
+        vocab = ClassVocabulary(("a", "b", "c"))
+        values = np.zeros((4, 3))
+        values[1:3, 1:] = 1.0
+        setup = ([FrameGrid("c0", 1e300, np.zeros((4, 3))), FrameGrid("c1", 0.25, values)],
+                 EventList([Event("c0", 0.0, 1.0, "a")]),
+                 PostProcessConfig(default_median_window=1), vocab)
+        dealt(1)
+        serial = _psds_or_error(setup, [PSDS1, PSDS2])
+        assert serial == (ValidationError, "c1: an event has no length once its clip is "
+                          "placed on the dataset's time line; clip durations are too large "
+                          "to score")
+        forks = dealt(cpus)
+        assert _psds_or_error(setup, [PSDS1, PSDS2]) == serial
+        assert len(forks) == cpus - 1
+
+    def test_no_second_child_gives_the_serial_reports(self, dealt, monkeypatch):
+        dealt(1)
+        serial = _psds_or_error(_five_classes(), [PSDS1, PSDS2])
+        forks = dealt(3)
+        counted = os.fork  # appends to forks
+
+        def second_fails():
+            if len(forks) == 1:
+                forks.append(1)
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return counted()
+
+        monkeypatch.setattr(os, "fork", second_fails)
+        assert _psds_or_error(_five_classes(), [PSDS1, PSDS2]) == serial
+        assert len(forks) == 2
+
+    def test_eight_clips_are_not_dealt(self, monkeypatch):
+        # The floor keeps a smoke-sized sweep in one process.
+        forks, real = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real())
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        vocab = ClassVocabulary(tuple(f"e{i}" for i in range(10)))
+        grids = [FrameGrid(f"c{i}", 0.02, np.full((500, 10), 0.5)) for i in range(8)]
+        ref = EventList([Event("c0", 0.0, 1.0, "e0")])
+        psds_many(grids, ref, PostProcessConfig(), [PSDS1, PSDS2], vocab)
+        assert forks == []
 
 
 class LoopCoverage:
