@@ -10,8 +10,8 @@ Subcommands share the on-disk formats defined in :mod:`sedfuse.core`:
 * ``experiment`` run the whole grid and emit one consolidated report
 
 Every run writes ``run_manifest.json`` next to its outputs. Exit codes:
-0 success, 2 usage or validation problem, 1 internal error. Outputs are
-written atomically; inputs are never mutated.
+0 success, 2 usage or validation problem or a path that cannot be used, 1
+internal error. Outputs are written atomically; inputs are never mutated.
 """
 
 from __future__ import annotations
@@ -654,7 +654,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename}", file=sys.stderr)
         return EXIT_USAGE
-    except Exception:
+    except Exception as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:  # a path that cannot be used
+            print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return EXIT_USAGE
         traceback.print_exc()
         return EXIT_INTERNAL
 

@@ -15,9 +15,9 @@ share across threads. Floats are serialized with ``repr`` so every
 write/parse round trip is value-exact. Grid dumps are encoded and parsed on
 every CPU of the process's affinity mask: ``write_framegrids`` deals the
 grids in shards and ``parse_framegrids`` the file in byte ranges
-(``_blocks``), and ``_map_forked`` forks one child per later part. Each
-child streams its items back through an unnamed temp file (``_forking``),
-and the bytes, grids and errors are those of one serial pass. Every input
+(``_blocks``), and ``_dealt`` forks one child per later part. Each child
+streams its items back through an unnamed temp file (``_forking``), and the
+bytes, grids and errors are those of one serial pass. Every input
 is read once, so a pipe or FIFO reads as a regular file.
 Every file is written to a temp file and renamed, with the mode a plain
 ``open`` would give it.
@@ -794,23 +794,6 @@ def _range_starts(fd: int, size: int) -> list[int]:
 _MIN_RANGE_BYTES = 1 << 20
 
 
-def _parse_ranges(
-    path: str | os.PathLike, fd: int, starts: list[int], size: int, vocab: ClassVocabulary
-) -> list[FrameGrid] | None:
-    """The grids of a ``size``-byte file cut at ``starts``: this process parses
-    the first range and a child of ``_map_forked`` each later one. An error in
-    the first range is raised as is. None if a later range failed, a clip id
-    repeats across ranges, or no temp file or child could be made."""
-    ranges = list(zip(starts, starts[1:] + [size]))
-    try:
-        with _map_forked(lambda bounds: _parse_grid_range(path, fd, *bounds, vocab)[0],
-                         ranges) as items:
-            grids = list(items)
-    except _NoChild:
-        return None
-    return grids if len({grid.clip_id for grid in grids}) == len(grids) else None
-
-
 def parse_framegrids(
     path: str | os.PathLike, vocab: ClassVocabulary | None = None
 ) -> tuple[list[FrameGrid], ClassVocabulary]:
@@ -822,15 +805,14 @@ def parse_framegrids(
     (``_cpus``), in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``).
     This process cuts the file into byte ranges at line starts
     (``_range_starts``), reads the first record if it needs the vocabulary,
-    and streams the grids of each later range back from a child of
-    ``_map_forked``, which parses it with the checks of a serial pass. It
-    parses the first range itself, and an error there is raised as is. If a
-    later range fails, a clip id repeats across ranges, or no temp file or
-    child can be made, the whole file is parsed again as one range and that
-    parse's error is raised, so every message is the serial pass's, without
-    lines counted across ranges. A FIFO, a file with one range and a single
-    CPU take the one-range parse from the start. The grids are the serial
-    pass's, in file order.
+    and deals the ranges with ``_dealt``: it parses the first range itself,
+    and an error there is raised as is, and a child parses each later one
+    with the checks of a serial pass. If a later range fails or no temp file
+    or child can be made, ``_dealt`` parses the whole file again as one
+    range, and so does this function if a clip id repeats across ranges. So
+    every message is the serial pass's, without lines counted across ranges.
+    A FIFO, a file with one range and a single CPU take the one-range parse
+    from the start. The grids are the serial pass's, in file order.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
@@ -840,8 +822,10 @@ def parse_framegrids(
             if len(starts) > 1:
                 if vocab is None:
                     vocab = _first_vocab(path, fd, info.st_size)
-                grids = _parse_ranges(path, fd, starts, info.st_size, vocab)
-                if grids is not None:
+                ranges = list(map(range, starts, starts[1:] + [info.st_size]))
+                grids = _dealt(lambda r: _parse_grid_range(path, fd, r.start, r.stop, vocab)[0],
+                               ranges)
+                if len({grid.clip_id for grid in grids}) == len(grids):
                     return grids, vocab
         return _parse_grid_range(path, fd, 0, None, vocab)
 
@@ -867,7 +851,7 @@ def _cpus() -> int:
 
 
 def _blocks(n: int, most: int) -> list[range]:
-    """``range(n)`` dealt in k contiguous blocks for ``_map_forked``: k is the
+    """``range(n)`` dealt in k contiguous blocks for ``_dealt``: k is the
     free CPUs of ``_cpus``, but at most ``most`` and n, and at least 1."""
     k = max(1, min(_cpus(), n, most))
     return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
@@ -890,10 +874,10 @@ def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], 
     have no name, so nothing is left on disk, even if this process is
     killed.
 
-    Two callers fork: ``_map_forked``, whose children run the later parts of
-    a job (the shards of ``write_framegrids``, the byte ranges of
-    ``_parse_ranges``, the parameter blocks of ``fusion._dev_curve`` and the
-    class blocks of ``fusion.fit_logistic_fusion`` and
+    Two callers fork: ``_dealt``, whose children run the later parts of a
+    job (the shards of ``write_framegrids``, the byte ranges of
+    ``parse_framegrids``, the parameter blocks of ``fusion._dev_curve`` and
+    the class blocks of ``fusion.fit_logistic_fusion`` and
     ``metrics.psds_many``); and the CLI's ``_write_dataset``, whose one child
     writes the dataset's dumps while the experiment scores. That caller waits
     for its child before it leaves, also when it raises, so its child is
@@ -949,42 +933,43 @@ def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], 
 
 
 class _NoChild(Exception):
-    """A part of ``_map_forked`` got no temp file or child, or its child failed."""
+    """A part of ``_dealt`` got no temp file or child, or its child failed."""
 
 
-_Part = TypeVar("_Part")
 _Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
 
 
-@contextlib.contextmanager
-def _map_forked(
-    work: Callable[[_Part], Iterable[_Item]], parts: Sequence[_Part]
-) -> Iterator[Iterator[_Item]]:
-    """Give the items of ``work(part)`` for each part in turn: this process
-    runs the first part and a child forked through ``_forking`` each later
-    one, which pickles its items one at a time into its temp file, to be
-    loaded here one at a time, so no part's output is held whole. An error
-    in the first part is raised as is. ``_NoChild`` is raised if a part gets
-    no temp file or child, or its child fails: the caller then runs the
-    whole job in this process, so its results and errors are the serial
-    pass's. One part forks nothing. On leaving, also before the items run
-    out, every child still running is killed.
+def _dealt(
+    work: Callable[[range], Iterable[_Item]],
+    parts: Sequence[range],
+    consume: Callable[[Iterable[_Item]], _Result] = list,
+) -> _Result:
+    """``consume`` of the items of ``work(part)`` for each of the contiguous
+    ``parts`` in turn: this process runs the first part and a child forked
+    through ``_forking`` each later one, which pickles its items one at a
+    time into its temp file, to be loaded here one at a time, so no part's
+    output is held whole. An error in the first part is raised as is. If a
+    part gets no temp file or child, or its child fails, every child still
+    running is killed and ``consume(work(whole))`` runs in this process over
+    the whole span of ``parts``, so the results and errors are the serial
+    pass's. One part forks nothing.
 
     Each caller deals its parts with ``_blocks``, as many as its work pays
     for: a fork, its transfer and its reap cost about 2 to 3 ms.
-    ``parse_framegrids`` cuts a dump into ranges of at least
-    ``_MIN_RANGE_BYTES``; through ``_in_blocks``, ``fusion._dev_curve``
-    (``fit_alpha`` and ``sweep_beta``), ``fusion.fit_logistic_fusion`` and
-    ``metrics.psds_many`` deal their parameters and classes above the floors
-    ``fusion._MIN_SWEEP_CELLS``, ``fusion._MIN_FIT_ROWS`` and
-    ``metrics._MIN_PSDS_CELLS``.
+    ``write_framegrids`` deals its grids and ``parse_framegrids`` the byte
+    ranges of a dump, each at least ``_MIN_RANGE_BYTES``;
+    ``fusion._dev_curve`` (``fit_alpha`` and ``sweep_beta``),
+    ``fusion.fit_logistic_fusion`` and ``metrics.psds_many`` deal their
+    parameters and classes above the floors ``fusion._MIN_SWEEP_CELLS``,
+    ``fusion._MIN_FIT_ROWS`` and ``metrics._MIN_PSDS_CELLS``.
     """
 
-    def run(part: _Part, file: IO[bytes]) -> None:
+    def run(part: range, file: IO[bytes]) -> None:
         for item in work(part):
             pickle.dump(item, file, pickle.HIGHEST_PROTOCOL)
 
-    def items() -> Iterator[_Item]:
+    def items(later: list[Callable[[], IO[bytes] | None]]) -> Iterator[_Item]:
         yield from work(parts[0])
         for done in later:
             file = done()
@@ -993,23 +978,15 @@ def _map_forked(
             while file.peek(1):
                 yield pickle.load(file)
 
-    with _forking() as fork:
-        try:
-            later = [fork(functools.partial(run, part)) for part in parts[1:]]
-        except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
-            raise _NoChild from None
-        yield items()
-
-
-def _in_blocks(work: Callable[[range], Iterable[_Item]], n: int, most: int) -> list[_Item]:
-    """``work(range(n))``, one result per item, with the items dealt in at
-    most ``most`` blocks (``_blocks``) to ``_map_forked``. If no child can be
-    made or one fails, ``work(range(n))`` runs here."""
     try:
-        with _map_forked(work, _blocks(n, most)) as results:
-            return list(results)
+        with _forking() as fork:
+            try:
+                later = [fork(functools.partial(run, part)) for part in parts[1:]]
+            except OSError:  # EMFILE, ENOSPC, EAGAIN, ENOMEM: no more files or processes
+                raise _NoChild from None
+            return consume(items(later))
     except _NoChild:
-        return list(work(range(n)))
+        return consume(work(range(parts[0].start, parts[-1].stop)))
 
 
 def write_framegrids(
@@ -1019,10 +996,10 @@ def write_framegrids(
 
     The grids are dealt in consecutive shards (``_blocks``), one per free
     CPU but at most one per grid, and their lines streamed into the file
-    through ``_map_forked``: this process encodes the first shard and a
-    child each later one. So a dump is never one string, and the bytes are
-    those of one serial pass. If a shard gets no temp file or child, or its
-    child fails, this process writes the whole dump again itself, so an
+    through ``_dealt``: this process encodes the first shard and a child
+    each later one. So a dump is never one string, and the bytes are those
+    of one serial pass. If a shard gets no temp file or child, or its child
+    fails, ``_dealt`` writes the whole dump again in this process, so an
     error is that of the serial pass. No child or shard file outlives the
     call.
     """
@@ -1039,11 +1016,7 @@ def write_framegrids(
             }
             yield json.dumps(record, separators=(",", ":")) + "\n"
 
-    try:
-        with _map_forked(encode, _blocks(len(grids), len(grids))) as lines:
-            atomic_write_text(path, lines)
-    except _NoChild:
-        atomic_write_text(path, encode(range(len(grids))))
+    _dealt(encode, _blocks(len(grids), len(grids)), lambda lines: atomic_write_text(path, lines))
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ ratio is exactly 0, below any ``cttc > 0``.
 
 Each class writes only its own counts, and everything the sweep reads of the
 reference is built before it. So ``psds_many`` deals its classes in contiguous
-blocks to every free CPU (``core._in_blocks``), each block at least
+blocks to every free CPU (``core._dealt``), each block at least
 ``_MIN_PSDS_CELLS`` cells times operating points, and each process stacks and
 smooths only its own classes' columns. The counts are integers, so the reports
 are the serial pass's; if no child can be had or one fails, the whole sweep
@@ -55,7 +55,8 @@ from .core import (
     ANY,
     NUMBER,
     ValidationError,
-    _in_blocks,
+    _blocks,
+    _dealt,
     checked,
     fmt_float,
     list_of,
@@ -581,7 +582,7 @@ def psds_many(
             yield tp, fp, ct
 
     cells = sum(g.values.size for g in grids)
-    counts = _in_blocks(count, n_classes, cells * n_op // _MIN_PSDS_CELLS)
+    counts = _dealt(count, _blocks(n_classes, cells * n_op // _MIN_PSDS_CELLS))
     tp, fp, ct = (np.stack(arrays, axis=2) for arrays in zip(*counts))
     return [
         _roc_report(cfg, ops, vocab, evaluated, n_ref, gt_dur, total_dur, tp[gi], fp[gi], ct[gi])

@@ -962,7 +962,7 @@ class TestBackgroundDumpWriter:
 # The functions that fork, one for each forked path: the experiment's dump
 # writer, the grid writer's shards, the parser's byte ranges, the sweeps'
 # parameter blocks, and the class blocks of the logistic fit and of PSDS.
-FORKING = ("_write_dataset", "write_framegrids", "_parse_ranges", "_dev_curve",
+FORKING = ("_write_dataset", "write_framegrids", "parse_framegrids", "_dev_curve",
            "fit_logistic_fusion", "psds_many")
 
 
@@ -1143,6 +1143,25 @@ class TestInputRepros:
         assert run("fuse", "--mode", "classwise", "--beta", "1", "--grids", grids,
                    "--f1-table", config, "--out", out) == 0
         assert (out / "fused.jsonl").exists()
+
+
+class TestUnusablePaths:
+    """An input that is a directory, and an ``--out`` that is or lies below a
+    regular file, exit 2 naming the path, with no traceback."""
+
+    @pytest.mark.parametrize("case", ["grids-directory", "out-below-file", "out-is-file"])
+    def test_exits_2_naming_the_path(self, tmp_path, capsys, case):
+        grids = tmp_path / "grids.jsonl"
+        grids.write_text(GOOD_GRID + "\n")
+        argv, shown = {
+            "grids-directory": (["decode", "--grids", tmp_path, "--out", tmp_path / "o"],
+                                tmp_path),
+            "out-below-file": (["decode", "--grids", grids, "--out", grids / "o"], grids / "o"),
+            "out-is-file": (["simulate", "--out", grids], grids),
+        }[case]
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {shown}: ") and "Traceback" not in err
 
 
 # Valid tiny bases for the mutation test: a 2-clip scenario, and the decode, PSDS

@@ -1,5 +1,6 @@
-"""One fork protocol: ``os.fork`` is called only in ``core._forking``, and
-``_forking`` only by ``core._map_forked`` and ``cli._write_dataset``."""
+"""One fork protocol: ``os.fork`` is called only in ``core._forking``,
+``_forking`` only by ``core._dealt`` and ``cli._write_dataset``, and only
+``_dealt`` raises or catches ``_NoChild``."""
 
 import ast
 import functools
@@ -36,4 +37,13 @@ def test_forking_has_two_callers():
     assert _owners(lambda node: (
         isinstance(node, ast.Name) and node.id == "_forking"
         or isinstance(node, ast.Attribute) and node.attr == "_forking"
-    )) == {"core._map_forked", "cli._write_dataset"}
+    )) == {"core._dealt", "cli._write_dataset"}
+
+
+def test_only_the_dealer_names_no_child():
+    assert _owners(lambda node: (
+        isinstance(node, ast.Name) and node.id == "_NoChild"
+        or isinstance(node, ast.Attribute) and node.attr == "_NoChild"
+        or isinstance(node, ast.alias) and node.name == "_NoChild"
+        or isinstance(node, ast.ClassDef) and node.name == "_NoChild"
+    )) == {"core._dealt", "core._NoChild"}

@@ -596,10 +596,16 @@ def _psds_or_error(setup, cfgs):
         return type(exc), str(exc)
 
 
-def _forked_only(work, n, most):
-    """``core._in_blocks`` without its serial rerun: a child that fails raises."""
-    with core._map_forked(work, core._blocks(n, most)) as results:
-        return list(results)
+def _forked_only(work, parts):
+    """``core._dealt`` without its serial rerun: a child that fails fails the test."""
+    consumed = []
+
+    def once(items):
+        assert not consumed, "a part failed in its child, and the job ran again serially"
+        consumed.append(True)
+        return list(items)
+
+    return core._dealt(work, parts, once)
 
 
 def _five_classes():
@@ -646,7 +652,7 @@ class TestForkedPSDS:
             serial = _psds_or_error(setup, cfgs)
         forks, real = [], os.fork
         with mock.patch.object(metrics, "_MIN_PSDS_CELLS", 1), \
-                mock.patch.object(metrics, "_in_blocks", _forked_only), \
+                mock.patch.object(metrics, "_dealt", _forked_only), \
                 mock.patch.object(os, "fork", lambda: forks.append(1) or real()), \
                 mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus)),
                                   create=True):
@@ -661,7 +667,7 @@ class TestForkedPSDS:
         dealt(1)
         serial = _psds_or_error(_five_classes(), [PSDS1, PSDS2])
         forks = dealt(cpus)
-        monkeypatch.setattr(metrics, "_in_blocks", _forked_only)
+        monkeypatch.setattr(metrics, "_dealt", _forked_only)
         assert _psds_or_error(_five_classes(), [PSDS1, PSDS2]) == serial
         assert len(forks) == min(cpus, 5) - 1
 
