@@ -36,6 +36,7 @@ from .core import (
     ValidationError,
     VocabularyError,
     _forking,
+    _located,
     atomic_write_text,
     load_json_object,
     parse_events,
@@ -45,6 +46,7 @@ from .core import (
     parse_weak_labels,
     write_events,
     write_framegrids,
+    write_json,
     write_manifest,
     write_tags,
     write_weak_labels,
@@ -134,7 +136,7 @@ class _Run:
             # In decimal MB; ru_maxrss is in KiB on Linux.
             "peak_rss_mb": peak_kib * 1024 / 1e6,
         }
-        atomic_write_text(out_dir / "run_manifest.json", json.dumps(manifest, indent=2) + "\n")
+        write_json(out_dir / "run_manifest.json", manifest)
 
 
 def _out_dir(args) -> Path:
@@ -274,7 +276,8 @@ def cmd_spl(args) -> int:
         if args.strong:
             for ev in parse_events(run.reads(args.strong), vocab):
                 labels.setdefault(ev.clip_id, set()).add(ev.event_label)
-        results = select_mixtures(manifest, tags, labels, args.tau, vocab)
+        results = select_mixtures(manifest, tags, labels, args.tau, vocab,
+                                  f"{args.tags} against {args.manifest}")
     out = _out_dir(args)
     write_selection(results, run.writes(out / "selection.jsonl"))
     summary = selection_report(results)
@@ -325,10 +328,7 @@ def cmd_fuse(args) -> int:
             apply_logistic_fusion(model, group)
             for group in _aligned_clip_sets(model_grids)
         ]
-        atomic_write_text(
-            run.writes(out / "logistic_model.json"),
-            json.dumps(model.metadata(), indent=2) + "\n",
-        )
+        write_json(run.writes(out / "logistic_model.json"), model.metadata())
     elif args.mode == "classwise":
         if not args.f1_table:
             raise ValidationError("classwise mode needs --f1-table")
@@ -431,10 +431,8 @@ def cmd_score(args) -> int:
         keys = [key for key in ("psds1", "psds2") if key in want]
         defaults = {"psds1": PSDS1, "psds2": PSDS2}
         cfgs = [_psds_cfg_from_args(args, defaults[key], run) for key in keys]
-        try:  # psds_many checks this too, but cannot name the file
+        with _located(args.ref):  # psds_many checks this too, but cannot name the file
             _reference_clips(grids, ref)
-        except ValidationError as exc:
-            raise ValidationError(f"{args.ref}: {exc}") from exc
         for key, report in zip(keys, psds_many(grids, ref, decode_cfg, cfgs, vocab)):
             psds_reports[key][name] = report
 
@@ -443,7 +441,7 @@ def cmd_score(args) -> int:
     payload["psds_detail"] = {
         key: {k: v.to_dict() for k, v in reports.items()} for key, reports in psds_reports.items()
     }
-    atomic_write_text(run.writes(out / "report.json"), json.dumps(payload, indent=2) + "\n")
+    write_json(run.writes(out / "report.json"), payload)
     atomic_write_text(run.writes(out / "report.txt"), tables.to_text())
     print(tables.to_text(), end="")
     run.finish(out)
@@ -539,10 +537,8 @@ def cmd_experiment(args) -> int:
         report = tables.to_dict()
         report["selection"] = {
             **summary.to_dict(),
-            "tag_accuracy_all": {"correct": acc_all.correct, "total": acc_all.total,
-                                 "rate": acc_all.rate},
-            "tag_accuracy_selected": {"correct": acc_sel.correct, "total": acc_sel.total,
-                                      "rate": acc_sel.rate},
+            "tag_accuracy_all": {**dataclasses.asdict(acc_all), "rate": acc_all.rate},
+            "tag_accuracy_selected": {**dataclasses.asdict(acc_sel), "rate": acc_sel.rate},
         }
         report["beta_sweep"] = {
             "best": sweep.best,
@@ -552,9 +548,7 @@ def cmd_experiment(args) -> int:
         report["logistic"] = logistic_model.metadata()
         report["scenario"] = scenario.to_dict()
         report["tool_version"] = __version__
-        atomic_write_text(
-            run.writes(out / "report.json"), json.dumps(report, indent=2) + "\n"
-        )
+        write_json(run.writes(out / "report.json"), report)
         text = tables.to_text() + (
             f"\nSPL: selected {summary.selected_total}/{summary.total_sources} sources "
             f"(rate {summary.selection_rate:.3f}); "

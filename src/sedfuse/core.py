@@ -21,6 +21,10 @@ bytes, grids and errors are those of one serial pass. Every input
 is read once, so a pipe or FIFO reads as a regular file.
 Every file is written to a temp file and renamed, with the mode a plain
 ``open`` would give it.
+
+Each format has one owner: ``_json_line`` encodes every JSONL record (also
+``spl``'s selection), ``write_json`` writes every indented JSON document, and
+``_located`` puts the file or ``path:line`` at fault before a ``ValidationError``.
 """
 
 from __future__ import annotations
@@ -453,6 +457,26 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
         raise
 
 
+def _json_line(record: Mapping) -> str:
+    """A JSONL record: compact JSON and its line end."""
+    return json.dumps(record, separators=(",", ":")) + "\n"
+
+
+def write_json(path: str | os.PathLike, value) -> None:
+    """Write ``value`` as an indented JSON document."""
+    atomic_write_text(path, json.dumps(value, indent=2) + "\n")
+
+
+@contextlib.contextmanager
+def _located(where: str | os.PathLike) -> Iterator[None]:
+    """Raise a ``ValidationError`` of the block again, with its own type, as
+    ``<where>: <message>``: ``where`` names the file or ``path:line`` at fault."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # events.tsv
 # ---------------------------------------------------------------------------
@@ -476,7 +500,8 @@ def _tsv_rows(
 
 
 def parse_events(path: str | os.PathLike, vocab: ClassVocabulary | None = None) -> EventList:
-    """Read a 4-column annotation TSV; row order is preserved."""
+    """Read a 4-column annotation TSV; row order is preserved. Without ``vocab``
+    every label but the reserved one is accepted."""
     events: list[Event] = []
     with _lines(path) as lines:
         for line_no, cols in _tsv_rows(path, lines, EVENTS_HEADER):
@@ -487,6 +512,8 @@ def parse_events(path: str | os.PathLike, vocab: ClassVocabulary | None = None) 
                 raise ParseError(path, line_no, f"non-numeric time in {cols[1:3]}") from None
             if vocab is not None and label not in vocab:
                 raise VocabularyError(f"{path}:{line_no}: unknown class {label!r}")
+            if label == ClassVocabulary.other_label:  # a vocabulary never holds it
+                raise VocabularyError(f"{path}:{line_no}: reserved label {label!r} is no class")
             try:
                 events.append(Event(clip_id, onset, offset, label))
             except ValidationError as exc:
@@ -656,10 +683,8 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
     if not isinstance(data, dict):
         raise ParseError(path, 1, "top level must be a JSON object")
-    try:
+    with _located(path):
         return build(data)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -702,14 +727,6 @@ TAG_FIELDS = {
 MANIFEST_FIELDS = {"mixture_id": (STRING, REQUIRED), "sources": (NAMES, REQUIRED)}
 
 
-def _vocab_at(path: str | os.PathLike, line_no: int, names: Iterable[str]) -> ClassVocabulary:
-    """The vocabulary of a record's class names; an error names ``path:line``."""
-    try:
-        return ClassVocabulary(names)
-    except ValidationError as exc:
-        raise type(exc)(f"{path}:{line_no}: {exc}") from None
-
-
 def _parse_grid_range(
     path: str | os.PathLike, fd: int, start: int, end: int | None, vocab: ClassVocabulary | None
 ) -> tuple[list[FrameGrid], ClassVocabulary]:
@@ -719,33 +736,29 @@ def _parse_grid_range(
     seen: set[str] = set()
     for line_no, fields in _records(path, _text_lines(path, fd, start, end), GRID_FIELDS):
         clip_id, hop, classes, posteriors = fields.values()
-        if vocab is None:
-            vocab = _vocab_at(path, line_no, classes)
-        if clip_id in seen:
-            raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
-        seen.add(clip_id)
-        if sorted(classes) != sorted(vocab.classes):
-            raise VocabularyError(
-                f"{path}:{line_no}: class set {list(classes)} does not match vocabulary"
-            )
-        try:
-            # Exact cell types: numpy would read "0.9" and true as numbers.
-            if not set(map(type, itertools.chain.from_iterable(posteriors))) <= {float, int}:
-                raise TypeError
-            arr = np.asarray(posteriors, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise ParseError(
-                path, line_no, "posteriors must be a rectangular matrix of numbers"
-            ) from None
-        if arr.ndim != 2 or arr.shape[1] != len(classes):
-            raise ParseError(
-                path, line_no, f"posteriors must be T x {len(classes)}, got shape {arr.shape}"
-            )
-        perm = [classes.index(name) for name in vocab.classes]
-        try:
+        with _located(f"{path}:{line_no}"):
+            if vocab is None:
+                vocab = ClassVocabulary(classes)
+            if clip_id in seen:
+                raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
+            seen.add(clip_id)
+            if sorted(classes) != sorted(vocab.classes):
+                raise VocabularyError(f"class set {list(classes)} does not match vocabulary")
+            try:
+                # Exact cell types: numpy would read "0.9" and true as numbers.
+                if not set(map(type, itertools.chain.from_iterable(posteriors))) <= {float, int}:
+                    raise TypeError
+                arr = np.asarray(posteriors, dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                raise ParseError(
+                    path, line_no, "posteriors must be a rectangular matrix of numbers"
+                ) from None
+            if arr.ndim != 2 or arr.shape[1] != len(classes):
+                raise ParseError(
+                    path, line_no, f"posteriors must be T x {len(classes)}, got shape {arr.shape}"
+                )
+            perm = [classes.index(name) for name in vocab.classes]
             grids.append(FrameGrid(clip_id, hop, arr[:, perm]))
-        except ValidationError as exc:
-            raise type(exc)(f"{path}:{line_no}: {exc}") from None
     if vocab is None:
         raise ValidationError(f"{path}: no records")
     return grids, vocab
@@ -754,7 +767,8 @@ def _parse_grid_range(
 def _first_vocab(path: str | os.PathLike, fd: int, size: int) -> ClassVocabulary:
     """The first record's classes, read with the checks of the serial pass."""
     for line_no, fields in _records(path, _text_lines(path, fd, 0, size), GRID_FIELDS):
-        return _vocab_at(path, line_no, fields["classes"])
+        with _located(f"{path}:{line_no}"):
+            return ClassVocabulary(fields["classes"])
     raise ValidationError(f"{path}: no records")
 
 
@@ -1008,13 +1022,12 @@ def write_framegrids(
 
     def encode(block: range) -> Iterator[str]:
         for grid in map(grids.__getitem__, block):
-            record = {
+            yield _json_line({
                 "clip_id": grid.clip_id,
                 "hop_seconds": grid.hop_seconds,
                 "classes": list(vocab.classes),
                 "posteriors": grid.values.tolist(),
-            }
-            yield json.dumps(record, separators=(",", ":")) + "\n"
+            })
 
     _dealt(encode, _blocks(len(grids), len(grids)), lambda lines: atomic_write_text(path, lines))
 
@@ -1033,14 +1046,11 @@ def parse_tags(
     with _lines(path) as lines:
         for line_no, fields in _records(path, lines, TAG_FIELDS):
             source_id, parent, probs = fields.values()
-            if vocab is None:
-                vocab = _vocab_at(path, line_no,
-                                  (k for k in probs if k != ClassVocabulary.other_label))
-            try:
+            with _located(f"{path}:{line_no}"):
+                if vocab is None:
+                    vocab = ClassVocabulary(k for k in probs if k != ClassVocabulary.other_label)
                 tag = TagPrediction(source_id, parent, probs)
                 tag.validate_vocab(vocab)
-            except ValidationError as exc:
-                raise type(exc)(f"{path}:{line_no}: {exc}") from None
             tags.append(tag)
     if vocab is None:
         raise ValidationError(f"{path}: no records")
@@ -1051,16 +1061,16 @@ def write_tags(
     tags: Sequence[TagPrediction], vocab: ClassVocabulary, path: str | os.PathLike
 ) -> None:
     order = vocab.with_other()
-    lines = []
     for tag in tags:
         tag.validate_vocab(vocab)
-        record = {
+    atomic_write_text(path, (
+        _json_line({
             "source_id": tag.source_id,
             "parent_clip_id": tag.parent_clip_id,
             "probs": {name: tag.probs[name] for name in order},
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+        })
+        for tag in tags
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -1076,15 +1086,12 @@ def parse_manifest(path: str | os.PathLike) -> SeparationManifest:
             if mixture_id in sources:
                 raise ParseError(path, line_no, f"duplicate mixture id {mixture_id!r}")
             sources[mixture_id] = source_ids
-    try:
+    with _located(path):
         return SeparationManifest(sources)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
 
 
 def write_manifest(manifest: SeparationManifest, path: str | os.PathLike) -> None:
-    lines = [
-        json.dumps({"mixture_id": mid, "sources": list(sids)}, separators=(",", ":"))
+    atomic_write_text(path, (
+        _json_line({"mixture_id": mid, "sources": list(sids)})
         for mid, sids in manifest.sources.items()
-    ]
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+    ))

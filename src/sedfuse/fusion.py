@@ -34,7 +34,6 @@ All math is pure and deterministic with fixed summation order.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 from typing import Callable, ClassVar, Mapping, Sequence
@@ -53,12 +52,12 @@ from .core import (
     _blocks,
     _check_columns,
     _dealt,
-    atomic_write_text,
     checked,
     fmt_float,
     list_of,
     load_json_object,
     read_fields,
+    write_json,
 )
 from .decode import (
     _BLOCK_CELLS,
@@ -184,13 +183,12 @@ class CurveFit:
 
     def save(self, path: str | os.PathLike) -> None:
         """curves.json: the fitted parameter with its (value, score) sweep."""
-        record = {
+        write_json(path, {
             "parameter": self.parameter,
             "objective": self.objective,
             "best": self.best,
             "curve": [[p, s] for p, s in self.curve],
-        }
-        atomic_write_text(path, json.dumps(record, indent=2) + "\n")
+        })
 
 
 def frame_bce(grids: Sequence[FrameGrid], truth: EventList, vocab: ClassVocabulary) -> float:
@@ -357,12 +355,11 @@ class ClassF1Table:
         return cls(models, vocab.classes, values)
 
     def save(self, path: str | os.PathLike) -> None:
-        record = {
+        write_json(path, {
             "models": list(self.models),
             "classes": list(self.classes),
             "f1": self.values.tolist(),
-        }
-        atomic_write_text(path, json.dumps(record, indent=2) + "\n")
+        })
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "ClassF1Table":

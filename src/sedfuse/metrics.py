@@ -244,20 +244,7 @@ class F1Report:
     macro_f1: float
 
     def to_dict(self) -> dict:
-        return {
-            "per_class": {
-                name: {
-                    "tp": s.tp,
-                    "fp": s.fp,
-                    "fn": s.fn,
-                    "precision": s.precision,
-                    "recall": s.recall,
-                    "f1": s.f1,
-                }
-                for name, s in self.per_class.items()
-            },
-            "macro_f1": self.macro_f1,
-        }
+        return asdict(self)
 
 
 def event_f1(
@@ -363,11 +350,7 @@ class PSDSReport:
     class_rocs: dict[str, list[tuple[float, float, float]]]
 
     def to_dict(self) -> dict:
-        return {
-            "psds": self.psds,
-            "effective_curve": [list(p) for p in self.effective_curve],
-            "class_rocs": {k: [list(p) for p in v] for k, v in self.class_rocs.items()},
-        }
+        return asdict(self)
 
 
 class _Coverage:

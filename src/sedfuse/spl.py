@@ -12,9 +12,8 @@ are kept with their rejection reason so the filtering stays auditable.
 from __future__ import annotations
 
 import enum
-import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -22,6 +21,8 @@ from .core import (
     SeparationManifest,
     TagPrediction,
     ValidationError,
+    _json_line,
+    _located,
     atomic_write_text,
     fmt_float,
 )
@@ -138,27 +139,28 @@ def select_mixtures(
     labels: Mapping[str, Iterable[str]],
     tau: float,
     vocab: ClassVocabulary,
+    where: str = "tags against manifest",
 ) -> list[SelectionResult]:
     """``select`` on each mixture of ``manifest`` against its known ``labels``, skipping
     a mixture with none (a clip without events has no weak.tsv row). Every source
-    needs a tag prediction whose parent is its mixture."""
+    needs a tag prediction whose parent is its mixture; an error there is raised
+    as ``<where>: <message>``, where ``where`` names the two inputs."""
     tags_by_id = {tag.source_id: tag for tag in tags}
-    results = []
-    for mixture_id, source_ids in manifest.sources.items():
-        missing = [sid for sid in source_ids if sid not in tags_by_id]
-        if missing:
-            raise ValidationError(f"{mixture_id}: sources without tag predictions: {missing}")
-        sources = [tags_by_id[sid] for sid in source_ids]
-        for tag in sources:
-            if tag.parent_clip_id != mixture_id:
-                raise ValidationError(
-                    f"{tag.source_id}: parent {tag.parent_clip_id!r} does not "
-                    f"match manifest mixture {mixture_id!r}"
-                )
-        known = labels.get(mixture_id)
-        if known:
-            results.append(select(sources, known, tau, vocab))
-    return results
+    mixtures = []
+    with _located(where):
+        for mixture_id, source_ids in manifest.sources.items():
+            missing = [sid for sid in source_ids if sid not in tags_by_id]
+            if missing:
+                raise ValidationError(f"{mixture_id}: sources without tag predictions: {missing}")
+            sources = [tags_by_id[sid] for sid in source_ids]
+            for tag in sources:
+                if tag.parent_clip_id != mixture_id:
+                    raise ValidationError(
+                        f"{tag.source_id}: parent {tag.parent_clip_id!r} does not "
+                        f"match manifest mixture {mixture_id!r}"
+                    )
+            mixtures.append((sources, labels.get(mixture_id)))
+    return [select(sources, known, tau, vocab) for sources, known in mixtures if known]
 
 
 @dataclass
@@ -173,14 +175,7 @@ class SelectionSummary:
     rate_undefined: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "total_sources": self.total_sources,
-            "selected_total": self.selected_total,
-            "selected_per_class": dict(self.selected_per_class),
-            "rejected_per_reason": dict(self.rejected_per_reason),
-            "selection_rate": self.selection_rate,
-            "rate_undefined": self.rate_undefined,
-        }
+        return asdict(self)
 
 
 def selection_report(results: Sequence[SelectionResult]) -> SelectionSummary:
@@ -205,9 +200,8 @@ def selection_report(results: Sequence[SelectionResult]) -> SelectionSummary:
 
 def write_selection(results: Sequence[SelectionResult], path: str | os.PathLike) -> None:
     """selection.jsonl: one record per mixture."""
-    lines = []
-    for result in results:
-        record = {
+    atomic_write_text(path, (
+        _json_line({
             "mixture_id": result.mixture_id,
             "selected": [
                 {"source_id": sid, "class": name} for sid, name in result.selected
@@ -215,6 +209,6 @@ def write_selection(results: Sequence[SelectionResult], path: str | os.PathLike)
             "rejected": [
                 {"source_id": sid, "reason": reason} for sid, reason in result.rejected
             ],
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    atomic_write_text(path, "\n".join(lines) + ("\n" if lines else ""))
+        })
+        for result in results
+    ))

@@ -126,6 +126,27 @@ class TestSPL:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("fault", ["missing-source", "wrong-parent"])
+    def test_tags_against_manifest_exits_2_naming_both(self, dataset, tmp_path, capsys, fault):
+        records = [json.loads(line) for line in (dataset / "tags.jsonl").read_text().splitlines()]
+        if fault == "missing-source":
+            del records[0]
+        else:
+            records[0]["parent_clip_id"] = records[-1]["parent_clip_id"]
+        tags = tmp_path / "tags.jsonl"
+        tags.write_text("".join(json.dumps(r) + "\n" for r in records))
+        manifest = dataset / "sep_manifest.jsonl"
+        rc = run("spl", "--tags", tags, "--weak", dataset / "weak.tsv",
+                 "--manifest", manifest, "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 2 and f"error: {tags} against {manifest}: " in err, err
+
+    def test_bad_tau_names_no_file(self, dataset, tmp_path, capsys):
+        rc = run("spl", "--tags", dataset / "tags.jsonl", "--weak", dataset / "weak.tsv",
+                 "--manifest", dataset / "sep_manifest.jsonl", "--tau", "1.5",
+                 "--out", tmp_path / "o")
+        assert rc == 2
+        assert capsys.readouterr().err == "error: tau 1.5 outside (0, 1)\n"
 
     def test_clips_without_events_are_skipped_as_in_experiment(self, tmp_path):
         # weak.tsv writes a clip without events as a missing row; spl skips its
@@ -722,6 +743,16 @@ class TestDecodeScore:
             "--metric", "f1", "--out", tmp_path / "o",
         )
         assert rc == 2
+
+    @pytest.mark.parametrize("flag", ["--ref", "--est"])
+    def test_reserved_label_exits_2_naming_its_line(self, dataset, tmp_path, capsys, flag):
+        bad = tmp_path / "other.tsv"
+        bad.write_text("filename\tonset\toffset\tevent_label\nclip_0000\t0.0\t1.0\tother\n")
+        files = {"--ref": dataset / "events.tsv", "--est": dataset / "events.tsv", flag: bad}
+        rc = run("score", *[arg for item in files.items() for arg in item],
+                 "--metric", "f1", "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 2 and f"error: {bad}:2: reserved label 'other' is no class" in err, err
 
 
 class TestExperiment:

@@ -1,6 +1,9 @@
 """One fork protocol: ``os.fork`` is called only in ``core._forking``,
 ``_forking`` only by ``core._dealt`` and ``cli._write_dataset``, and only
-``_dealt`` raises or catches ``_NoChild``."""
+``_dealt`` raises or catches ``_NoChild``. One owner per format: JSON is
+encoded only by ``core._json_line`` (JSONL records), ``core.write_json``
+(documents) and the summary ``cli.cmd_spl`` prints, and only
+``core._located`` raises a caught ``ValidationError`` again."""
 
 import ast
 import functools
@@ -47,3 +50,29 @@ def test_only_the_dealer_names_no_child():
         or isinstance(node, ast.alias) and node.name == "_NoChild"
         or isinstance(node, ast.ClassDef) and node.name == "_NoChild"
     )) == {"core._dealt", "core._NoChild"}
+
+
+def test_json_is_encoded_by_its_owners():
+    assert _owners(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr == "dumps"
+        or isinstance(node, ast.alias) and node.name == "dumps"
+    )) == {"core._json_line", "core.write_json", "cli.cmd_spl"}
+
+
+def _raises_caught_validation_error_again(node) -> bool:
+    """An ``except`` clause for ``ValidationError`` that raises a new exception,
+    other than a ``ParseError`` of the line at fault."""
+    if not isinstance(node, ast.ExceptHandler) or node.type is None:
+        return False
+    caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+    if not any(isinstance(name, ast.Name) and name.id == "ValidationError" for name in caught):
+        return False
+    return any(
+        isinstance(raised, ast.Raise) and isinstance(raised.exc, ast.Call)
+        and not (isinstance(raised.exc.func, ast.Name) and raised.exc.func.id == "ParseError")
+        for raised in ast.walk(node)
+    )
+
+
+def test_only_located_names_the_place_of_a_validation_error():
+    assert _owners(_raises_caught_validation_error_again) == {"core._located"}

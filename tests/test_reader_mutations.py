@@ -1,8 +1,9 @@
 """Mutation fuzz of the data readers: a valid grid dump, tag file, separation
 manifest, event table or weak-label table with a byte flipped, cut short, a
 field deleted or a field given a value of another type. Every parser succeeds
-or raises ``SedfuseError``; the sharded grid parse gives the one-range parse's
-grids or error; the CLI exits 0 or 2, never 1."""
+or raises ``SedfuseError``; the sharded grid parse and a parse through a FIFO
+give the one-range parse's grids or error; the CLI exits 0 or 2, never 1, and
+an exit of 2 names an input."""
 
 import contextlib
 import copy
@@ -10,6 +11,7 @@ import io
 import json
 import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -101,6 +103,39 @@ class TestGridMutations:
         assert _parsed(path, vocab, 3) == _parsed(path, vocab, 1)
 
 
+def _feed(fifo, data):
+    """Write ``data`` into ``fifo``; a reader that stops early breaks the pipe."""
+    try:
+        with open(fifo, "wb") as fh:
+            fh.write(data)
+    except BrokenPipeError:
+        pass
+
+
+class TestFifoGridMutations:
+    """A mutated dump read through a FIFO, at the path where the same bytes were
+    a regular file, gives that file's grids or error. The writer thread is
+    joined before each example ends."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=mutants(GRIDS, core.GRID_FIELDS), given_vocab=st.booleans())
+    def test_fifo_as_regular_file(self, tmp_path_factory, data, given_vocab):
+        path = tmp_path_factory.getbasetemp() / "mutated_fifo.jsonl"
+        vocab = ClassVocabulary(("a", "b", "c")) if given_vocab else None
+        path.write_bytes(data)
+        expected = _parsed(path, vocab, 1)
+        path.unlink()
+        os.mkfifo(path)
+        writer = threading.Thread(target=_feed, args=(path, data), daemon=True)
+        writer.start()
+        try:
+            got = _parsed(path, vocab, 3)
+        finally:
+            writer.join(timeout=10)
+            path.unlink()
+        assert not writer.is_alive() and got == expected
+
+
 VOCAB = ClassVocabulary(("a", "b"))
 SOURCES = {f"c{i}": [f"c{i}_s{j}" for j in range(2)] for i in range(3)}
 BASES = {
@@ -132,7 +167,8 @@ class TestSmallReaderMutations:
     """One of the four small inputs mutated: its parser succeeds or raises
     ``SedfuseError``, and ``spl`` (tags, manifest, weak labels) or
     ``score --est`` (events) exits 0, or 2 with the parser's error, which
-    names the file and, for an error of one line, ``path:line``."""
+    names the file and, for an error of one line, ``path:line``. Every exit
+    of 2 names one of the run's inputs."""
 
     @settings(max_examples=120, deadline=None)
     @given(mutant=reader_mutants())
@@ -159,6 +195,8 @@ class TestSmallReaderMutations:
                 rc = main([str(arg) for arg in argv + ["--out", Path(work, "out")]])
         err = err.getvalue()
         assert rc in (0, 2) and "Traceback" not in err, err
+        if rc == 2:
+            assert any(str(arg) in err for arg in argv if isinstance(arg, Path)), err
         if error is not None:
             assert rc == 2 and f"error: {error}" in err, err
             assert str(files[name]) in err
