@@ -51,7 +51,7 @@ from .core import (
     write_tags,
     write_weak_labels,
 )
-from .decode import PostProcessConfig, decode_many
+from .decode import PostProcessConfig, decode_many, read_reduced
 from .fusion import (
     DEFAULT_BETA_SWEEP,
     ClassF1Table,
@@ -71,6 +71,7 @@ from .metrics import (
     CollarConfig,
     PSDSConfig,
     event_f1,
+    psds_counted,
     psds_many,
     report_tables,
     _reference_clips,
@@ -118,11 +119,12 @@ class _Run:
     def finish(self, out_dir: Path, seed: int | None = None) -> None:
         """Write ``run_manifest.json``: what ran, with what, producing what, and
         the peak RSS (not deterministic, so never in ``report.json``)."""
-        # The larger of this process's peak and that of the largest child it
-        # reaped: the forked children that encode and parse grid dumps, and the
-        # one that writes the dataset's dumps, reaped before this is called.
-        peak_kib = max(
-            resource.getrusage(who).ru_maxrss
+        # This process's peak and that of the largest child it reaped: the
+        # forked children that encode, parse and reduce grid dumps, fit and
+        # count, and the one that writes the dataset's dumps, reaped before
+        # this is called. In decimal MB; ru_maxrss is in KiB on Linux.
+        own, child = (
+            resource.getrusage(who).ru_maxrss * 1024 / 1e6
             for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)
         )
         manifest = {
@@ -133,8 +135,9 @@ class _Run:
             "seed": seed,
             "tool_version": __version__,
             "wall_clock_seconds": time.perf_counter() - self.started,
-            # In decimal MB; ru_maxrss is in KiB on Linux.
-            "peak_rss_mb": peak_kib * 1024 / 1e6,
+            "peak_rss_mb": max(own, child),
+            "peak_rss_mb_self": own,
+            "peak_rss_mb_largest_child": child,
         }
         write_json(out_dir / "run_manifest.json", manifest)
 
@@ -145,19 +148,29 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _decode_cfg_from_args(args, vocab: ClassVocabulary, run: _Run) -> PostProcessConfig:
-    """The decode config of the flags that ``_add_decode_args`` adds."""
+def _decode_cfg_from_args(
+    args, run: _Run
+) -> tuple[PostProcessConfig, Callable[[ClassVocabulary], None]]:
+    """The decode config of the flags that ``_add_decode_args`` adds, and a
+    check that the class overrides of its file name classes of a vocabulary,
+    for a caller that learns the vocabulary after it needs the config."""
+    loaded, path = PostProcessConfig(), None
     if args.decode_config:
-        cfg = PostProcessConfig.load(run.reads(args.decode_config), vocab)
-    else:
-        cfg = PostProcessConfig()
+        path = run.reads(args.decode_config)
+        loaded = load_json_object(path, PostProcessConfig.from_dict)
+    cfg = loaded
     if args.thresholds is not None:
         cfg = dataclasses.replace(cfg, default_threshold=args.thresholds, class_thresholds={})
     if args.median_windows is not None:
         cfg = dataclasses.replace(
             cfg, default_median_window=args.median_windows, class_median_windows={}
         )
-    return cfg
+
+    def known_classes(vocab: ClassVocabulary) -> None:
+        with _located(path):
+            loaded._known_classes(vocab)
+
+    return cfg, known_classes
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +309,8 @@ def cmd_fuse(args) -> int:
     first, vocab = parse_framegrids(run.reads(args.grids[0]))
     model_grids = [first] + [parse_framegrids(run.reads(p), vocab)[0] for p in args.grids[1:]]
     out = _out_dir(args)
-    decode_cfg = _decode_cfg_from_args(args, vocab, run)
+    decode_cfg, known_classes = _decode_cfg_from_args(args, run)
+    known_classes(vocab)
 
     if args.mode == "pair":
         if len(model_grids) != 2:
@@ -379,13 +393,14 @@ def _parse_betas(raw: str | None) -> list[float]:
 
 def cmd_decode(args) -> int:
     run = _Run("decode", args)
-    grids, vocab = parse_framegrids(run.reads(args.grids))
-    cfg = _decode_cfg_from_args(args, vocab, run)
+    cfg, known_classes = _decode_cfg_from_args(args, run)
+    dump, vocab = read_reduced(run.reads(args.grids), cfg, events=True, ops=None)
+    known_classes(vocab)
     out = _out_dir(args)
-    events = decode_many(grids, cfg, vocab)
+    events = dump.events(vocab)
     write_events(events, run.writes(out / "events.tsv"))
     run.finish(out)
-    print(f"decoded {len(events)} events from {len(grids)} clips")
+    print(f"decoded {len(events)} events from {len(dump.clip_ids)} clips")
     return EXIT_OK
 
 
@@ -397,21 +412,32 @@ def cmd_decode(args) -> int:
 def cmd_score(args) -> int:
     run = _Run("score", args)
     want = {"f1", "psds1", "psds2"} if args.metric == "all" else {args.metric}
-    need_grids = bool(want & {"psds1", "psds2"})
-    if need_grids and not args.grids:
+    keys = [key for key in ("psds1", "psds2") if key in want]
+    if keys and not args.grids:
         raise ValidationError(f"--metric {args.metric} needs --grids")
     if "f1" in want and not (args.est or args.grids):
         raise ValidationError("--metric f1 needs --est or --grids")
+    if args.psds_config and len(keys) > 1:
+        raise ValidationError(
+            "--psds-config overrides a single variant; use --metric psds1 or psds2"
+        )
+    # Read before the dump, whose parse smooths it at the operating points.
+    defaults = {"psds1": PSDS1, "psds2": PSDS2}
+    cfgs = [_psds_cfg_from_args(args, defaults[key], run) for key in keys]
+    decode_cfg, known_classes = _decode_cfg_from_args(args, run)
 
-    if args.grids:  # one parse serves the vocabulary, the F1 decode and the PSDS sweep
-        grids, vocab = parse_framegrids(run.reads(args.grids))
+    decoded = "f1" in want and not args.est
+    if args.grids:  # one parse serves the vocabulary, the F1 runs and the PSDS levels
+        dump, vocab = read_reduced(run.reads(args.grids), decode_cfg, events=decoded,
+                                   ops=cfgs[0].operating_points if cfgs else None)
         ref = parse_events(run.reads(args.ref), vocab)
     else:  # F1 of two event files, whose labels make the vocabulary
         ref, est = parse_events(run.reads(args.ref)), parse_events(run.reads(args.est))
-        vocab = ClassVocabulary(tuple(sorted(ref.label_set() | est.label_set())))
     if not ref.events:
         raise ValidationError(f"{args.ref}: reference event list is empty")
-    decode_cfg = _decode_cfg_from_args(args, vocab, run)
+    if not args.grids:
+        vocab = ClassVocabulary(tuple(sorted(ref.label_set() | est.label_set())))
+    known_classes(vocab)
     out = _out_dir(args)
 
     name = args.system_name
@@ -419,21 +445,14 @@ def cmd_score(args) -> int:
     if "f1" in want:
         if args.grids and args.est:
             est = parse_events(run.reads(args.est), vocab)
-        elif args.grids:
-            est = decode_many(grids, decode_cfg, vocab)
+        elif decoded:
+            est = dump.events(vocab)
         f1_reports[name] = event_f1(ref, est, CollarConfig(), vocab)
     psds_reports = {"psds1": {}, "psds2": {}}
-    if need_grids:
-        if args.psds_config and len(want & {"psds1", "psds2"}) > 1:
-            raise ValidationError(
-                "--psds-config overrides a single variant; use --metric psds1 or psds2"
-            )
-        keys = [key for key in ("psds1", "psds2") if key in want]
-        defaults = {"psds1": PSDS1, "psds2": PSDS2}
-        cfgs = [_psds_cfg_from_args(args, defaults[key], run) for key in keys]
-        with _located(args.ref):  # psds_many checks this too, but cannot name the file
-            _reference_clips(grids, ref)
-        for key, report in zip(keys, psds_many(grids, ref, decode_cfg, cfgs, vocab)):
+    if keys:
+        with _located(args.ref):  # psds_counted checks this too, but cannot name the file
+            _reference_clips(dump, ref)
+        for key, report in zip(keys, psds_counted(dump, ref, cfgs, vocab)):
             psds_reports[key][name] = report
 
     tables = report_tables(f1_reports, psds_reports["psds1"], psds_reports["psds2"])
@@ -487,7 +506,8 @@ def cmd_experiment(args) -> int:
             )
 
             stage = "fuse"
-            decode_cfg = _decode_cfg_from_args(args, vocab, run)
+            decode_cfg, known_classes = _decode_cfg_from_args(args, run)
+            known_classes(vocab)
             collar = CollarConfig()
             # Each system is decoded once, for its F1 and its events file.
             events, f1_reports = {}, {}

@@ -14,10 +14,13 @@ pass silently. All values are immutable after construction and safe to
 share across threads. Floats are serialized with ``repr`` so every
 write/parse round trip is value-exact. Grid dumps are encoded and parsed on
 every CPU of the process's affinity mask: ``write_framegrids`` deals the
-grids in shards and ``parse_framegrids`` the file in byte ranges
+grids in shards and ``reduce_framegrids`` the file in byte ranges
 (``_blocks``), and ``_dealt`` forks one child per later part. Each child
 streams its items back through an unnamed temp file (``_forking``), and the
-bytes, grids and errors are those of one serial pass. Every input
+bytes, grids and errors are those of one serial pass. A parse keeps of each
+block of grids what its caller's reduce makes of it: ``parse_framegrids``
+the grids, ``decode.read_reduced`` their runs and PSDS levels, so a dump
+can be scored without holding its floats. Every input
 is read once, so a pipe or FIFO reads as a regular file.
 Every file is written to a temp file and renamed, with the mode a plain
 ``open`` would give it.
@@ -665,6 +668,8 @@ def read_fields(data: Mapping, table: Mapping[str, tuple[Kind, object]], what: s
 
 
 _Built = TypeVar("_Built")
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
 
 
 def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -> _Built:
@@ -727,18 +732,44 @@ TAG_FIELDS = {
 MANIFEST_FIELDS = {"mixture_id": (STRING, REQUIRED), "sources": (NAMES, REQUIRED)}
 
 
+def _vocab_first(
+    path: str | os.PathLike, records: Iterator[tuple[int, dict]]
+) -> tuple[ClassVocabulary, Iterator[tuple[int, dict]]]:
+    """The first record's classes, with the checks of the serial pass, and the
+    records again from the first; a file with no record raises."""
+    first = next(records, None)
+    if first is None:
+        raise ValidationError(f"{path}: no records")
+    with _located(f"{path}:{first[0]}"):
+        vocab = ClassVocabulary(first[1]["classes"])
+    return vocab, itertools.chain([first], records)
+
+
 def _parse_grid_range(
-    path: str | os.PathLike, fd: int, start: int, end: int | None, vocab: ClassVocabulary | None
-) -> tuple[list[FrameGrid], ClassVocabulary]:
-    """The grids of bytes ``[start, end)``, clip ids unique within them, and
-    ``vocab`` or the first record's; an error names its line from ``start``."""
-    grids: list[FrameGrid] = []
+    path: str | os.PathLike, fd: int, start: int, end: int | None, vocab: ClassVocabulary | None,
+    reduce: Callable[[list[FrameGrid], ClassVocabulary], _Item], cells: int,
+) -> tuple[Iterator[tuple[tuple[str, ...], _Item]], ClassVocabulary]:
+    """The blocks of bytes ``[start, end)`` and ``vocab`` or the first record's:
+    (clip ids, ``reduce(grids, vocab)``) for each block of consecutive grids,
+    at most ``cells`` cells each (one grid at least). Clip ids are unique
+    within the range; an error names its line from ``start``."""
+    records = _records(path, _text_lines(path, fd, start, end), GRID_FIELDS)
+    if vocab is None:
+        vocab, records = _vocab_first(path, records)
+    return _grid_blocks(path, records, vocab, reduce, cells), vocab
+
+
+def _grid_blocks(
+    path: str | os.PathLike, records: Iterable[tuple[int, dict]], vocab: ClassVocabulary,
+    reduce: Callable[[list[FrameGrid], ClassVocabulary], _Item], cells: int,
+) -> Iterator[tuple[tuple[str, ...], _Item]]:
+    """The blocks of ``_parse_grid_range``; a grid's floats live until its block is reduced."""
+    block: list[FrameGrid] = []
+    held = 0  # cells of ``block``
     seen: set[str] = set()
-    for line_no, fields in _records(path, _text_lines(path, fd, start, end), GRID_FIELDS):
+    for line_no, fields in records:
         clip_id, hop, classes, posteriors = fields.values()
         with _located(f"{path}:{line_no}"):
-            if vocab is None:
-                vocab = ClassVocabulary(classes)
             if clip_id in seen:
                 raise ParseError(path, line_no, f"duplicate clip id {clip_id!r}")
             seen.add(clip_id)
@@ -758,18 +789,14 @@ def _parse_grid_range(
                     path, line_no, f"posteriors must be T x {len(classes)}, got shape {arr.shape}"
                 )
             perm = [classes.index(name) for name in vocab.classes]
-            grids.append(FrameGrid(clip_id, hop, arr[:, perm]))
-    if vocab is None:
-        raise ValidationError(f"{path}: no records")
-    return grids, vocab
-
-
-def _first_vocab(path: str | os.PathLike, fd: int, size: int) -> ClassVocabulary:
-    """The first record's classes, read with the checks of the serial pass."""
-    for line_no, fields in _records(path, _text_lines(path, fd, 0, size), GRID_FIELDS):
-        with _located(f"{path}:{line_no}"):
-            return ClassVocabulary(fields["classes"])
-    raise ValidationError(f"{path}: no records")
+            grid = FrameGrid(clip_id, hop, arr[:, perm])
+        if block and held + grid.values.size > cells:
+            yield tuple(g.clip_id for g in block), reduce(block, vocab)
+            block, held = [], 0
+        block.append(grid)
+        held += grid.values.size
+    if block:
+        yield tuple(g.clip_id for g in block), reduce(block, vocab)
 
 
 def _line_start(fd: int, at: int, size: int) -> int:
@@ -814,19 +841,38 @@ def parse_framegrids(
     """Read posterior grids with unique clip ids, and their vocabulary: ``vocab``,
     or if None the first record's ``classes`` in their order (a file with no
     record then raises ``ValidationError``). Columns follow the vocabulary.
+    The file is read as ``reduce_framegrids`` reads it, one grid per block."""
+    blocks, vocab = reduce_framegrids(path, lambda grids, _: grids, 1, vocab)
+    return [grid for block in blocks for grid in block], vocab
+
+
+def reduce_framegrids(
+    path: str | os.PathLike,
+    reduce: Callable[[list[FrameGrid], ClassVocabulary], _Item],
+    cells: int,
+    vocab: ClassVocabulary | None = None,
+) -> tuple[list[_Item], ClassVocabulary]:
+    """Read a grid dump as ``parse_framegrids`` does, but keep only
+    ``reduce(grids, vocab)`` of each block of consecutive grids, at most
+    ``cells`` cells each (one grid at least): a grid's floats are dropped once
+    its block is reduced, in the process that parsed it. ``reduce`` must not
+    raise for valid grids, so the errors are the parse's alone.
 
     A regular file is parsed on every free CPU of the process's affinity mask
     (``_cpus``), in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``).
     This process cuts the file into byte ranges at line starts
     (``_range_starts``), reads the first record if it needs the vocabulary,
-    and deals the ranges with ``_dealt``: it parses the first range itself,
-    and an error there is raised as is, and a child parses each later one
-    with the checks of a serial pass. If a later range fails or no temp file
-    or child can be made, ``_dealt`` parses the whole file again as one
-    range, and so does this function if a clip id repeats across ranges. So
-    every message is the serial pass's, without lines counted across ranges.
-    A FIFO, a file with one range and a single CPU take the one-range parse
-    from the start. The grids are the serial pass's, in file order.
+    and deals the ranges with ``_dealt``: it parses and reduces the first
+    range itself, and an error there is raised as is, and a child parses and
+    reduces each later one with the checks of a serial pass, and ships back
+    only its reduced blocks. If a later range fails or no temp file or child
+    can be made, ``_dealt`` parses the whole file again as one range, and so
+    does this function if a clip id repeats across ranges. So every message
+    is the serial pass's, without lines counted across ranges. A FIFO, a file
+    with one range and a single CPU take the one-range parse from the start.
+    The reduced blocks are in file order; where ranges cut the blocks
+    differently from one range, a ``reduce`` whose output is per grid gives the
+    serial pass's output.
     """
     with open(path, "rb") as fh:
         fd = fh.fileno()
@@ -835,13 +881,18 @@ def parse_framegrids(
             starts = _range_starts(fd, info.st_size)
             if len(starts) > 1:
                 if vocab is None:
-                    vocab = _first_vocab(path, fd, info.st_size)
+                    records = _records(path, _text_lines(path, fd, 0, info.st_size), GRID_FIELDS)
+                    vocab, _ = _vocab_first(path, records)
                 ranges = list(map(range, starts, starts[1:] + [info.st_size]))
-                grids = _dealt(lambda r: _parse_grid_range(path, fd, r.start, r.stop, vocab)[0],
-                               ranges)
-                if len({grid.clip_id for grid in grids}) == len(grids):
-                    return grids, vocab
-        return _parse_grid_range(path, fd, 0, None, vocab)
+                blocks = _dealt(
+                    lambda r: _parse_grid_range(path, fd, r.start, r.stop, vocab, reduce, cells)[0],
+                    ranges,
+                )
+                ids = [clip_id for block_ids, _ in blocks for clip_id in block_ids]
+                if len(set(ids)) == len(ids):
+                    return [item for _, item in blocks], vocab
+        blocks, vocab = _parse_grid_range(path, fd, 0, None, vocab, reduce, cells)
+        return [item for _, item in blocks], vocab
 
 
 # The children of ``_forking`` this process has not reaped: while they run, the
@@ -890,7 +941,7 @@ def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], 
 
     Two callers fork: ``_dealt``, whose children run the later parts of a
     job (the shards of ``write_framegrids``, the byte ranges of
-    ``parse_framegrids``, the parameter blocks of ``fusion._dev_curve`` and
+    ``reduce_framegrids``, the parameter blocks of ``fusion._dev_curve`` and
     the class blocks of ``fusion.fit_logistic_fusion`` and
     ``metrics.psds_many``); and the CLI's ``_write_dataset``, whose one child
     writes the dataset's dumps while the experiment scores. That caller waits
@@ -950,10 +1001,6 @@ class _NoChild(Exception):
     """A part of ``_dealt`` got no temp file or child, or its child failed."""
 
 
-_Item = TypeVar("_Item")
-_Result = TypeVar("_Result")
-
-
 def _dealt(
     work: Callable[[range], Iterable[_Item]],
     parts: Sequence[range],
@@ -971,8 +1018,9 @@ def _dealt(
 
     Each caller deals its parts with ``_blocks``, as many as its work pays
     for: a fork, its transfer and its reap cost about 2 to 3 ms.
-    ``write_framegrids`` deals its grids and ``parse_framegrids`` the byte
-    ranges of a dump, each at least ``_MIN_RANGE_BYTES``;
+    ``write_framegrids`` deals its grids and ``reduce_framegrids`` (for
+    ``parse_framegrids`` and ``decode.read_reduced``) the byte ranges of a
+    dump, each at least ``_MIN_RANGE_BYTES``;
     ``fusion._dev_curve`` (``fit_alpha`` and ``sweep_beta``),
     ``fusion.fit_logistic_fusion`` and ``metrics.psds_many`` deal their
     parameters and classes above the floors ``fusion._MIN_SWEEP_CELLS``,

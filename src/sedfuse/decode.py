@@ -16,6 +16,13 @@ posteriors and thresholding them after, and ``decode`` equals
 Every dump is decoded in blocks of whole clips of one frame count, each at
 most ``_BLOCK_CELLS`` cells, so no float64 copy of a whole dump is made;
 ``_level_runs`` reads a sweep's runs in blocks of levels bounded the same way.
+``_reduced`` runs the kernel once per block for both readers and keeps a
+``ReducedDump``: the runs ``decode_many`` turns into events, and the smoothed
+PSDS levels, one byte per cell up to 255 operating points. ``read_reduced``
+applies it to each block of consecutive clips in the process that parses
+the block (``core.reduce_framegrids``), so ``sedfuse score`` and ``sedfuse
+decode`` never hold a dump's floats; the result is ``_reduced``'s over the
+whole dump, since each clip is smoothed and read on its own.
 ``rasterize`` inverts ``extract_events`` for frame-aligned events and
 produces frame targets for fusion fitting.
 """
@@ -25,7 +32,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -46,6 +53,7 @@ from .core import (
     fmt_float,
     load_json_object,
     read_fields,
+    reduce_framegrids,
 )
 
 
@@ -236,16 +244,19 @@ def _active_runs(active: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def _level_runs(
     levels: np.ndarray, n_levels: int
-) -> tuple[np.ndarray, np.ndarray, Iterator[tuple]]:
-    """(up, down, blocks) for the maximal runs of ``levels > k`` along a 1-D array of
-    levels in [0, n_levels] with 0 beyond both ends, for each k in [0, n_levels).
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, int]], Callable]:
+    """(up, down, blocks, block_runs) for the maximal runs of ``levels > k`` along a
+    1-D array of levels in [0, n_levels] with 0 beyond both ends, for each k in
+    [0, n_levels).
 
     A step up from lo to hi at up[i] starts a run for each k in [lo, hi); a step
     down ends one, so the n-th start and the n-th end of one k bound the same run.
-    Block [k0, k1) yields (k0, k1, k - k0, i, j), by k, then i: run n spans
-    [up[i[n]], down[j[n]]). It clips the steps to [k0, k1]; its runs expand to at
-    most ``_BLOCK_CELLS`` (k, position) pairs, one level at least. k keeps the dtype
-    of ``levels``: a 16-bit or narrower one gets numpy's radix sort."""
+    ``blocks`` cuts [0, n_levels) into [k0, k1) whose runs expand to at most
+    ``_BLOCK_CELLS`` (k, position) pairs, one level at least, and
+    ``block_runs(k0, k1)`` gives (k - k0, i, j) for block [k0, k1), by k, then i:
+    run n spans [up[i[n]], down[j[n]]). It clips the steps to [k0, k1], and makes
+    a block's arrays only when asked, so a caller holds one block at a time. k
+    keeps the dtype of ``levels``: a 16-bit or narrower one gets numpy's radix sort."""
     edges = np.zeros(len(levels) + 2, dtype=levels.dtype)
     edges[1:-1] = levels
     before, after = edges[:-1], edges[1:]
@@ -254,18 +265,19 @@ def _level_runs(
     up_lo, up_hi, down_lo, down_hi = before[up], after[up], after[down], before[down]
     runs = np.bincount(up_lo, minlength=n_levels + 1) - np.bincount(up_hi, minlength=n_levels + 1)
     reach = np.cumsum(2 * np.cumsum(runs[:n_levels]))  # (k, position) pairs of the levels [0, k]
+    blocks, k0 = [], 0
+    while k0 < n_levels:
+        below = reach[k0 - 1] if k0 else 0
+        k1 = max(k0 + 1, int(np.searchsorted(reach, below + _BLOCK_CELLS, side="right")))
+        blocks.append((k0, k1))
+        k0 = k1
 
-    def blocks():
-        k0 = 0
-        while k0 < n_levels:
-            below = reach[k0 - 1] if k0 else 0
-            k1 = max(k0 + 1, int(np.searchsorted(reach, below + _BLOCK_CELLS, side="right")))
-            k, start = _steps_by_level(np.clip(up_lo, k0, k1) - k0, np.clip(up_hi, k0, k1) - k0)
-            _, end = _steps_by_level(np.clip(down_lo, k0, k1) - k0, np.clip(down_hi, k0, k1) - k0)
-            yield k0, k1, k, start, end
-            k0 = k1
+    def block_runs(k0: int, k1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        k, start = _steps_by_level(np.clip(up_lo, k0, k1) - k0, np.clip(up_hi, k0, k1) - k0)
+        _, end = _steps_by_level(np.clip(down_lo, k0, k1) - k0, np.clip(down_hi, k0, k1) - k0)
+        return k, start, end
 
-    return up, down, blocks()
+    return up, down, blocks, block_runs
 
 
 def _steps_by_level(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -291,11 +303,12 @@ def _run_times(
     return onset, offset
 
 
-def _events(grids, vocab: ClassVocabulary, clip, cls, start, end) -> EventList:
+def _events(clip_ids: Sequence[str], hops: np.ndarray, vocab: ClassVocabulary,
+            clip, cls, start, end) -> EventList:
     """Run [a, b) of clip k becomes the event (a*hop_k, b*hop_k)."""
-    onset, offset = _run_times(np.array([g.hop_seconds for g in grids]), clip, start, end)
+    onset, offset = _run_times(hops, clip, start, end)
     runs = zip(clip.tolist(), cls.tolist(), onset.tolist(), offset.tolist())
-    return EventList([Event(grids[k].clip_id, a, b, vocab.classes[c]) for k, c, a, b in runs])
+    return EventList([Event(clip_ids[k], a, b, vocab.classes[c]) for k, c, a, b in runs])
 
 
 def median_smooth(bgrid: BinaryGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) -> BinaryGrid:
@@ -308,7 +321,8 @@ def median_smooth(bgrid: BinaryGrid, cfg: PostProcessConfig, vocab: ClassVocabul
 def extract_events(bgrid: BinaryGrid, vocab: ClassVocabulary) -> EventList:
     """Run-length decode: run [a, b] becomes the event (a*hop, (b+1)*hop)."""
     _check_columns(bgrid, vocab)
-    return _events([bgrid], vocab, *_active_runs(bgrid.values[None]))
+    return _events([bgrid.clip_id], np.array([bgrid.hop_seconds]), vocab,
+                   *_active_runs(bgrid.values[None]))
 
 
 def decode(grid: FrameGrid, cfg: PostProcessConfig, vocab: ClassVocabulary) -> EventList:
@@ -320,20 +334,109 @@ def decode_many(
     grids: Sequence[FrameGrid], cfg: PostProcessConfig, vocab: ClassVocabulary
 ) -> EventList:
     """Decode a whole dump; events follow clip order, then class order, then onset."""
+    return _reduced(grids, vocab, cfg, events=True, ops=None).events(vocab)
+
+
+@dataclass
+class ReducedDump:
+    """A dump reduced to what decoding and PSDS read of it, in clip order: each
+    clip's id, hop and frame count; if asked, the runs of ``decode_many``,
+    (clip, class, start, end) arrays ordered by clip, class and start; and if
+    asked, the PSDS levels: ``level_row(c)`` holds clip j's smoothed levels of
+    class c at [first_j, first_j + frames_j), then a 0 that ends its runs
+    (``first_j`` the sum of frames_i + 1 over the clips before j)."""
+
+    clip_ids: list[str]
+    hops: np.ndarray
+    frames: np.ndarray
+    runs: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None
+    levels: list[np.ndarray] | None  # in parts of consecutive clips, joined by ``level_row``
+
+    @property
+    def durations(self) -> list[float]:
+        """Each clip's ``FrameGrid.duration_seconds``."""
+        return (self.frames * self.hops).tolist()
+
+    def events(self, vocab: ClassVocabulary) -> EventList:
+        return _events(self.clip_ids, self.hops, vocab, *self.runs)
+
+    def level_row(self, c: int) -> np.ndarray:
+        """Row c of the levels, the parts joined only here: so the levels of a
+        whole dump are never held twice."""
+        return np.concatenate([part[c] for part in self.levels])
+
+
+def _reduced(
+    grids: Sequence[FrameGrid], vocab: ClassVocabulary, cfg: PostProcessConfig,
+    events: bool, ops: Sequence[float] | None,
+) -> ReducedDump:
+    """``grids`` reduced: the runs decoded at the thresholds of ``cfg`` if
+    ``events``, the levels at the increasing operating points ``ops`` (one row
+    for every class) unless None, each median-smoothed with the windows of ``cfg``.
+    Each block of ``_frame_groups`` is stacked once for both."""
     for grid in grids:
         _check_columns(grid, vocab)
     windows = cfg.window_vector(vocab)
-    thresholds = cfg.threshold_vector(vocab)
+    thresholds = cfg.threshold_vector(vocab)[None]
+    frames = np.array([g.n_frames for g in grids], dtype=np.int64)
+    first = np.cumsum(frames + 1) - (frames + 1)
+    levels = None
+    if ops is not None:
+        levels = np.zeros((len(vocab), int(np.sum(frames + 1))), dtype=np.min_scalar_type(len(ops)))
+        op_column = np.asarray(ops)[:, None]  # one pass per operating point covers every class
     parts = []
     for idx in _frame_groups(grids):
         stack = np.stack([grids[k].values for k in idx])
-        clip, cls, start, end = _active_runs(_smoothed_levels(stack, thresholds[None], windows))
-        parts.append((idx[clip], cls, start, end))
-    if not parts:
-        return EventList([])
-    clip, cls, start, end = (np.concatenate(arrays) for arrays in zip(*parts))
-    order = np.argsort(clip, kind="stable")
-    return _events(grids, vocab, clip[order], cls[order], start[order], end[order])
+        if events:
+            clip, cls, start, end = _active_runs(_smoothed_levels(stack, thresholds, windows))
+            parts.append((idx[clip], cls, start, end))
+        if levels is not None:
+            pos = first[idx][:, None] + np.arange(stack.shape[1])
+            levels[:, pos] = _smoothed_levels(stack, op_column, windows).transpose(2, 0, 1)
+    runs = None
+    if events:
+        if not parts:  # no grid
+            parts = [(np.zeros(0, np.int64),) * 4]
+        clip, cls, start, end = (np.concatenate(arrays) for arrays in zip(*parts))
+        order = np.argsort(clip, kind="stable")
+        runs = clip[order], cls[order], start[order], end[order]
+    hops = np.array([g.hop_seconds for g in grids])
+    return ReducedDump([g.clip_id for g in grids], hops, frames, runs,
+                       None if levels is None else [levels])
+
+
+def _joined(blocks: Sequence[ReducedDump]) -> ReducedDump:
+    """The ``ReducedDump`` of the consecutive clips of ``blocks``, one at least."""
+    runs = levels = None
+    if blocks[0].runs is not None:
+        parts, first = [], 0  # ``first``: the index of the block's first clip
+        for b in blocks:
+            clip, *rest = b.runs
+            parts.append((clip + first, *rest))
+            first += len(b.clip_ids)
+        runs = tuple(map(np.concatenate, zip(*parts)))
+    if blocks[0].levels is not None:
+        levels = [part for b in blocks for part in b.levels]
+    return ReducedDump(
+        [clip_id for b in blocks for clip_id in b.clip_ids],
+        np.concatenate([b.hops for b in blocks]),
+        np.concatenate([b.frames for b in blocks]),
+        runs, levels,
+    )
+
+
+def read_reduced(
+    path: str | os.PathLike, cfg: PostProcessConfig, events: bool, ops: Sequence[float] | None
+) -> tuple[ReducedDump, ClassVocabulary]:
+    """A grid dump and its vocabulary (``parse_framegrids``), each block of at
+    most ``_BLOCK_CELLS`` cells reduced (``_reduced``) in the process that
+    parsed it, so no float of the dump is held past its block. The dump is
+    that of ``_reduced`` over the parsed grids."""
+    blocks, vocab = reduce_framegrids(
+        path, lambda grids, vocab: _reduced(grids, vocab, cfg, events=events, ops=ops),
+        _BLOCK_CELLS,
+    )
+    return _joined(blocks), vocab
 
 
 def rasterize(

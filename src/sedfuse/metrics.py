@@ -12,14 +12,19 @@ staircases of true-positive rate against effective false-positive rate
 per hour, and integrates the across-class effective curve up to ``e_max``.
 
 The sweep decodes each dump once with the decode kernel of
-:mod:`sedfuse.decode`: each cell counts the operating points it reaches,
+:mod:`sedfuse.decode` (``decode._reduced``, or ``decode.read_reduced`` as the
+dump is parsed): each cell counts the operating points it reaches,
 the class median smooths the counts, and since ``ops`` is strictly
 increasing, a smoothed count exceeds ``k`` exactly where decoding at
 ``ops[k]`` is active. A step up from count ``lo`` to ``hi`` starts a run at
 every operating point in ``[lo, hi)`` and a step down ends one, so one pass
 per class gives each operating point the detections that decoding at its
-threshold would give, in (clip, onset) order. Operating points are swept in
-blocks of at most ``decode._BLOCK_CELLS`` (operating point, position) pairs.
+threshold would give, in (clip, onset) order. ``psds_many`` smooths the grids
+to those levels and ``psds_counted`` counts from levels alone, so scoring a
+dump parsed to its levels takes the same path. Operating points are swept in
+blocks of at most ``decode._BLOCK_CELLS`` (operating point, position) pairs;
+a block's per-run arrays are made when it is counted and released before the
+next block's.
 
 Counting has no loop over operating points or detections. A run's onset and
 offset are the times of its level steps, so a class's own coverage is read
@@ -33,18 +38,19 @@ ends in one gap, where ``covered_before`` gives one prefix entry for both: its
 ratio is exactly 0, below any ``cttc > 0``.
 
 Each class writes only its own counts, and everything the sweep reads of the
-reference is built before it. So ``psds_many`` deals its classes in contiguous
-blocks to every free CPU (``core._dealt``), each block at least
-``_MIN_PSDS_CELLS`` cells times operating points, and each process stacks and
-smooths only its own classes' columns. The counts are integers, so the reports
-are the serial pass's; if no child can be had or one fails, the whole sweep
-runs again in this process, and an error is the serial pass's.
+reference is built before it. So ``psds_counted`` deals its classes in
+contiguous blocks to every free CPU (``core._dealt``), each block at least
+``_MIN_PSDS_CELLS`` cells times operating points, and each child counts its own
+classes' rows of the levels it shares with this process. The counts are
+integers, so the reports are the serial pass's; if no child can be had or one
+fails, the whole count runs again in this process, and an error is the serial
+pass's.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, fields
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -65,8 +71,8 @@ from .core import (
 from . import decode
 from .decode import (
     PostProcessConfig,
+    ReducedDump,
     _level_runs,
-    _smoothed_levels,
 )
 
 
@@ -379,20 +385,21 @@ class _Coverage:
         return self.prefix[j] - np.where(j >= 1, np.maximum(0.0, self.ends[j - 1] - x), 0.0)
 
 
-def _reference_clips(grids: Sequence[FrameGrid], ref: EventList) -> np.ndarray:
-    """The grid index of each reference event's clip, which must hold the event."""
-    clip_index = {g.clip_id: k for k, g in enumerate(grids)}
-    if len(clip_index) != len(grids):
+def _reference_clips(dump: ReducedDump, ref: EventList) -> np.ndarray:
+    """The clip index of each reference event's clip, which must hold the event."""
+    clip_index = {clip_id: k for k, clip_id in enumerate(dump.clip_ids)}
+    if len(clip_index) != len(dump.clip_ids):
         raise ValidationError("duplicate clip ids in grids")
     missing = {ev.clip_id for ev in ref} - set(clip_index)
     if missing:
         raise ValidationError(f"reference clips without grids: {sorted(missing)}")
     clip = np.array([clip_index[ev.clip_id] for ev in ref])
+    durations = dump.durations
     for ev, k in zip(ref, clip.tolist()):
-        if ev.offset > grids[k].duration_seconds + 1e-9:
+        if ev.offset > durations[k] + 1e-9:
             raise ValidationError(
                 f"{ev.clip_id}: reference event ending at {ev.offset} extends "
-                f"past the clip's {grids[k].duration_seconds}s"
+                f"past the clip's {durations[k]}s"
             )
     return clip
 
@@ -439,9 +446,9 @@ def _touching(on_key, off_key, m, up_t, down_t, cov: _Coverage, n_rows: int) -> 
 # A sweep is dealt to no more parts than it holds of these cells times operating
 # points. A fork, its transfer and its reap took about 3 ms in a process holding
 # a 600-clip dump on a 2-vCPU host, where a class of that dump (3.1e5 cells
-# times 50 points) took 47 to 54 ms, about 3.3 ns per cell per point. So each
-# part holds about 55 ms of work or more, and the 8-clip sets (2.0e6 cells
-# times operating points) are not dealt.
+# times 50 points) took 47 to 54 ms with its smoothing, about 3.3 ns per cell
+# per point. So each part holds about 55 ms of work or more, and the 8-clip
+# sets (2.0e6 cells times operating points) are not dealt.
 _MIN_PSDS_CELLS = 1 << 24
 
 
@@ -455,27 +462,42 @@ def psds_many(
     """Score several PSDS parameterizations sharing one detection sweep.
 
     All configs must use the same operating points (they share the decoded
-    detections; only the counting criteria differ). The classes are counted
-    on every free CPU (module docstring).
+    detections; only the counting criteria differ). The grids are smoothed to
+    their levels at those points (``decode._reduced``), then counted by
+    ``psds_counted`` (module docstring).
     """
+    ops = psds_cfgs[0].operating_points if psds_cfgs else None
+    dump = decode._reduced(grids, vocab, decode_cfg, events=False, ops=ops)
+    return psds_counted(dump, ref, psds_cfgs, vocab)
+
+
+def psds_counted(
+    dump: ReducedDump,
+    ref: EventList,
+    psds_cfgs: Sequence[PSDSConfig],
+    vocab: ClassVocabulary,
+) -> list[PSDSReport]:
+    """``psds_many`` of a dump reduced to its levels at the configs' operating
+    points: the classes are counted on every free CPU (module docstring)."""
     if not ref.events:
         raise ValidationError("reference event list is empty")
-    if not grids:
+    if not dump.clip_ids:
         raise ValidationError("no posterior grids given")
     if not psds_cfgs:
         raise ValidationError("no PSDS configs given")
     if len({cfg.operating_points for cfg in psds_cfgs}) > 1:
         raise ValidationError("all PSDS configs must share operating points")
     ref.validate_vocab(vocab)
-    total_dur = float(sum(g.duration_seconds for g in grids))
+    durations = dump.durations
+    total_dur = float(sum(durations))
     if not total_dur > 0:
         raise ValidationError("dataset duration must be > 0")
 
-    ref_clip = _reference_clips(grids, ref)
+    ref_clip = _reference_clips(dump, ref)
 
     # Disjoint global bands, one per clip, so coverage queries span the dataset.
-    band = max(g.duration_seconds for g in grids) + 1.0
-    bases = np.arange(len(grids), dtype=np.float64) * band
+    band = max(durations) + 1.0
+    bases = np.arange(len(durations), dtype=np.float64) * band
 
     n_classes = len(vocab)
     ref_cls = np.array([vocab.index(ev.event_label) for ev in ref])
@@ -493,79 +515,69 @@ def psds_many(
     ops = psds_cfgs[0].operating_points
     n_cfg, n_op = len(psds_cfgs), len(ops)
 
-    # Decode once, then sweep level crossings (module docstring). Clip j's levels
-    # sit at levels[first[j]:first[j] + frames[j]], then a 0 that ends its runs.
-    windows = decode_cfg.window_vector(vocab)
-    frames = np.array([g.n_frames for g in grids])
+    # Sweep level crossings (module docstring). Clip j's levels sit at
+    # dump.level_row(c)[first[j]:first[j] + frames[j]], then a 0 that ends its runs.
+    frames, hops = dump.frames, dump.hops
     first = np.cumsum(frames + 1) - (frames + 1)
-    op_column = np.asarray(ops)[:, None]  # one pass per operating point covers every class
-    groups = [(idx, first[idx][:, None] + np.arange(grids[idx[0]].n_frames))
-              for idx in decode._frame_groups(grids)]
-    hops = np.array([g.hop_seconds for g in grids])
     cross = evaluated if any(cfg.alpha_ct > 0 for cfg in psds_cfgs) else evaluated[:0]
 
-    def clip_of(at):  # the clip of each position of ``levels``
+    def clip_of(at):  # the clip of each position of a row of levels
         return np.searchsorted(first, at, side="right") - 1
 
-    def count(part: range) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """(tp[:, :, c], fp[:, :, c], ct[:, :, c, :]) for each class c of ``part``,
-        from its own columns of the grids, stacked and smoothed here."""
-        cols = slice(part.start, part.stop)
-        stacks = [
-            (pos, _smoothed_levels(np.stack([grids[k].values[:, cols] for k in idx]),
-                                   op_column, windows[cols]))
-            for idx, pos in groups
-        ]
-        levels = np.zeros(int(np.sum(frames + 1)), dtype=np.min_scalar_type(n_op))
-        for c in part:
-            tp = np.zeros((n_cfg, n_op), dtype=np.int64)
-            fp = np.zeros((n_cfg, n_op), dtype=np.int64)
-            ct = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
-            for pos, smoothed in stacks:
-                levels[pos] = smoothed[:, :, c - part.start]
-            up, down, blocks = _level_runs(levels, n_op)
-            up_t, down_t = (
-                (at - first[k]) * hops[k] + bases[k]
-                for at, k in ((up, clip_of(up)), (down, clip_of(down)))
-            )
-            up_cov, down_cov = gt_cov[c].covered_before(up_t), gt_cov[c].covered_before(down_t)
-            m = max(len(up), len(down))  # keys k * m + step order a block's runs
-            for k0, k1, op, start, end in blocks:
-                n_block = k1 - k0
-                on, off = up_t[start], down_t[end]
-                lengths = off - on
-                _check_lengths(lengths, lambda i: grids[clip_of(up[start[i]])].clip_id)
-                ratio_same = (down_cov[end] - up_cov[start]) / lengths
-                passing = [ratio_same >= cfg.dtc for cfg in psds_cfgs]
-                on_key, off_key = (op.astype(np.int64) * m + at for at in (start, end))
-                for gi, cfg in enumerate(psds_cfgs):
-                    fp[gi, k0:k1] = np.bincount(op[~passing[gi]], minlength=n_block)
-                    kept = np.flatnonzero(passing[gi])
-                    if n_ref[c] > 0:  # row groups whose (rows, 2 * refs) searches fit the budget
-                        rows = max(1, decode._BLOCK_CELLS // (2 * int(n_ref[c])))
-                        keys = on_key[kept]
-                        cut = np.searchsorted(keys, np.arange(0, n_block + rows, rows) * m)
-                        for r0, i, j in zip(range(0, n_block, rows), cut[:-1], cut[1:]):
-                            if j > i:
-                                r1, d = min(r0 + rows, n_block), kept[i:j]
-                                share = _row_coverage(keys[i:j], on[d], off[d], m, r0, r1,
-                                                      up_t, gt_on_arr[c], gt_off_arr[c])
-                                tp[gi, k0 + r0 : k0 + r1] = np.sum(share >= cfg.gtc, axis=1)
-                # Only detections that touch c2's coverage can cross-trigger (module docstring).
-                for c2 in cross[cross != c]:
-                    cov = gt_cov[c2]
-                    d = _touching(on_key, off_key, m, up_t, down_t, cov, n_block)
-                    covered = cov.covered_before(off[d]) - cov.covered_before(on[d])
-                    ratio_cross = covered / lengths[d]
-                    for gi, cfg in enumerate(psds_cfgs):
-                        if cfg.alpha_ct > 0:
-                            hit = d[~passing[gi][d] & (ratio_cross >= cfg.cttc)]
-                            ct[gi, k0:k1, c2] = np.bincount(op[hit], minlength=n_block)
-            del up, down, up_t, down_t, up_cov, down_cov  # before the next class's steps
-            yield tp, fp, ct
+    def class_counts(c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(tp[:, :, c], fp[:, :, c], ct[:, :, c, :]) from class c's row of levels."""
+        tp = np.zeros((n_cfg, n_op), dtype=np.int64)
+        fp = np.zeros((n_cfg, n_op), dtype=np.int64)
+        ct = np.zeros((n_cfg, n_op, n_classes), dtype=np.int64)
+        up, down, blocks, block_runs = _level_runs(dump.level_row(c), n_op)
+        up_t, down_t = (
+            (at - first[k]) * hops[k] + bases[k]
+            for at, k in ((up, clip_of(up)), (down, clip_of(down)))
+        )
+        up_cov, down_cov = gt_cov[c].covered_before(up_t), gt_cov[c].covered_before(down_t)
+        m = max(len(up), len(down))  # keys k * m + step order a block's runs
 
-    cells = sum(g.values.size for g in grids)
-    counts = _dealt(count, _blocks(n_classes, cells * n_op // _MIN_PSDS_CELLS))
+        def count_block(k0: int, k1: int, op, start, end) -> None:
+            """The counts of the levels [k0, k1); the block's per-run arrays are
+            released on return, before the next block's are made."""
+            n_block = k1 - k0
+            on, off = up_t[start], down_t[end]
+            lengths = off - on
+            _check_lengths(lengths, lambda i: dump.clip_ids[clip_of(up[start[i]])])
+            ratio_same = (down_cov[end] - up_cov[start]) / lengths
+            passing = [ratio_same >= cfg.dtc for cfg in psds_cfgs]
+            on_key, off_key = (op.astype(np.int64) * m + at for at in (start, end))
+            for gi, cfg in enumerate(psds_cfgs):
+                fp[gi, k0:k1] = np.bincount(op[~passing[gi]], minlength=n_block)
+                kept = np.flatnonzero(passing[gi])
+                if n_ref[c] > 0:  # row groups whose (rows, 2 * refs) searches fit the budget
+                    rows = max(1, decode._BLOCK_CELLS // (2 * int(n_ref[c])))
+                    keys = on_key[kept]
+                    cut = np.searchsorted(keys, np.arange(0, n_block + rows, rows) * m)
+                    for r0, i, j in zip(range(0, n_block, rows), cut[:-1], cut[1:]):
+                        if j > i:
+                            r1, d = min(r0 + rows, n_block), kept[i:j]
+                            share = _row_coverage(keys[i:j], on[d], off[d], m, r0, r1,
+                                                  up_t, gt_on_arr[c], gt_off_arr[c])
+                            tp[gi, k0 + r0 : k0 + r1] = np.sum(share >= cfg.gtc, axis=1)
+            # Only detections that touch c2's coverage can cross-trigger (module docstring).
+            for c2 in cross[cross != c]:
+                cov = gt_cov[c2]
+                d = _touching(on_key, off_key, m, up_t, down_t, cov, n_block)
+                covered = cov.covered_before(off[d]) - cov.covered_before(on[d])
+                ratio_cross = covered / lengths[d]
+                for gi, cfg in enumerate(psds_cfgs):
+                    if cfg.alpha_ct > 0:
+                        hit = d[~passing[gi][d] & (ratio_cross >= cfg.cttc)]
+                        ct[gi, k0:k1, c2] = np.bincount(op[hit], minlength=n_block)
+
+        for k0, k1 in blocks:
+            count_block(k0, k1, *block_runs(k0, k1))
+        return tp, fp, ct
+
+    cells = int(np.sum(frames)) * n_classes
+    counts = _dealt(lambda part: map(class_counts, part),
+                    _blocks(n_classes, cells * n_op // _MIN_PSDS_CELLS))
     tp, fp, ct = (np.stack(arrays, axis=2) for arrays in zip(*counts))
     return [
         _roc_report(cfg, ops, vocab, evaluated, n_ref, gt_dur, total_dur, tp[gi], fp[gi], ct[gi])

@@ -8,12 +8,15 @@ import gc
 import io
 import json
 import os
+import pathlib
 import sys
 import tempfile
 import threading
+import tracemalloc
 import types
 import warnings
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -648,13 +651,14 @@ class TestDecodeScore:
     def test_score_all_parses_grids_once(self, dataset, tmp_path, monkeypatch):
         import sedfuse.cli
 
-        calls = []
+        calls, read_reduced = [], sedfuse.cli.read_reduced
 
         def counting_parse(*args, **kwargs):
             calls.append(args[0])
-            return parse_framegrids(*args, **kwargs)
+            return read_reduced(*args, **kwargs)
 
-        monkeypatch.setattr(sedfuse.cli, "parse_framegrids", counting_parse)
+        monkeypatch.setattr(sedfuse.cli, "read_reduced", counting_parse)
+        monkeypatch.setattr(sedfuse.cli, "parse_framegrids", None)  # the reduce's parse only
         rc = run(
             "score", "--ref", dataset / "events.tsv", "--grids", dataset / "grids_model_1.jsonl",
             "--metric", "all", "--out", tmp_path / "o",
@@ -743,6 +747,16 @@ class TestDecodeScore:
             "--metric", "f1", "--out", tmp_path / "o",
         )
         assert rc == 2
+
+    def test_two_empty_event_lists_exit_2_naming_the_reference(self, tmp_path, capsys):
+        # With no label in either file there is no vocabulary to build: the empty
+        # reference is what is named.
+        ref, est = tmp_path / "ref.tsv", tmp_path / "est.tsv"
+        for path in (ref, est):
+            path.write_text("filename\tonset\toffset\tevent_label\n")
+        rc = run("score", "--ref", ref, "--est", est, "--metric", "f1", "--out", tmp_path / "o")
+        err = capsys.readouterr().err
+        assert rc == 2 and f"error: {ref}: reference event list is empty" in err, err
 
     @pytest.mark.parametrize("flag", ["--ref", "--est"])
     def test_reserved_label_exits_2_naming_its_line(self, dataset, tmp_path, capsys, flag):
@@ -1045,6 +1059,154 @@ class TestAnyCPUCount:
         assert [name for name in one if four[name] != one[name]] == []
 
 
+_POSTERIORS = st.sampled_from((0.0, 0.01, 0.3, 0.5, 0.51, 0.99, 1.0))
+_WINDOWS = st.sampled_from((1, 3, 5))
+
+
+@st.composite
+def scored_dumps(draw):
+    """(dump text, reference events, decode config): two to five clips with dyadic
+    hops, mixed frame counts and column orders, references on a quarter-second
+    grid, and per-class median windows."""
+    classes = tuple("abc"[: draw(st.integers(1, 3))])
+    lines, events = [], []
+    for i in range(draw(st.integers(2, 5))):
+        hop = draw(st.sampled_from((0.25, 0.5)))
+        frames = draw(st.integers(1, 10))
+        order = classes[::-1] if draw(st.booleans()) else classes
+        row = st.lists(_POSTERIORS, min_size=len(classes), max_size=len(classes))
+        lines.append(core._json_line({
+            "clip_id": f"c{i}", "hop_seconds": hop, "classes": list(order),
+            "posteriors": draw(st.lists(row, min_size=frames, max_size=frames)),
+        }))
+        quarters = int(frames * hop * 4)
+        for _ in range(draw(st.integers(1 if i == 0 else 0, 2))):
+            onset = draw(st.integers(0, quarters - 1))
+            offset = draw(st.integers(onset + 1, quarters))
+            events.append(f"c{i}\t{onset / 4}\t{offset / 4}\t{draw(st.sampled_from(classes))}")
+    config = {"default_median_window": draw(_WINDOWS),
+              "median_windows": draw(st.dictionaries(st.sampled_from(classes), _WINDOWS))}
+    return "".join(lines), "\n".join(["filename\tonset\toffset\tevent_label", *events]), config
+
+
+class TestReducedDump:
+    """``score`` and ``decode`` keep of each parsed block of a dump only its runs
+    and its PSDS levels: their outputs are those of ``psds_many``, ``event_f1``
+    and ``decode_many`` over the parsed grids, however the dump is read."""
+
+    @staticmethod
+    def expected(dump, ref_path, config):
+        """report.json and events.tsv from the parsed grids, on one CPU."""
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True):
+            grids, vocab = parse_framegrids(dump)
+            cfg = decode.PostProcessConfig.load(config, vocab)
+            ref = parse_events(ref_path, vocab)
+            est = decode.decode_many(grids, cfg, vocab)
+            f1 = metrics.event_f1(ref, est, metrics.CollarConfig(), vocab)
+            p1, p2 = metrics.psds_many(grids, ref, cfg, [metrics.PSDS1, metrics.PSDS2], vocab)
+        payload = metrics.report_tables({"system": f1}, {"system": p1}, {"system": p2}).to_dict()
+        payload["psds_detail"] = {"psds1": {"system": p1.to_dict()},
+                                  "psds2": {"system": p2.to_dict()}}
+        events = ref_path.parent / "expected.tsv"
+        core.write_events(est, events)
+        return json.dumps(payload, indent=2) + "\n", events.read_text()
+
+    @pytest.mark.parametrize("how", ["1 CPU", "3 CPUs", "FIFO", "failed child"])
+    @settings(max_examples=10, deadline=None)
+    @given(case=scored_dumps())
+    def test_outputs_equal_those_of_the_parsed_grids(self, how, case):
+        text, ref_text, config_data = case
+        parent, parse_range, real_fork = os.getpid(), core._parse_grid_range, os.fork
+        forks, reruns = [], []
+
+        def failing_later_range(*args):  # a child exits 3: the parent parses again
+            if os.getpid() != parent:
+                os._exit(3)
+            reruns.append(args[2:4])
+            return parse_range(*args)
+
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = pathlib.Path(tmp)
+            dump, ref, config = tmp / "grids.jsonl", tmp / "ref.tsv", tmp / "decode.json"
+            dump.write_text(text)
+            ref.write_text(ref_text + "\n")
+            config.write_text(json.dumps(config_data))
+            report, events = self.expected(dump, ref, config)
+            cpus = {0} if how == "1 CPU" else {0, 1, 2}
+            with contextlib.ExitStack() as patches:
+                for target, name, value in [
+                    (os, "sched_getaffinity", lambda pid: cpus),
+                    (core, "_MIN_RANGE_BYTES", 1),
+                    (os, "fork", lambda: forks.append(1) or real_fork()),
+                ] + [(core, "_parse_grid_range", failing_later_range)] * (how == "failed child"):
+                    patches.enter_context(mock.patch.object(target, name, value, create=True))
+                with open(dump, "rb") as fh:
+                    starts = core._range_starts(fh.fileno(), len(text))
+                for argv in (["score", "--ref", ref, "--metric", "all"], ["decode"]):
+                    grids = dump
+                    if how == "FIFO":
+                        grids = tmp / f"{argv[0]}.fifo"
+                        os.mkfifo(grids)
+                        writer = threading.Thread(target=grids.write_text, args=(text,),
+                                                  daemon=True)
+                        writer.start()
+                    rc = run(*argv, "--grids", grids, "--decode-config", config,
+                             "--out", tmp / argv[0])
+                    if how == "FIFO":
+                        writer.join(timeout=10)
+                    assert rc == 0
+            assert (tmp / "score" / "report.json").read_text() == report
+            assert (tmp / "decode" / "events.tsv").read_text() == events
+        # On 3 CPUs a dump is dealt where a range starts after the first line.
+        dealt = how in ("3 CPUs", "failed child") and len(starts) > 1
+        assert bool(forks) == dealt
+        if how == "failed child":  # in each run, the first range and then the whole file
+            assert reruns == 2 * ([(0, starts[1]), (0, len(text))] if dealt else [(0, None)])
+
+    def test_score_holds_no_float_dump(self, tmp_path, monkeypatch):
+        # Beyond the text and the grids of the block it parses, score keeps a
+        # byte of PSDS levels per cell, and its runs: with those blocks made
+        # small, the traced peak of this process stays below half the dump's
+        # float64 size, which holding the parsed grids would exceed. The dump
+        # has 2 MiB or more, so on 2 CPUs its ranges are dealt.
+        rng = np.random.default_rng(5)
+        n_clips, frames, classes = 120, 1024, ["a", "b", "c", "d"]
+        lines, refs = [], ["filename\tonset\toffset\tevent_label"]
+        for i in range(n_clips):
+            values = np.zeros((frames, len(classes)))
+            for c in range(len(classes)):  # one event per class, with soft edges
+                a = int(rng.integers(0, frames - 100))
+                b = a + int(rng.integers(20, 100))
+                values[a:b, c] = 0.75
+                values[a + 5 : b - 5, c] = 1.0
+            lines.append(core._json_line({"clip_id": f"c{i}", "hop_seconds": 0.02,
+                                          "classes": classes, "posteriors": values.tolist()}))
+            refs.append(f"c{i}\t{a * 0.02}\t{b * 0.02}\td")  # the last class's event
+        dump, ref = tmp_path / "grids.jsonl", tmp_path / "ref.tsv"
+        dump.write_text("".join(lines))
+        ref.write_text("\n".join(refs) + "\n")
+        assert dump.stat().st_size >= 2 << 20
+        forks, real_fork = [], os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(core, "_READ_BLOCK", 1 << 16)
+        monkeypatch.setattr(decode, "_BLOCK_CELLS", 1 << 12)
+        # One clip first, untraced: what that imports or caches is not the dump's.
+        (tmp_path / "one.jsonl").write_text(lines[0])
+        (tmp_path / "one.tsv").write_text("\n".join(refs[:2]) + "\n")
+        assert run("score", "--ref", tmp_path / "one.tsv", "--grids", tmp_path / "one.jsonl",
+                   "--metric", "all", "--out", tmp_path / "one") == 0
+        tracemalloc.start()
+        try:
+            rc = run("score", "--ref", ref, "--grids", dump, "--metric", "all",
+                     "--out", tmp_path / "o")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0 and forks
+        assert peak < 0.5 * n_clips * frames * len(classes) * 8
+
+
 class TestModelNameNotAFileName:
     """A model name that cannot be part of grids_<name>.jsonl exits 2 naming the
     config, before any output is written."""
@@ -1070,6 +1232,8 @@ class TestManifestFile:
         assert manifest["wall_clock_seconds"] >= 0
         peak = manifest["peak_rss_mb"]
         assert isinstance(peak, float) and peak > 0
+        own, child = manifest["peak_rss_mb_self"], manifest["peak_rss_mb_largest_child"]
+        assert 0 < own <= peak and 0 < child <= peak and peak == max(own, child)
 
     def test_peak_rss_in_decimal_megabytes(self, tmp_path, monkeypatch):
         # ru_maxrss is in KiB: 1,000,000 KiB is 1,024,000,000 bytes.
@@ -1089,7 +1253,11 @@ class TestManifestFile:
         )
         out = tmp_path / "data"
         assert run("simulate", "--config", write_tiny_scenario(tmp_path), "--out", out) == 0
-        assert json.loads((out / "run_manifest.json").read_text())["peak_rss_mb"] == 2048.0
+        manifest = json.loads((out / "run_manifest.json").read_text())
+        assert manifest["peak_rss_mb"] == 2048.0
+        # Each process's own peak is shown beside it, to name the one that set it.
+        assert manifest["peak_rss_mb_self"] == self_kib * 1024 / 1e6
+        assert manifest["peak_rss_mb_largest_child"] == children_kib * 1024 / 1e6
 
     @pytest.mark.parametrize("subcommand", ["decode", "score", "fuse", "experiment"])
     def test_decode_config_is_an_input(self, dataset, tmp_path, subcommand):
