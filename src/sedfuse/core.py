@@ -11,8 +11,9 @@ Five on-disk formats move data between stages:
 Parsing is strict: malformed rows and out-of-vocabulary labels raise
 immediately instead of being coerced or skipped, so label drift cannot
 pass silently. All values are immutable after construction and safe to
-share across threads. Floats are serialized with ``repr`` so every
-write/parse round trip is value-exact. Grid dumps are encoded and parsed on
+share across threads. Floats are serialized with the text ``repr`` gives,
+a grid's cells from the array encoder, so every write/parse round trip is
+value-exact. Grid dumps are encoded and parsed on
 every CPU of the process's affinity mask: ``write_framegrids`` deals the
 grids in shards and ``reduce_framegrids`` the file in byte ranges
 (``_blocks``), and ``_dealt`` forks one child per later part. Each child
@@ -26,7 +27,8 @@ Every file is written to a temp file and renamed, with the mode a plain
 ``open`` would give it.
 
 Each format has one owner: ``_json_line`` encodes every JSONL record (also
-``spl``'s selection), ``write_json`` writes every indented JSON document, and
+``spl``'s selection), ``_grid_text`` the posteriors of a grid record, all of its
+cells at once, ``write_json`` writes every indented JSON document, and
 ``_located`` puts the file or ``path:line`` at fault before a ``ValidationError``.
 """
 
@@ -222,10 +224,6 @@ class Event:
         object.__setattr__(self, "onset", onset)
         object.__setattr__(self, "offset", offset)
 
-    @property
-    def duration(self) -> float:
-        return self.offset - self.onset
-
 
 @dataclass
 class EventList:
@@ -255,13 +253,6 @@ class EventList:
             out.setdefault(ev.clip_id, []).append(ev)
         return out
 
-    def clip_ids(self) -> list[str]:
-        """Clip ids in first-appearance order."""
-        seen: dict[str, None] = {}
-        for ev in self.events:
-            seen.setdefault(ev.clip_id)
-        return list(seen)
-
     def label_set(self) -> set[str]:
         return {ev.event_label for ev in self.events}
 
@@ -278,15 +269,6 @@ class WeakLabelSet:
             _check_name(clip_id, "clip id")
             if not classes:
                 raise ValidationError(f"{clip_id}: weak label set must be non-empty")
-
-    def validate_vocab(self, vocab: ClassVocabulary) -> None:
-        for clip_id, classes in self.labels.items():
-            for name in classes:
-                if name not in vocab:
-                    raise VocabularyError(f"{clip_id}: unknown class {name!r}")
-
-    def __contains__(self, clip_id: str) -> bool:
-        return clip_id in self.labels
 
     def __getitem__(self, clip_id: str) -> frozenset[str]:
         return self.labels[clip_id]
@@ -461,8 +443,176 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
 
 
 def _json_line(record: Mapping) -> str:
-    """A JSONL record: compact JSON and its line end."""
-    return json.dumps(record, separators=(",", ":")) + "\n"
+    """A JSONL record: compact JSON and its line end. An array field, a grid's
+    ``posteriors``, is written by ``_grid_text``: the text ``json.dumps`` gives
+    its ``tolist()``, found for every cell at once."""
+    if not any(isinstance(value, np.ndarray) for value in record.values()):
+        return json.dumps(record, separators=(",", ":")) + "\n"
+    return "{" + ",".join(
+        json.dumps(key) + ":" + (
+            _grid_text(value) if isinstance(value, np.ndarray)
+            else json.dumps(value, separators=(",", ":"))
+        )
+        for key, value in record.items()
+    ) + "}\n"
+
+
+# ``_grid_text`` writes a cell 1e-4 <= x < 1 in fixed notation from the
+# shortest digits that round to it, found by Schubfach (R. Giulietti, "The
+# Schubfach way to render doubles", 2020) in uint64 arithmetic. Every other
+# cell (0.0, -0.0, 1.0, a power of two, x < 1e-4) takes ``repr``.
+#
+# Such an x is c * 2**q, with c its 53-bit significand and q = e - 1075 for
+# its biased exponent e in [1009, 1022], and its text is "0." and the digits
+# of D * 10**-m, for m in [16, 20] the least with 10**m >= 2**-q and D < 10**17
+# the shortest decimal in x's rounding interval. The tables below, indexed by
+# the sign and exponent bits, hold for each e: g = 5**m scaled into
+# [2**62, 2**63), exact since 5**20 < 2**47; the shift s for which
+# ((2c << s) * g) >> 64 is 4 * x * 10**m; and the first word of the cell's text.
+# The entries of other exponents only keep the arithmetic in range.
+_U = np.uint64
+_M32 = _U(0xFFFF_FFFF)
+_FRACTION = _U((1 << 52) - 1)
+
+
+def _word(text: bytes) -> int:
+    """Up to 8 bytes of text as one little-endian word, padded with NULs."""
+    return int.from_bytes(text.ljust(8, b"\0"), "little")
+
+
+def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    g = np.zeros(4096, np.uint64)
+    shift = np.full(4096, 2, np.uint64)
+    head = np.zeros(4096, np.uint64)
+    for e in range(1009, 1023):
+        q = e - 1075
+        m = next(m for m in itertools.count() if 10 ** m >= 2 ** -q)
+        bits = (5 ** m).bit_length()
+        g[e] = 5 ** m << (63 - bits)
+        shift[e] = q + m + bits + 2
+        # A separator byte, a NUL, "0.", the m - 17 zeros after the point and
+        # "0" for D's first digit of 17; with m = 16, D < 10**16 and that
+        # first digit, a 0, is not written.
+        head[e] = _word(b"\0\0" + b"0." + b"\0" * (20 - m) + b"0" * (m - 16))
+    return g, shift, head
+
+
+_G, _SHIFT, _HEAD = _exponent_tables()
+_GRID_START, _ROW_START, _COMMA = map(_word, (b"[[", b"],[", b","))
+# A grid is written in blocks of rows of at most about this many cells (one
+# row at least): a block's arrays take about 64 KiB each, and a smaller block
+# pays numpy's cost per call on fewer cells.
+_TEXT_CELLS = 1 << 13
+
+
+def _grid_text(values: np.ndarray) -> str:
+    """``json.dumps(values.tolist(), separators=(",", ":"))`` for a non-empty
+    2-D float64 array of finite cells >= 0 or -0.0, as a ``FrameGrid`` holds."""
+    rows, cols = values.shape
+    step = max(1, _TEXT_CELLS // cols)
+    return "".join(
+        _grid_rows(values[at:at + step], at == 0) for at in range(0, rows, step)
+    ) + "]]"
+
+
+def _grid_rows(values: np.ndarray, first: bool) -> str:
+    """The text of some rows of a grid, each led by "],[" ("[[" if ``first``).
+
+    Each grid row is laid out as one word for its lead and three per cell,
+    and each cell's 24 bytes hold its separator ("," but in the first column)
+    and its text, padded with NULs, which are then dropped: in fixed notation
+    a NUL, "0.", the zeros after the point and D's 17 digits but its
+    trailing zeros; otherwise ``repr``, also json's float text."""
+    rows, cols = values.shape
+    flat = np.ascontiguousarray(values).ravel()
+    bits = flat.view(np.uint64)
+    top = (bits >> _U(52)).astype(np.intp)
+    shortest = _shortest(bits, _G[top], _SHIFT[top])
+    words = np.empty((rows, 1 + 3 * cols), np.uint64)
+    words[:, 0] = _ROW_START
+    if first:
+        words[0, 0] = _GRID_START
+    cells = words[:, 1:].reshape(rows, cols, 3)
+    lead = shortest // _U(10 ** 16)
+    cells[:, :, 0] = (_HEAD[top] + (lead << _U(56))).reshape(rows, cols)
+    cells[:, 1:, 0] |= _COMMA
+    cells[:, :, 1:] = _digit_words(shortest - lead * _U(10 ** 16)).reshape(rows, cols, 2)
+    fixed = (flat >= 1e-4) & (flat < 1.0) & ((bits & _FRACTION) != 0)
+    text = words.view(np.uint8).reshape(rows, -1)
+    for t, c in zip(*np.nonzero(~fixed.reshape(rows, cols))):
+        cell = (b"," if c else b"") + repr(float(values[t, c])).encode("ascii")
+        text[t, 8 + 24 * c:32 + 24 * c] = np.frombuffer(cell.ljust(24, b"\0"), np.uint8)
+    return words.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def _shortest(bits: np.ndarray, g: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """D for each cell of ``_grid_text``'s fixed notation: of the decimals
+    D * 10**-m in the cell's rounding interval, those with the fewest digits,
+    and of those the closest to the cell, an even D on a tie; ``repr`` picks
+    the same one. This is figure 7 of Giulietti's paper, with its names
+    (``s``, ``sp10``, ``upin``, ...) and the products of its figure 9: x and
+    the ends of its interval, scaled by 4 * 10**m and rounded to odd, compare
+    exactly with multiples of 4."""
+    two_c = ((bits & _FRACTION) | _U(1 << 52)) << _U(1)
+    hi, lo = _product(two_c, g)
+    # The ends of the interval, (2c -+ 1) * 2**(q - 1), have over 50 decimals,
+    # so no D * 10**-m is one: an odd c's interval, which leaves them out,
+    # needs no other test.
+    lo_l, lo_r = lo - g, lo + g
+    vb = _odd_high(hi, lo, shift)
+    vbl = _odd_high(hi - (lo < g), lo_l, shift)
+    vbr = _odd_high(hi + (lo_r < lo), lo_r, shift)
+    s = vb >> _U(2)
+    sp10 = s // _U(10) * _U(10)
+    upin = vbl <= sp10 << _U(2)
+    wpin = (sp10 << _U(2)) + _U(40) <= vbr
+    uin = vbl <= s << _U(2)
+    win = (s << _U(2)) + _U(4) <= vbr
+    closer_to_w = (vb & _U(3)) + (s & _U(1)) > _U(2)
+    # One of u', w' in the interval has fewer digits; else u or w, whichever is
+    # in it, and the closer to x if both are.
+    return np.where(upin != wpin, sp10 + wpin * _U(10), s + (win & (~uin | closer_to_w)))
+
+
+def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * b in two words, high and low, for a < 2**54 and b < 2**63, from
+    products of 32-bit halves."""
+    a0, a1 = a & _M32, a >> _U(32)
+    b0, b1 = b & _M32, b >> _U(32)
+    low = a0 * b0
+    mid = a0 * b1 + a1 * b0  # < 2**63 + 2**54
+    mid_low = (mid & _M32) + (low >> _U(32))
+    return a1 * b1 + (mid >> _U(32)) + (mid_low >> _U(32)), (mid_low << _U(32)) | (low & _M32)
+
+
+def _odd_high(hi: np.ndarray, lo: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """The high word of (hi, lo) << ``shift``, rounded to odd: its last bit is
+    set if a bit below it is."""
+    return (hi << shift) | (lo >> (_U(64) - shift)) | ((lo << shift) != 0)
+
+
+def _digit_words(d: np.ndarray) -> np.ndarray:
+    """The 16 digits of each d < 10**16 as two words of ASCII, the first digit
+    in the lowest byte, with the trailing zeros made NUL."""
+    v = np.empty((d.size, 2), np.uint64)
+    v[:, 0] = d // _U(10 ** 8)
+    v[:, 1] = d - v[:, 0] * _U(10 ** 8)
+    # Each word's 8 digits split in two in every lane: into 32-bit lanes of 4,
+    # 16-bit lanes of 2 and bytes of 1. x * 5243 >> 19 is x // 100 for x < 43699,
+    # and x * 103 >> 10 is x // 10 for x < 179.
+    q = v // _U(10 ** 4)
+    v = q | (v - q * _U(10 ** 4)) << _U(32)
+    q = (v * _U(5243) >> _U(19)) & _U(0x0000_007F_0000_007F)
+    v = q | (v - q * _U(100)) << _U(16)
+    q = (v * _U(103) >> _U(10)) & _U(0x000F_000F_000F_000F)
+    v = q | (v - q * _U(10)) << _U(8)
+    # A digit is written if it or a later one is not 0: OR each byte with the
+    # bytes above it, and the first word's with the second word's.
+    keep = v | v >> _U(8)
+    keep |= keep >> _U(16)
+    keep |= keep >> _U(32)
+    keep[:, 0] |= (keep[:, 1] & _U(0xFF)) * _U(0x0101_0101_0101_0101)
+    return v + ((keep + _U(0x0F0F_0F0F_0F0F_0F0F)) & _U(0x1010_1010_1010_1010)) * _U(3)
 
 
 def write_json(path: str | os.PathLike, value) -> None:
@@ -943,7 +1093,7 @@ def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], 
     job (the shards of ``write_framegrids``, the byte ranges of
     ``reduce_framegrids``, the parameter blocks of ``fusion._dev_curve`` and
     the class blocks of ``fusion.fit_logistic_fusion`` and
-    ``metrics.psds_many``); and the CLI's ``_write_dataset``, whose one child
+    ``metrics.psds_counted``); and the CLI's ``_write_dataset``, whose one child
     writes the dataset's dumps while the experiment scores. That caller waits
     for its child before it leaves, also when it raises, so its child is
     never killed: a killed writer would leave its dump unwritten and its
@@ -1022,7 +1172,7 @@ def _dealt(
     ``parse_framegrids`` and ``decode.read_reduced``) the byte ranges of a
     dump, each at least ``_MIN_RANGE_BYTES``;
     ``fusion._dev_curve`` (``fit_alpha`` and ``sweep_beta``),
-    ``fusion.fit_logistic_fusion`` and ``metrics.psds_many`` deal their
+    ``fusion.fit_logistic_fusion`` and ``metrics.psds_counted`` deal their
     parameters and classes above the floors ``fusion._MIN_SWEEP_CELLS``,
     ``fusion._MIN_FIT_ROWS`` and ``metrics._MIN_PSDS_CELLS``.
     """
@@ -1074,7 +1224,7 @@ def write_framegrids(
                 "clip_id": grid.clip_id,
                 "hop_seconds": grid.hop_seconds,
                 "classes": list(vocab.classes),
-                "posteriors": grid.values.tolist(),
+                "posteriors": grid.values,
             })
 
     _dealt(encode, _blocks(len(grids), len(grids)), lambda lines: atomic_write_text(path, lines))

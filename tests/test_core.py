@@ -14,6 +14,9 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import sedfuse.core
 from sedfuse.core import (
@@ -496,6 +499,84 @@ def _grid_record(clip_id: str, values, classes=FOUR) -> str:
          "posteriors": values.tolist()},
         separators=(",", ":"),
     )
+
+
+def _assert_written_as_tolist(values) -> None:
+    """``_json_line`` of ``values`` is ``json.dumps`` of its ``tolist()``; a
+    mismatch shows the text around its first differing character, so that no
+    diff of a long line is computed."""
+    got = sedfuse.core._json_line({"posteriors": values})
+    expected = json.dumps({"posteriors": values.tolist()}, separators=(",", ":")) + "\n"
+    if got != expected:
+        at = next((i for i, (a, b) in enumerate(zip(got, expected)) if a != b),
+                  min(len(got), len(expected)))
+        assert got[max(0, at - 60):at + 60] == expected[max(0, at - 60):at + 60]
+        assert len(got) == len(expected)
+
+
+class TestGridText:
+    """``_json_line`` writes an array of posteriors as ``json.dumps`` writes its
+    ``tolist()``, byte for byte."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+        elements=st.floats(0.0, 1.0, allow_subnormal=True) | st.just(-0.0),
+    ))
+    def test_equals_json_dumps(self, values):
+        _assert_written_as_tolist(values)
+
+    @pytest.mark.parametrize("x", [
+        1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)), 1e-5, 5e-324,
+        2.2250738585072014e-308, 0.5, 1.0, 0.1, 0.3, 0.0, -0.0, float(np.nextafter(1.0, 0)),
+        0.1 + 0.2,
+    ])
+    def test_boundaries_and_specials(self, x):
+        values = np.array([[x, 0.25], [0.7, x]])
+        _assert_written_as_tolist(values)
+
+    def test_powers_of_two(self):
+        values = np.ldexp(1.0, -np.arange(1075)).reshape(5, 215)
+        _assert_written_as_tolist(values)
+
+    def test_seeded_sweep(self):
+        # 10**6 cells, uniform in [0, 1) and log-uniform over [1e-6, 1), in
+        # grids wider and narrower than a block of text (``_TEXT_CELLS``).
+        rng = np.random.default_rng(42)
+        for values in (rng.random((50_000, 10)), 10 ** rng.uniform(-6, 0, (2, 250_000))):
+            _assert_written_as_tolist(values)
+
+    def test_record_fields_keep_their_order(self):
+        values = np.array([[0.5, 0.123]])
+        record = {"a": "x\u00e9", "posteriors": values, "z": [1.5, None]}
+        assert sedfuse.core._json_line(record) == json.dumps(
+            {**record, "posteriors": values.tolist()}, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_written_dump_equals_the_tolist_path(self, tmp_path, vocab10, monkeypatch, cpus):
+        # Specials in every grid, and a grid of more than one block of text;
+        # on 2 CPUs a forked child writes the later shard.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        rng = np.random.default_rng(7)
+        specials = [0.0, -0.0, 1.0, 0.5, 1e-4, 5e-324, 3e-5]
+        grids = []
+        for i, frames in enumerate((1, 40, 2000, 3)):
+            values = 10 ** rng.uniform(-6, 0, (frames, 10))
+            values.flat[rng.integers(0, values.size, len(specials))] = specials
+            grids.append(FrameGrid(f"c{i}", 10 / 512, values))
+        path = tmp_path / "grids.jsonl"
+        write_framegrids(grids, vocab10, path)
+        expected = "".join(
+            json.dumps(
+                {"clip_id": g.clip_id, "hop_seconds": g.hop_seconds,
+                 "classes": list(vocab10.classes), "posteriors": g.values.tolist()},
+                separators=(",", ":"),
+            ) + "\n"
+            for g in grids
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 class TestShardedParse:

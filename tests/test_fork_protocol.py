@@ -3,7 +3,8 @@
 ``_dealt`` raises or catches ``_NoChild``. One owner per format: JSON is
 encoded only by ``core._json_line`` (JSONL records), ``core.write_json``
 (documents) and the summary ``cli.cmd_spl`` prints, and only
-``core._located`` raises a caught ``ValidationError`` again."""
+``core._located`` raises a caught ``ValidationError`` again. The grid writer
+hands its arrays to ``_json_line``, never a ``tolist()``."""
 
 import ast
 import functools
@@ -57,6 +58,14 @@ def test_json_is_encoded_by_its_owners():
         isinstance(node, ast.Attribute) and node.attr == "dumps"
         or isinstance(node, ast.alias) and node.name == "dumps"
     )) == {"core._json_line", "core.write_json", "cli.cmd_spl"}
+
+
+def test_grid_writer_never_lists_its_floats():
+    # The array encoder makes the same bytes as json.dumps of a tolist(), at a
+    # fraction of the cost; a tolist() here would fall back to the slow path.
+    assert "core.write_framegrids" not in _owners(
+        lambda node: isinstance(node, ast.Attribute) and node.attr == "tolist"
+    )
 
 
 def _raises_caught_validation_error_again(node) -> bool:
