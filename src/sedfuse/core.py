@@ -26,10 +26,15 @@ is read once, so a pipe or FIFO reads as a regular file.
 Every file is written to a temp file and renamed, with the mode a plain
 ``open`` would give it.
 
-Each format has one owner: ``_json_line`` encodes every JSONL record (also
-``spl``'s selection), ``_grid_text`` the posteriors of a grid record, all of its
-cells at once, ``write_json`` writes every indented JSON document, and
+Each format has one owner: ``_json_lines`` encodes every JSONL record (also
+``spl``'s selection), ``_grid_texts`` the posteriors of grid records, all of
+their cells at once, ``write_json`` writes every indented JSON document, and
 ``_located`` puts the file or ``path:line`` at fault before a ``ValidationError``.
+``_records`` reads every JSONL record; it hands the posteriors of a grid line
+to ``_grid_values``, which decodes those of consecutive lines at once and
+proves each cell exact with the encoder's own kernel (``_scaled``), and any
+line the decoder does not take is read whole by ``json.loads``, so every
+value and every error is json's.
 """
 
 from __future__ import annotations
@@ -443,21 +448,31 @@ def atomic_write_text(path: str | os.PathLike, text: str | Iterable[str]) -> Non
 
 
 def _json_line(record: Mapping) -> str:
-    """A JSONL record: compact JSON and its line end. An array field, a grid's
-    ``posteriors``, is written by ``_grid_text``: the text ``json.dumps`` gives
-    its ``tolist()``, found for every cell at once."""
-    if not any(isinstance(value, np.ndarray) for value in record.values()):
-        return json.dumps(record, separators=(",", ":")) + "\n"
-    return "{" + ",".join(
-        json.dumps(key) + ":" + (
-            _grid_text(value) if isinstance(value, np.ndarray)
-            else json.dumps(value, separators=(",", ":"))
-        )
-        for key, value in record.items()
-    ) + "}\n"
+    """A JSONL record: compact JSON and its line end (``_json_lines``)."""
+    return next(_json_lines([record]))
 
 
-# ``_grid_text`` writes a cell 1e-4 <= x < 1 in fixed notation from the
+def _json_lines(records: Sequence[Mapping]) -> Iterator[str]:
+    """Each record as a JSONL line: compact JSON and its line end. An array
+    field, a grid's ``posteriors``, is written by ``_grid_texts``: the text
+    ``json.dumps`` gives its ``tolist()``, found for every cell at once, and
+    for the small arrays of consecutive records together."""
+    texts = _grid_texts([value for record in records for value in record.values()
+                         if isinstance(value, np.ndarray)])
+    for record in records:
+        if not any(isinstance(value, np.ndarray) for value in record.values()):
+            yield json.dumps(record, separators=(",", ":")) + "\n"
+            continue
+        yield "{" + ",".join(
+            json.dumps(key) + ":" + (
+                next(texts) if isinstance(value, np.ndarray)
+                else json.dumps(value, separators=(",", ":"))
+            )
+            for key, value in record.items()
+        ) + "}\n"
+
+
+# ``_grid_texts`` writes a cell 1e-4 <= x < 1 in fixed notation from the
 # shortest digits that round to it, found by Schubfach (R. Giulietti, "The
 # Schubfach way to render doubles", 2020) in uint64 arithmetic. Every other
 # cell (0.0, -0.0, 1.0, a power of two, x < 1e-4) takes ``repr``.
@@ -468,8 +483,9 @@ def _json_line(record: Mapping) -> str:
 # the shortest decimal in x's rounding interval. The tables below, indexed by
 # the sign and exponent bits, hold for each e: g = 5**m scaled into
 # [2**62, 2**63), exact since 5**20 < 2**47; the shift s for which
-# ((2c << s) * g) >> 64 is 4 * x * 10**m; and the first word of the cell's text.
-# The entries of other exponents only keep the arithmetic in range.
+# ((2c << s) * g) >> 64 is 4 * x * 10**m; the first word of the cell's text;
+# and m. The entries of other exponents only keep the arithmetic in range, and
+# their m is 0.
 _U = np.uint64
 _M32 = _U(0xFFFF_FFFF)
 _FRACTION = _U((1 << 52) - 1)
@@ -480,13 +496,14 @@ def _word(text: bytes) -> int:
     return int.from_bytes(text.ljust(8, b"\0"), "little")
 
 
-def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     g = np.zeros(4096, np.uint64)
     shift = np.full(4096, 2, np.uint64)
     head = np.zeros(4096, np.uint64)
+    scale = np.zeros(4096, np.intp)
     for e in range(1009, 1023):
         q = e - 1075
-        m = next(m for m in itertools.count() if 10 ** m >= 2 ** -q)
+        m = scale[e] = next(m for m in itertools.count() if 10 ** m >= 2 ** -q)
         bits = (5 ** m).bit_length()
         g[e] = 5 ** m << (63 - bits)
         shift[e] = q + m + bits + 2
@@ -494,29 +511,48 @@ def _exponent_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # "0" for D's first digit of 17; with m = 16, D < 10**16 and that
         # first digit, a 0, is not written.
         head[e] = _word(b"\0\0" + b"0." + b"\0" * (20 - m) + b"0" * (m - 16))
-    return g, shift, head
+    return g, shift, head, scale
 
 
-_G, _SHIFT, _HEAD = _exponent_tables()
-_GRID_START, _ROW_START, _COMMA = map(_word, (b"[[", b"],[", b","))
-# A grid is written in blocks of rows of at most about this many cells (one
+_G, _SHIFT, _HEAD, _M = _exponent_tables()
+_GRID_START, _ROW_START, _NEXT_GRID, _COMMA = map(_word, (b"[[", b"],[", b"]]\n[[", b","))
+# Grids are written in blocks of rows of at most about this many cells (one
 # row at least): a block's arrays take about 64 KiB each, and a smaller block
-# pays numpy's cost per call on fewer cells.
+# pays numpy's cost per call on fewer cells. Consecutive grids that fit in one
+# block together share it.
 _TEXT_CELLS = 1 << 13
 
 
-def _grid_text(values: np.ndarray) -> str:
-    """``json.dumps(values.tolist(), separators=(",", ":"))`` for a non-empty
-    2-D float64 array of finite cells >= 0 or -0.0, as a ``FrameGrid`` holds."""
-    rows, cols = values.shape
-    step = max(1, _TEXT_CELLS // cols)
-    return "".join(
-        _grid_rows(values[at:at + step], at == 0) for at in range(0, rows, step)
-    ) + "]]"
+def _grid_texts(arrays: Sequence[np.ndarray]) -> Iterator[str]:
+    """``json.dumps(values.tolist(), separators=(",", ":"))`` of each of
+    ``arrays``, non-empty 2-D float64 arrays of finite cells >= 0 or -0.0, as
+    a ``FrameGrid`` holds. Consecutive arrays of one width and at most
+    ``_TEXT_CELLS`` cells in all are written in one block, split at the
+    "\n" before each but the first; a larger array alone, in blocks."""
+    at = 0
+    while at < len(arrays):
+        group = [arrays[at]]
+        cols, cells = group[0].shape[1], group[0].size
+        while (at + len(group) < len(arrays) and arrays[at + len(group)].shape[1] == cols
+               and cells + arrays[at + len(group)].size <= _TEXT_CELLS):
+            cells += arrays[at + len(group)].size
+            group.append(arrays[at + len(group)])
+        at += len(group)
+        values = group[0] if len(group) == 1 else np.concatenate(group)
+        starts = list(itertools.accumulate(map(len, group[:-1]), initial=0))
+        step = max(1, _TEXT_CELLS // cols)
+        text = "".join(
+            _grid_rows(values[row:row + step], [s - row for s in starts if row <= s < row + step])
+            for row in range(0, len(values), step)
+        ) + "]]"
+        # str.split reads a character at a time: a lone grid's text is not split.
+        yield from text.split("\n") if len(group) > 1 else [text]
 
 
-def _grid_rows(values: np.ndarray, first: bool) -> str:
-    """The text of some rows of a grid, each led by "],[" ("[[" if ``first``).
+def _grid_rows(values: np.ndarray, starts: list[int]) -> str:
+    """The text of some rows of grids, each led by "],[", but the first row
+    of a grid (``starts``) by "[[", after the "]]\n" that ends the grid before
+    it if that is in the block too.
 
     Each grid row is laid out as one word for its lead and three per cell,
     and each cell's 24 bytes hold its separator ("," but in the first column)
@@ -530,7 +566,8 @@ def _grid_rows(values: np.ndarray, first: bool) -> str:
     shortest = _shortest(bits, _G[top], _SHIFT[top])
     words = np.empty((rows, 1 + 3 * cols), np.uint64)
     words[:, 0] = _ROW_START
-    if first:
+    words[starts, 0] = _NEXT_GRID
+    if starts[:1] == [0]:
         words[0, 0] = _GRID_START
     cells = words[:, 1:].reshape(rows, cols, 3)
     lead = shortest // _U(10 ** 16)
@@ -546,22 +583,14 @@ def _grid_rows(values: np.ndarray, first: bool) -> str:
 
 
 def _shortest(bits: np.ndarray, g: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """D for each cell of ``_grid_text``'s fixed notation: of the decimals
+    """D for each cell of ``_grid_texts``' fixed notation: of the decimals
     D * 10**-m in the cell's rounding interval, those with the fewest digits,
     and of those the closest to the cell, an even D on a tie; ``repr`` picks
     the same one. This is figure 7 of Giulietti's paper, with its names
     (``s``, ``sp10``, ``upin``, ...) and the products of its figure 9: x and
     the ends of its interval, scaled by 4 * 10**m and rounded to odd, compare
     exactly with multiples of 4."""
-    two_c = ((bits & _FRACTION) | _U(1 << 52)) << _U(1)
-    hi, lo = _product(two_c, g)
-    # The ends of the interval, (2c -+ 1) * 2**(q - 1), have over 50 decimals,
-    # so no D * 10**-m is one: an odd c's interval, which leaves them out,
-    # needs no other test.
-    lo_l, lo_r = lo - g, lo + g
-    vb = _odd_high(hi, lo, shift)
-    vbl = _odd_high(hi - (lo < g), lo_l, shift)
-    vbr = _odd_high(hi + (lo_r < lo), lo_r, shift)
+    vb, vbl, vbr = _scaled(bits, g, shift)
     s = vb >> _U(2)
     sp10 = s // _U(10) * _U(10)
     upin = vbl <= sp10 << _U(2)
@@ -572,6 +601,24 @@ def _shortest(bits: np.ndarray, g: np.ndarray, shift: np.ndarray) -> np.ndarray:
     # One of u', w' in the interval has fewer digits; else u or w, whichever is
     # in it, and the closer to x if both are.
     return np.where(upin != wpin, sp10 + wpin * _U(10), s + (win & (~uin | closer_to_w)))
+
+
+def _scaled(
+    bits: np.ndarray, g: np.ndarray, shift: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x and the ends of its rounding interval, scaled by 4 * 10**m and
+    rounded to odd (``vb``, ``vbl`` and ``vbr`` of ``_shortest``), for each
+    cell x with an exponent of the tables. Unless x is a power of two, whose
+    interval is narrower below, a decimal D * 10**-m lies in the interval, and
+    so reads as x, if and only if vbl < 4 * D < vbr."""
+    two_c = ((bits & _FRACTION) | _U(1 << 52)) << _U(1)
+    hi, lo = _product(two_c, g)
+    # The ends of the interval, (2c -+ 1) * 2**(q - 1), have over 50 decimals,
+    # so no D * 10**-m is one: an odd c's interval, which leaves them out,
+    # needs no other test.
+    lo_l, lo_r = lo - g, lo + g
+    return (_odd_high(hi, lo, shift), _odd_high(hi - (lo < g), lo_l, shift),
+            _odd_high(hi + (lo_r < lo), lo_r, shift))
 
 
 def _product(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -847,26 +894,216 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
 # ---------------------------------------------------------------------------
 
 
+# ``_grid_values`` reads a cell "0.<L digits>", 1 <= L <= 20, from the 24
+# bytes that end with its last digit: three words of 8 digits, the first digit
+# in the lowest byte, with the bytes before the cell's first digit made "0"
+# (``_DIGIT_MASK``, indexed by L). Each word becomes its 8-digit value in
+# three multiply-and-shift steps, as in D. Lemire, "Number parsing at a
+# gigabyte per second" (Software: Practice and Experience, 2021).
+_NUMBER_CHARS = b"0123456789+-.eE"
+_DIGIT_MASK = np.frombuffer(b"".join(
+    b"\0" * (24 - digits) + b"\xff" * digits for digits in range(21)), "V24")
+_DIGIT_STEPS = [(_U(mask), _U(scale << shift | 1), _U(shift)) for mask, scale, shift in (
+    (0x0F0F_0F0F_0F0F_0F0F, 10, 8), (0x00FF_00FF_00FF_00FF, 100, 16), (0x0000_FFFF_0000_FFFF, 10000, 32),
+)]
+_POW10 = 10.0 ** np.arange(21)  # each one exact
+_POW10_U = np.array([10 ** k for k in range(20)], np.uint64)
+_POSTERIORS = '"posteriors":'
+# ``_records`` decodes the posteriors of consecutive lines together, about
+# this many bytes of text at a time (13,000 cells of the writer's text): the
+# cost of numpy's calls is spread over many small grids, and a pass's arrays
+# stay within a core's cache. Its arrays take about 10 bytes per byte of the
+# writer's text (up to 45 for cells as short as "0.0"), against json's 3, so
+# ``_grid_values`` leaves a text of over 4 times this to json: however long a
+# line, the decoder's arrays stay bounded.
+_DECODE_BYTES = 1 << 18
+
+
+def _grid_values(texts: Sequence[str]) -> list[np.ndarray | None]:
+    """``np.asarray(json.loads(text), np.float64)`` of each ``posteriors``
+    text that is ``[[`` rows ``]]`` split by ``],[``, each row of as many
+    cells split by ``,``, each cell a number json reads, of the characters
+    ``0-9+-.eE``; None for any other text and for one of over 4 times
+    ``_DECODE_BYTES``. All texts are decoded at once, and no text makes this
+    raise.
+
+    A cell "0.<L digits>" whose digits w are below 10**17 is read as w /
+    10**L. Where w <= 2**53, that quotient of two exact doubles is correctly
+    rounded (Clinger's fast path), so it is the double json's ``float``
+    gives. Otherwise it is at most an ulp or so off, and it, or its neighbour
+    on the cell's side, is taken once ``_scaled`` shows that the cell lies in
+    its rounding interval. The cells left (0.0, 1.0, -0.0, 1e-05, and a cell
+    neither shows) are read by ``json.loads``, each distinct text once.
+    """
+    out: list[np.ndarray | None] = [None] * len(texts)
+    kept = [i for i, text in enumerate(texts)
+            if text[:2] == "[[" and text[-2:] == "]]" and text.isascii()
+            and len(text) <= 4 * _DECODE_BYTES]
+    if not kept:
+        return out
+    # A comma before each text and after the last, so each cell lies between
+    # two commas, less the "]" or "[" of a "],[" and the "]]" or "[[" at the
+    # ends of a text. The padding keeps each cell's 24 bytes and each comma's
+    # neighbours inside the buffer.
+    data = ",".join(["0" * 23, *(texts[i] for i in kept), "\0" * 8]).encode("ascii")
+    b = np.frombuffer(data, np.uint8)
+    commas = np.flatnonzero(b == ord(","))
+    sizes = np.array([len(texts[i]) + 1 for i in kept])
+    firsts = np.searchsorted(commas, np.cumsum(sizes) - sizes + 23)  # each text's first cell
+    brackets = ((b[commas - 1] == ord("]")) & (b[commas + 1] == ord("["))).astype(np.intp)
+    brackets[firsts] = 2
+    brackets[-1] = 2
+    starts = commas[:-1] + 1 + brackets[:-1]
+    ends = commas[1:] - brackets[1:]
+    text_of = np.cumsum(brackets[:-1] == 2) - 1
+    rows = np.flatnonzero(brackets[:-1])  # each row's first cell
+    lengths = np.diff(rows, append=ends.size)
+    cols = lengths[np.searchsorted(rows, firsts)]
+    broken = np.bincount(text_of[rows[lengths != cols[text_of[rows]]]], minlength=len(kept))
+
+    values = np.empty(ends.size)
+    digits = ends - starts - 2
+    fixed = np.flatnonzero((digits >= 1) & (digits <= 20)
+                           & (b[starts] == ord("0")) & (b[starts + 1] == ord(".")))
+    x, ok = _fixed_cells(data, ends[fixed], digits[fixed])
+    values[fixed[ok]] = x[ok]
+    slow = np.ones(ends.size, bool)
+    slow[fixed[ok]] = False
+    slow = np.flatnonzero(slow)
+    tokens = [data[s:e] for s, e in zip(starts[slow].tolist(), ends[slow].tolist())]
+    numbers = {token: _number(token) for token in set(tokens)}
+    read = [numbers[token] for token in tokens]
+    unread = np.array([number is None for number in read], bool)
+    values[slow[~unread]] = [number for number in read if number is not None]
+    broken += np.bincount(text_of[slow[unread]], minlength=len(kept))
+    firsts = np.append(firsts, ends.size)
+    for j, i in enumerate(kept):
+        if not broken[j]:
+            out[i] = values[firsts[j]:firsts[j + 1]].reshape(-1, cols[j])
+    return out
+
+
+def _fixed_cells(
+    data: bytes, ends: np.ndarray, digits: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The double of each cell "0." and ``digits`` digits that ends at
+    ``ends`` in ``data``, and whether it is shown to be the double json reads
+    (``_grid_values``): no byte of the digits is another character, they are
+    below 10**17, and the quotient is exact or ``_inside`` shows it."""
+    windows = np.ndarray((len(data) - 23,), "V24", data, 0, (1,))
+    v = windows[ends - 24].view(np.uint64).reshape(-1, 3)
+    v ^= _U(0x3030_3030_3030_3030)
+    v &= _DIGIT_MASK[digits].view(np.uint64).reshape(-1, 3)
+    # Each digit's byte is now 0-9 and each other byte of the cell above 9.
+    high = v + _U(0x7676_7676_7676_7676)
+    high |= v
+    high &= _U(0x8080_8080_8080_8080)
+    ok = (high[:, 0] | high[:, 1] | high[:, 2]) == 0
+    del high
+    for mask, scale, shift in _DIGIT_STEPS:
+        v &= mask
+        v *= scale
+        v >>= shift
+    ok &= v[:, 0] < _U(10)  # so w < 10**17 < 2**64
+    w = (v[:, 0] * _U(10 ** 8) + v[:, 1]) * _U(10 ** 8) + v[:, 2]
+    x = w.astype(np.float64) / _POW10[digits]
+    bits = x.view(np.uint64)
+    check = np.flatnonzero(ok & (w > _U(1 << 53)))
+    inside, above = _inside(bits[check], w[check], digits[check])
+    miss = check[~inside]
+    near = np.where(above, bits[check] + _U(1), bits[check] - _U(1))[~inside]
+    inside, _ = _inside(near, w[miss], digits[miss])
+    bits[miss[inside]] = near[inside]
+    ok[miss[~inside]] = False
+    return x, ok
+
+
+def _inside(bits: np.ndarray, w: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each cell w * 10**-digits and a double x, by its ``bits``, within a
+    few ulps of it: whether the cell lies in x's rounding interval, so that it
+    reads as x, and whether it lies above x. The test holds only where x is
+    no power of two and 2**-14 <= x < 1, an exponent of the tables (``_M`` is
+    0 elsewhere), and for every cell of at most m digits."""
+    e = (bits >> _U(52)).astype(np.intp)
+    m = _M[e]
+    _, low, high = _scaled(bits, _G[e], _SHIFT[e])
+    cell = w * _POW10_U[m - digits] << _U(2)  # 4 * w * 10**(m - digits) < 2**59
+    return (digits <= m) & ((bits & _FRACTION) != 0) & (low < cell) & (cell < high), cell > high
+
+
+def _number(token: bytes) -> float | None:
+    """The float of ``json.loads(token)`` for a token of ``_NUMBER_CHARS``;
+    None for any other token, one json does not read, or an integer beyond
+    the float range."""
+    if not token or token.translate(None, _NUMBER_CHARS):
+        return None
+    try:
+        return float(json.loads(token))
+    except (ValueError, OverflowError):  # json.JSONDecodeError is a ValueError
+        return None
+
+
+def _batched(lines: Iterable[tuple[int, str]]) -> Iterator[list[tuple[int, str]]]:
+    """The non-blank ``lines``, stripped, in runs of consecutive lines of about
+    ``_DECODE_BYTES`` in all. An error of ``lines`` is raised after the lines
+    before it are given, so the caller meets a line's own error first."""
+    batch: list[tuple[int, str]] = []
+    size = 0
+    try:
+        for line_no, line in lines:
+            line = line.strip()
+            if line:
+                batch.append((line_no, line))
+                size += len(line)
+            if size >= _DECODE_BYTES:
+                yield batch
+                batch, size = [], 0
+    except SedfuseError:
+        yield batch
+        raise
+    yield batch
+
+
 def _records(
     path: str | os.PathLike, lines: Iterable[tuple[int, str]], table: Mapping
 ) -> Iterator[tuple[int, dict]]:
     """Each record's line number and the fields of ``table``, in table order,
-    from the non-blank ``lines`` of ``path``."""
-    for line_no, line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
-        if not isinstance(record, dict):
-            raise ParseError(path, line_no, "record must be a JSON object")
-        try:
-            fields = read_fields(record, table, None)
-        except ValidationError as exc:
-            raise ParseError(path, line_no, str(exc)) from None
-        yield line_no, fields
+    from the non-blank ``lines`` of ``path``.
+
+    If ``table`` has ``posteriors``, a record's ``posteriors`` is the text
+    after its line's first ``"posteriors":`` up to the closing ``}``, decoded
+    by ``_grid_values`` with those of the lines around it, and the rest of
+    the line is read with ``[]`` in its place. A decoded text holds no quote,
+    so that key is also the last, as json keeps the last of a repeated key,
+    and if the rest reads as JSON, the key is in no string. A line with no
+    decoded posteriors, or whose rest does not read as a record of ``table``,
+    is read whole, so every error is json's and ``read_fields``' on the
+    whole line."""
+    cut = "posteriors" in table
+    for batch in _batched(lines):
+        keys = [line.find(_POSTERIORS) if cut and line[-1] == "}" else -1 for _, line in batch]
+        decoded = _grid_values([line[key + len(_POSTERIORS):-1] if key >= 0 else ""
+                                for (_, line), key in zip(batch, keys)])
+        for (line_no, line), key, values in zip(batch, keys, decoded):
+            fields = None
+            if values is not None:
+                try:  # JSON that ends with "}" is an object
+                    fields = read_fields(json.loads(line[:key] + _POSTERIORS + "[]}"), table, None)
+                    fields["posteriors"] = values
+                except (ValueError, ValidationError):  # json.JSONDecodeError is a ValueError
+                    fields = None
+            if fields is None:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
+                if not isinstance(record, dict):
+                    raise ParseError(path, line_no, "record must be a JSON object")
+                try:
+                    fields = read_fields(record, table, None)
+                except ValidationError as exc:
+                    raise ParseError(path, line_no, str(exc)) from None
+            yield line_no, fields
 
 
 # The field tables of the JSONL records. Deeper checks (names, ranges,
@@ -925,15 +1162,17 @@ def _grid_blocks(
             seen.add(clip_id)
             if sorted(classes) != sorted(vocab.classes):
                 raise VocabularyError(f"class set {list(classes)} does not match vocabulary")
-            try:
-                # Exact cell types: numpy would read "0.9" and true as numbers.
-                if not set(map(type, itertools.chain.from_iterable(posteriors))) <= {float, int}:
-                    raise TypeError
-                arr = np.asarray(posteriors, dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
-                raise ParseError(
-                    path, line_no, "posteriors must be a rectangular matrix of numbers"
-                ) from None
+            arr = posteriors  # an array if ``_grid_values`` decoded it
+            if not isinstance(arr, np.ndarray):
+                try:
+                    # Exact cell types: numpy would read "0.9" and true as numbers.
+                    if not set(map(type, itertools.chain.from_iterable(arr))) <= {float, int}:
+                        raise TypeError
+                    arr = np.asarray(arr, dtype=np.float64)
+                except (TypeError, ValueError, OverflowError):
+                    raise ParseError(
+                        path, line_no, "posteriors must be a rectangular matrix of numbers"
+                    ) from None
             if arr.ndim != 2 or arr.shape[1] != len(classes):
                 raise ParseError(
                     path, line_no, f"posteriors must be T x {len(classes)}, got shape {arr.shape}"
@@ -978,10 +1217,10 @@ def _range_starts(fd: int, size: int) -> list[int]:
 
 
 # A file is cut into no more ranges than it holds of these: forking a child,
-# passing its grids back through a temp file and reaping it took about 2 ms in
-# a 57 MB process on a 2-vCPU host, and parsing 1 MiB about 30 ms, so each
-# child pays for itself over ten times, and a dump under 2 MiB is parsed as one
-# range on any host.
+# passing its grids back through a temp file and reaping it took 2.5 to 3 ms
+# in a 62 MB process on a 2-vCPU host, and parsing 1 MiB about 11 ms, so each
+# child pays for itself over three times, and a dump under 2 MiB is parsed as
+# one range on any host.
 _MIN_RANGE_BYTES = 1 << 20
 
 
@@ -1219,13 +1458,12 @@ def write_framegrids(
         _check_columns(grid, vocab)
 
     def encode(block: range) -> Iterator[str]:
-        for grid in map(grids.__getitem__, block):
-            yield _json_line({
-                "clip_id": grid.clip_id,
-                "hop_seconds": grid.hop_seconds,
-                "classes": list(vocab.classes),
-                "posteriors": grid.values,
-            })
+        return _json_lines([{
+            "clip_id": grid.clip_id,
+            "hop_seconds": grid.hop_seconds,
+            "classes": list(vocab.classes),
+            "posteriors": grid.values,
+        } for grid in map(grids.__getitem__, block)])
 
     _dealt(encode, _blocks(len(grids), len(grids)), lambda lines: atomic_write_text(path, lines))
 

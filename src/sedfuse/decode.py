@@ -281,11 +281,14 @@ def _level_runs(
 
 
 def _steps_by_level(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(k, step) for every k in [lo, hi) of each step, stably sorted by k."""
+    """(k, step) for every k in [lo, hi) of each step, stably sorted by k. The
+    steps are int32 where they and the pairs number below 2**31, so a block's
+    per-run indices take 4 bytes each."""
     counts = (hi - lo).astype(np.int64)
-    step = np.repeat(np.arange(len(lo)), counts)
-    first = np.cumsum(counts) - counts
-    k = (lo[step] + (np.arange(len(step)) - first[step])).astype(lo.dtype)
+    index = np.int32 if len(lo) + counts.sum() < 2 ** 31 else np.int64
+    first = (np.cumsum(counts) - counts).astype(index)
+    step = np.repeat(np.arange(len(lo), dtype=index), counts)
+    k = (lo[step] + (np.arange(len(step), dtype=index) - first[step])).astype(lo.dtype)
     order = np.argsort(k, kind="stable")
     return k[order], step[order]
 

@@ -424,7 +424,8 @@ def _row_coverage(on_key, on, off, m, r0, r1, up_t, gt_on, gt_off) -> np.ndarray
     np.add.accumulate(prefix, axis=1, out=prefix)  # one sequential sum per row
     x, first = np.concatenate([gt_off, gt_on]), row[:, None]
     # Row k's detections that start at or before x are keyed below k * m + (steps up to x).
-    j = np.searchsorted(on_key, np.arange(r0, r1)[:, None] * m + np.searchsorted(up_t, x, "right"))
+    bound = np.arange(r0, r1)[:, None] * m + np.searchsorted(up_t, x, "right")
+    j = np.searchsorted(on_key, bound.astype(on_key.dtype))
     j -= first
     overshoot = off[first + j - 1] - x
     overshoot[(j < 1) | (overshoot < 0.0)] = 0.0
@@ -436,8 +437,10 @@ def _touching(on_key, off_key, m, up_t, down_t, cov: _Coverage, n_rows: int) -> 
     """Ascending indices of the detections with offset >= s and onset < e for a piece [s, e)
     of ``cov``. Row k's run from step i to step j has the keys k * m + i and k * m + j."""
     row = np.repeat(np.arange(n_rows) * m, len(cov.starts))
-    lo = np.searchsorted(off_key, row + np.tile(np.searchsorted(down_t, cov.starts), n_rows))
-    hi = np.searchsorted(on_key, row + np.tile(np.searchsorted(up_t, cov.ends), n_rows))
+    lo = np.searchsorted(off_key, (row + np.tile(np.searchsorted(down_t, cov.starts), n_rows)
+                                   ).astype(off_key.dtype))
+    hi = np.searchsorted(on_key, (row + np.tile(np.searchsorted(up_t, cov.ends), n_rows)
+                                  ).astype(on_key.dtype))
     lo[1:] = np.maximum(lo[1:], hi[:-1])  # merge overlapping ranges: no detection twice
     counts = np.maximum(hi - lo, 0)
     return np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
@@ -546,14 +549,18 @@ def psds_counted(
             _check_lengths(lengths, lambda i: dump.clip_ids[clip_of(up[start[i]])])
             ratio_same = (down_cov[end] - up_cov[start]) / lengths
             passing = [ratio_same >= cfg.dtc for cfg in psds_cfgs]
-            on_key, off_key = (op.astype(np.int64) * m + at for at in (start, end))
+            # The keys are int32, as the steps (``_steps_by_level``), where they
+            # stay below 2**31: 4 bytes per run instead of 8.
+            key = np.int32 if (n_block + 1) * m < 2 ** 31 else np.int64
+            on_key, off_key = (op.astype(key) * key(m) + at for at in (start, end))
             for gi, cfg in enumerate(psds_cfgs):
                 fp[gi, k0:k1] = np.bincount(op[~passing[gi]], minlength=n_block)
                 kept = np.flatnonzero(passing[gi])
                 if n_ref[c] > 0:  # row groups whose (rows, 2 * refs) searches fit the budget
                     rows = max(1, decode._BLOCK_CELLS // (2 * int(n_ref[c])))
                     keys = on_key[kept]
-                    cut = np.searchsorted(keys, np.arange(0, n_block + rows, rows) * m)
+                    bounds = np.minimum(np.arange(0, n_block + rows, rows), n_block) * m
+                    cut = np.searchsorted(keys, bounds.astype(key))
                     for r0, i, j in zip(range(0, n_block, rows), cut[:-1], cut[1:]):
                         if j > i:
                             r1, d = min(r0 + rows, n_block), kept[i:j]

@@ -1166,9 +1166,10 @@ class TestReducedDump:
     def test_score_holds_no_float_dump(self, tmp_path, monkeypatch):
         # Beyond the text and the grids of the block it parses, score keeps a
         # byte of PSDS levels per cell, and its runs: with those blocks made
-        # small, the traced peak of this process stays below half the dump's
-        # float64 size, which holding the parsed grids would exceed. The dump
-        # has 2 MiB or more, so on 2 CPUs its ranges are dealt.
+        # small (the lines decoded together among them), the traced peak of
+        # this process stays below half the dump's float64 size, which
+        # holding the parsed grids would exceed. The dump has 2 MiB or more,
+        # so on 2 CPUs its ranges are dealt.
         rng = np.random.default_rng(5)
         n_clips, frames, classes = 120, 1024, ["a", "b", "c", "d"]
         lines, refs = [], ["filename\tonset\toffset\tevent_label"]
@@ -1190,6 +1191,7 @@ class TestReducedDump:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
         monkeypatch.setattr(core, "_READ_BLOCK", 1 << 16)
+        monkeypatch.setattr(core, "_DECODE_BYTES", 1 << 14)
         monkeypatch.setattr(decode, "_BLOCK_CELLS", 1 << 12)
         # One clip first, untraced: what that imports or caches is not the dump's.
         (tmp_path / "one.jsonl").write_text(lines[0])

@@ -14,7 +14,7 @@ import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -514,9 +514,21 @@ def _assert_written_as_tolist(values) -> None:
         assert len(got) == len(expected)
 
 
+def _assert_read_back(values) -> None:
+    """``_grid_values`` reads the text of ``values`` back bit for bit, in texts
+    of at most about 10,000 cells, several at a time."""
+    rows = max(1, 10_000 // values.shape[1])
+    blocks = [values[at:at + rows] for at in range(0, len(values), rows)]
+    texts = list(sedfuse.core._grid_texts(blocks))
+    for block, back in zip(blocks, sedfuse.core._grid_values(texts)):
+        assert back is not None and back.shape == block.shape
+        assert np.array_equal(back.view(np.uint64), block.view(np.uint64))
+
+
 class TestGridText:
     """``_json_line`` writes an array of posteriors as ``json.dumps`` writes its
-    ``tolist()``, byte for byte."""
+    ``tolist()``, byte for byte, and ``_grid_values`` reads that text back as
+    the same doubles, -0.0 included."""
 
     @settings(max_examples=300, deadline=None)
     @given(hnp.arrays(
@@ -526,6 +538,7 @@ class TestGridText:
     ))
     def test_equals_json_dumps(self, values):
         _assert_written_as_tolist(values)
+        _assert_read_back(values)
 
     @pytest.mark.parametrize("x", [
         1e-4, float(np.nextafter(1e-4, 0)), float(np.nextafter(1e-4, 1)), 1e-5, 5e-324,
@@ -535,10 +548,16 @@ class TestGridText:
     def test_boundaries_and_specials(self, x):
         values = np.array([[x, 0.25], [0.7, x]])
         _assert_written_as_tolist(values)
+        _assert_read_back(values)
 
     def test_powers_of_two(self):
         values = np.ldexp(1.0, -np.arange(1075)).reshape(5, 215)
         _assert_written_as_tolist(values)
+        _assert_read_back(values)
+        # Each power of two in [2**-14, 1) and its neighbours, whose rounding
+        # intervals meet that of the power.
+        powers = np.ldexp(1.0, -np.arange(1, 15))
+        _assert_read_back(np.stack([np.nextafter(powers, 0), powers, np.nextafter(powers, 1)]))
 
     def test_seeded_sweep(self):
         # 10**6 cells, uniform in [0, 1) and log-uniform over [1e-6, 1), in
@@ -546,12 +565,41 @@ class TestGridText:
         rng = np.random.default_rng(42)
         for values in (rng.random((50_000, 10)), 10 ** rng.uniform(-6, 0, (2, 250_000))):
             _assert_written_as_tolist(values)
+            _assert_read_back(values.reshape(-1, 10))
 
     def test_record_fields_keep_their_order(self):
         values = np.array([[0.5, 0.123]])
         record = {"a": "x\u00e9", "posteriors": values, "z": [1.5, None]}
         assert sedfuse.core._json_line(record) == json.dumps(
             {**record, "posteriors": values.tolist()}, separators=(",", ":")) + "\n"
+
+    @pytest.mark.parametrize("frames, classes, passes", [
+        (1, 1, 1), (1, 10, 1), (50, 10, 3), (512, 10, 40),
+    ])
+    def test_small_grids_share_a_pass(self, tmp_path, monkeypatch, frames, classes, passes):
+        # 40 grids on 1 CPU: consecutive grids of at most _TEXT_CELLS cells in
+        # all are written in one pass of _grid_rows, and a 512 x 10 grid in
+        # its own; the bytes are those of the tolist path.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        calls, grid_rows = [], sedfuse.core._grid_rows
+        monkeypatch.setattr(sedfuse.core, "_grid_rows", lambda *a: calls.append(1) or grid_rows(*a))
+        vocab = ClassVocabulary(tuple(f"k{c}" for c in range(classes)))
+        rng = np.random.default_rng(frames * classes)
+        specials = [0.0, -0.0, 1.0, 0.5, 1e-4, 5e-324, 3e-5]
+        grids = []
+        for i in range(40):
+            values = 10 ** rng.uniform(-6, 0, (frames, classes))
+            values.flat[rng.integers(0, values.size)] = specials[i % len(specials)]
+            grids.append(FrameGrid(f"c{i}", 10 / 512, values))
+        path = tmp_path / "grids.jsonl"
+        write_framegrids(grids, vocab, path)
+        assert len(calls) == passes
+        assert path.read_text() == "".join(
+            json.dumps({"clip_id": g.clip_id, "hop_seconds": g.hop_seconds,
+                        "classes": list(vocab.classes), "posteriors": g.values.tolist()},
+                       separators=(",", ":")) + "\n"
+            for g in grids
+        )
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_written_dump_equals_the_tolist_path(self, tmp_path, vocab10, monkeypatch, cpus):
@@ -577,6 +625,81 @@ class TestGridText:
             for g in grids
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+def _json_grid(text):
+    """``np.asarray(json.loads(text), np.float64)``, or None where json reads
+    no matrix of numbers: the reading ``_grid_values`` must match."""
+    try:
+        rows = json.loads(text)
+    except (ValueError, RecursionError):
+        return None
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) and row for row in rows)
+            and all(type(cell) in (int, float) for row in rows for cell in row)):
+        return None
+    try:
+        values = np.asarray(rows, dtype=np.float64)
+    except (ValueError, OverflowError):
+        return None
+    return values if values.ndim == 2 else None
+
+
+@st.composite
+def _near_grid_texts(draw):
+    """The text of a small grid with up to three characters inserted, replaced
+    or deleted, so that most texts are near the writer's form."""
+    values = draw(hnp.arrays(
+        np.float64, hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
+        elements=st.floats(0.0, 1.0, allow_subnormal=True) | st.just(-0.0),
+    ))
+    text = list(next(sedfuse.core._grid_texts([values])))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text) - 1))
+        char = draw(st.sampled_from('0123456789.,-+eE[] "xN\t'))
+        how = draw(st.sampled_from(["insert", "replace", "delete"]))
+        text[at:at + (how != "insert")] = [] if how == "delete" else [char]
+    return "".join(text)
+
+
+class TestGridValues:
+    """``_grid_values`` never raises, and each text it reads is the matrix json
+    reads, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(
+        _near_grid_texts() | st.text() | st.binary().map(lambda data: data.decode("latin-1")),
+        max_size=4,
+    ))
+    @example(["[[0.5,1E-5],[1,-0.0]]", "[[0.12345678901234567890123]]", "[[ 0.5]]", "[[]]"])
+    @example(["[[1" + "0" * 400 + "]]", "[[" + "1" * 5000 + "]]", "[[1e400,NaN]]"])
+    @example(["[[" + "[" * 5000 + "]" * 5000 + "]]", "[[0.5],[0.5,0.5]]", "[[0.5]]]"])
+    # Digits of 2**64 + 5, which would wrap to 5, and of 10**20 - 1.
+    @example(["[[0.18446744073709551621]]", "[[0.99999999999999999999]]"])
+    def test_never_raises(self, texts):
+        got = sedfuse.core._grid_values(texts)
+        assert len(got) == len(texts)
+        for text, values in zip(texts, got):
+            if values is not None:
+                expected = _json_grid(text)
+                assert expected is not None and values.shape == expected.shape
+                assert np.array_equal(values.view(np.uint64), expected.view(np.uint64))
+
+    def test_writer_cells_need_no_json(self, monkeypatch):
+        # Every cell the writer puts in fixed notation, 1e-4 <= x < 1, is read
+        # by the word arithmetic: json reads only the other cells.
+        rng = np.random.default_rng(3)
+        values = np.concatenate([rng.random((2000, 10)), 10 ** rng.uniform(-4, 0, (2000, 10))])
+        values = values[values >= 1e-4][:39_000].reshape(-1, 10)
+        monkeypatch.setattr(sedfuse.core, "_number", lambda token: pytest.fail(token))
+        _assert_read_back(values)
+
+    def test_long_text_is_left_to_json(self):
+        # The decoder's arrays stay bounded: a text over 4 * _DECODE_BYTES is
+        # read by json, and one just under is decoded.
+        cells = 4 * sedfuse.core._DECODE_BYTES // len("0.5,")
+        over, under = ("[[" + ",".join(["0.5"] * n) + "]]" for n in (cells, cells - 1))
+        assert len(under) <= 4 * sedfuse.core._DECODE_BYTES < len(over)
+        assert [v is None for v in sedfuse.core._grid_values([over, under])] == [True, False]
 
 
 class TestShardedParse:
@@ -858,6 +981,16 @@ class TestNotUTF8:
         with pytest.raises(ParseError) as err:
             parse_framegrids(path, vocab4)
         assert err.value.line_no == 4
+
+    @pytest.mark.parametrize("parse", [parse_framegrids, parse_tags])
+    def test_an_earlier_line_fails_first(self, tmp_path, vocab4, parse):
+        # Lines are read ahead to be decoded together: a line's own error still
+        # comes before that of a later byte that is not UTF-8.
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'\n{nope\n\xff{}\n')
+        with pytest.raises(ParseError) as err:
+            parse(path, vocab4)
+        assert err.value.line_no == 2 and "invalid JSON" in str(err.value)
 
     def test_weak_labels_and_json_config(self, tmp_path, vocab4):
         weak = tmp_path / "weak.tsv"

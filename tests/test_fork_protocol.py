@@ -1,10 +1,12 @@
 """One fork protocol: ``os.fork`` is called only in ``core._forking``,
 ``_forking`` only by ``core._dealt`` and ``cli._write_dataset``, and only
 ``_dealt`` raises or catches ``_NoChild``. One owner per format: JSON is
-encoded only by ``core._json_line`` (JSONL records), ``core.write_json``
-(documents) and the summary ``cli.cmd_spl`` prints, and only
-``core._located`` raises a caught ``ValidationError`` again. The grid writer
-hands its arrays to ``_json_line``, never a ``tolist()``."""
+encoded only by ``core._json_lines`` (JSONL records), ``core.write_json``
+(documents) and the summary ``cli.cmd_spl`` prints, and decoded only by
+``core._records`` (JSONL records), ``core.load_json_object`` (documents) and
+the grid decoder's cell fallback ``core._number``; only ``core._located``
+raises a caught ``ValidationError`` again. The grid writer hands its arrays
+to ``_json_line``, never a ``tolist()``."""
 
 import ast
 import functools
@@ -57,7 +59,17 @@ def test_json_is_encoded_by_its_owners():
     assert _owners(lambda node: (
         isinstance(node, ast.Attribute) and node.attr == "dumps"
         or isinstance(node, ast.alias) and node.name == "dumps"
-    )) == {"core._json_line", "core.write_json", "cli.cmd_spl"}
+    )) == {"core._json_lines", "core.write_json", "cli.cmd_spl"}
+
+
+def test_json_is_decoded_by_its_owners():
+    # So every error of a JSON input has one owner: a grid line the decoder
+    # does not take is read whole by ``_records``.
+    assert _owners(lambda node: (
+        isinstance(node, ast.Attribute) and node.attr in ("loads", "load")
+        and isinstance(node.value, ast.Name) and node.value.id == "json"
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+    )) == {"core._records", "core.load_json_object", "core._number"}
 
 
 def test_grid_writer_never_lists_its_floats():

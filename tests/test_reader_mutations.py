@@ -2,8 +2,9 @@
 manifest, event table or weak-label table with a byte flipped, cut short, a
 field deleted or a field given a value of another type. Every parser succeeds
 or raises ``SedfuseError``; the sharded grid parse and a parse through a FIFO
-give the one-range parse's grids or error; the CLI exits 0 or 2, never 1, and
-an exit of 2 names an input."""
+give the one-range parse's grids or error; a grid dump reads as on the JSON
+path, with no line decoded by ``core._grid_values``; the CLI exits 0 or 2,
+never 1, and an exit of 2 names an input."""
 
 import contextlib
 import copy
@@ -16,6 +17,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -101,6 +103,102 @@ class TestGridMutations:
         path.write_bytes(data)
         vocab = ClassVocabulary(("a", "b", "c")) if given_vocab else None
         assert _parsed(path, vocab, 3) == _parsed(path, vocab, 1)
+
+
+def _oracle_records() -> list[dict]:
+    """Four grids of full-precision cells with one of 0.0, 1.0, -0.0 and 1e-05
+    each, every other one with its columns reversed."""
+    rng = np.random.default_rng(6)
+    classes = ["a", "b", "c"]
+    records = []
+    for i, special in enumerate((0.0, 1.0, -0.0, 1e-05)):
+        values = rng.random((i + 2, 3))
+        values[-1, i % 3] = special
+        records.append({"clip_id": f"c{i}", "hop_seconds": 0.1,
+                        "classes": classes[::-1] if i % 2 else classes,
+                        "posteriors": values.tolist()})
+    return records
+
+
+ORACLE_GRIDS = _oracle_records()
+# Valid JSON cells outside the writer's form, and whether the decoder reads a
+# line that holds one (else the line is read whole by json).
+JSON_CELLS = {
+    "1E-5": True, "1": True, "-0.0": True, "0.50000": True, "0.123456789012345678": True,
+    "0.1234567890123456789012345": True, "1e400": True, "1" + "0" * 400: False,
+    " 0.5": False, "0.5 ": False, "NaN": False,
+}
+
+
+def _with_cell(line: bytes, at: int, cell: bytes) -> bytes:
+    """A grid line with the ``at``-th cell of its posteriors written as ``cell``."""
+    head, cells = line.split(b'"posteriors":')
+    tokens = cells.split(b",")
+    tokens[at] = tokens[at].replace(tokens[at].strip(b"[]}\n"), cell, 1)
+    return head + b'"posteriors":' + b",".join(tokens)
+
+
+@st.composite
+def json_forms(draw):
+    """The oracle dump with one cell written as one of ``JSON_CELLS``, with a
+    space after the commas or between the rows of a line, or with "\r\n" line
+    ends."""
+    data = _encode(ORACLE_GRIDS)
+    how = draw(st.sampled_from(["cell", "comma", "row", "crlf"]))
+    if how == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    lines = data.splitlines(keepends=True)
+    k = draw(st.integers(0, len(lines) - 1))
+    if how == "cell":
+        cell = draw(st.sampled_from(sorted(JSON_CELLS))).encode()
+        cells = lines[k].split(b'"posteriors":')[1].count(b",")
+        lines[k] = _with_cell(lines[k], draw(st.integers(0, cells)), cell)
+    else:
+        head, cells = lines[k].split(b'"posteriors":')
+        old, new = {"comma": (b",", b", "), "row": (b"],[", b"], [")}[how]
+        lines[k] = head + b'"posteriors":' + cells.replace(old, new)
+    return b"".join(lines)
+
+
+def _read(path, vocab, json_path):
+    """The vocabulary and grids of ``path``, the cells as bits, or the type and
+    message of its error. On the JSON path ``_grid_values`` decodes nothing,
+    so each line is read by json, its cells type-checked and made an array by
+    numpy."""
+    decode = (lambda texts: [None] * len(texts)) if json_path else core._grid_values
+    with mock.patch.object(os, "sched_getaffinity", lambda pid: {0}, create=True), \
+            mock.patch.object(core, "_grid_values", decode):
+        try:
+            grids, got = core.parse_framegrids(path, vocab)
+        except SedfuseError as exc:
+            return type(exc), str(exc)
+    return got.classes, [(g.clip_id, g.hop_seconds, g.values.shape,
+                          g.values.view(np.uint64).tolist()) for g in grids]
+
+
+class TestGridOracle:
+    """A mutated dump, or one with valid JSON cells outside the writer's form,
+    reads as on the JSON path: the same grids, bit for bit, or the same error."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=mutants(ORACLE_GRIDS, core.GRID_FIELDS) | json_forms(), given_vocab=st.booleans())
+    def test_as_the_json_path(self, tmp_path_factory, data, given_vocab):
+        path = tmp_path_factory.getbasetemp() / "oracle_grids.jsonl"
+        path.write_bytes(data)
+        vocab = ClassVocabulary(("a", "b", "c")) if given_vocab else None
+        assert _read(path, vocab, False) == _read(path, vocab, True)
+
+    @pytest.mark.parametrize("cell", sorted(JSON_CELLS))
+    def test_json_cells(self, tmp_path, cell):
+        # The second cell of the first line is ``cell``: the decoder reads the
+        # line, or leaves it to json, as ``JSON_CELLS`` says.
+        lines = _encode(ORACLE_GRIDS).splitlines(keepends=True)
+        lines[0] = _with_cell(lines[0], 1, cell.encode())
+        path = tmp_path / "grids.jsonl"
+        path.write_bytes(b"".join(lines))
+        assert _read(path, None, False) == _read(path, None, True)
+        text = lines[0].decode().split('"posteriors":')[1].rstrip()[:-1]
+        assert (core._grid_values([text])[0] is not None) == JSON_CELLS[cell]
 
 
 def _feed(fifo, data):
