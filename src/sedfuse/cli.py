@@ -51,7 +51,7 @@ from .core import (
     write_tags,
     write_weak_labels,
 )
-from .decode import PostProcessConfig, decode_many, read_reduced
+from .decode import PostProcessConfig, _reduced, read_reduced
 from .fusion import (
     DEFAULT_BETA_SWEEP,
     ClassF1Table,
@@ -72,7 +72,6 @@ from .metrics import (
     PSDSConfig,
     event_f1,
     psds_counted,
-    psds_many,
     report_tables,
     _reference_clips,
 )
@@ -509,14 +508,25 @@ def cmd_experiment(args) -> int:
             decode_cfg, known_classes = _decode_cfg_from_args(args, run)
             known_classes(vocab)
             collar = CollarConfig()
-            # Each system is decoded once, for its F1 and its events file.
-            events, f1_reports = {}, {}
+            f1_reports, psds1_reports, psds2_reports = {}, {}, {}
+
+            def score(name: str, grids: list) -> None:
+                """One reduce of a system gives its events, F1 and PSDS."""
+                dump = _reduced(grids, vocab, decode_cfg, events=True, ops=PSDS1.operating_points)
+                events = dump.events(vocab)
+                write_events(events, run.writes(out / f"events_{name}.tsv"))
+                f1_reports[name] = event_f1(truth, events, collar, vocab)
+                psds1_reports[name], psds2_reports[name] = psds_counted(
+                    dump, truth, [PSDS1, PSDS2], vocab
+                )
+
+            stage = "decode+score"  # the models' F1 builds the F1 table
             for name, grids in zip(scenario.model_names, model_grids):
-                events[name] = decode_many(grids, decode_cfg, vocab)
-                f1_reports[name] = event_f1(truth, events[name], collar, vocab)
+                score(name, grids)
+
+            stage = "fuse"
             f1_table = ClassF1Table.from_reports(f1_reports, vocab)
             f1_table.save(run.writes(out / "f1_table.json"))
-
             logistic_model = fit_logistic_fusion(
                 model_grids, truth, vocab, scenario.model_names
             )
@@ -530,24 +540,9 @@ def cmd_experiment(args) -> int:
             # A fused system is built when it is scored and dropped after, so at
             # most one fused dump is held next to the model dumps.
             clip_groups = _aligned_clip_sets(model_grids)
-            systems = {name: (lambda g=g: g) for name, g in zip(scenario.model_names, model_grids)}
-            systems.update(
-                average=lambda: [fuse_average(g) for g in clip_groups],
-                logistic=lambda: [apply_logistic_fusion(logistic_model, g) for g in clip_groups],
-                classwise=lambda: [fuse_classwise(g, weights) for g in clip_groups],
-            )
-            psds1_reports = {}
-            psds2_reports = {}
-            for name, build in systems.items():
-                grids = build()
-                if name not in events:
-                    events[name] = decode_many(grids, decode_cfg, vocab)
-                    f1_reports[name] = event_f1(truth, events[name], collar, vocab)
-                write_events(events[name], run.writes(out / f"events_{name}.tsv"))
-                p1, p2 = psds_many(grids, truth, decode_cfg, [PSDS1, PSDS2], vocab)
-                psds1_reports[name] = p1
-                psds2_reports[name] = p2
-                del grids  # before the next system is built
+            score("average", [fuse_average(g) for g in clip_groups])
+            score("logistic", [apply_logistic_fusion(logistic_model, g) for g in clip_groups])
+            score("classwise", [fuse_classwise(g, weights) for g in clip_groups])
 
             # The dumps are the simulate stage's output, written beside the stages above.
             stage = "simulate"

@@ -872,7 +872,9 @@ _Result = TypeVar("_Result")
 def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -> _Built:
     """Read a JSON file whose top level is an object and ``build`` from it.
 
-    Invalid JSON and a top level that is not an object raise ``ParseError``.
+    Invalid JSON and a top level that is not an object raise ``ParseError``;
+    an integer too long for ``int`` or nesting too deep for ``json``, which
+    have no position, at line 1.
     ``build`` checks the object against its field table; its ``ValidationError``
     is raised again naming the file. Nothing else is caught: another exception
     from ``build`` is a bug.
@@ -883,6 +885,8 @@ def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # too many digits or too deep: no position
+        raise ParseError(path, 1, f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ParseError(path, 1, "top level must be a JSON object")
     with _located(path):
@@ -1090,13 +1094,15 @@ def _records(
                 try:  # JSON that ends with "}" is an object
                     fields = read_fields(json.loads(line[:key] + _POSTERIORS + "[]}"), table, None)
                     fields["posteriors"] = values
-                except (ValueError, ValidationError):  # json.JSONDecodeError is a ValueError
+                except (ValueError, RecursionError, ValidationError):  # JSONDecodeError too
                     fields = None
             if fields is None:
                 try:
                     record = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
+                except (ValueError, RecursionError) as exc:  # too many digits or too deep
+                    raise ParseError(path, line_no, f"invalid JSON: {exc}") from None
                 if not isinstance(record, dict):
                     raise ParseError(path, line_no, "record must be a JSON object")
                 try:
@@ -1247,8 +1253,8 @@ def reduce_framegrids(
     its block is reduced, in the process that parsed it. ``reduce`` must not
     raise for valid grids, so the errors are the parse's alone.
 
-    A regular file is parsed on every free CPU of the process's affinity mask
-    (``_cpus``), in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``).
+    A regular file is parsed on every CPU of the process's affinity mask
+    (``_blocks``), in no more ranges than it holds MiB (``_MIN_RANGE_BYTES``).
     This process cuts the file into byte ranges at line starts
     (``_range_starts``), reads the first record if it needs the vocabulary,
     and deals the ranges with ``_dealt``: it parses and reduces the first
@@ -1284,30 +1290,12 @@ def reduce_framegrids(
         return [item for _, item in blocks], vocab
 
 
-# The children of ``_forking`` this process has not reaped: while they run, the
-# CPUs they hold are not free for more forks (the experiment's dump writer holds
-# one while the fits run). A child starts with none.
-_unreaped: set[int] = set()
-
-
-def _cpus() -> int:
-    """The CPUs of the process's affinity mask (1 where that does not exist),
-    less one per child of ``_forking`` not yet reaped that is still running,
-    and at least 1. ``waitid`` with ``WNOWAIT`` sees that a child has exited
-    and leaves it to ``done()`` to reap; where there is no ``waitid``, every
-    child not yet reaped counts as running."""
-    affinity = getattr(os, "sched_getaffinity", None)
-    waitid = getattr(os, "waitid", None)
-    running = len(_unreaped) if waitid is None else sum(
-        waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None for pid in _unreaped
-    )
-    return max(1, (len(affinity(0)) if affinity else 1) - running)
-
-
 def _blocks(n: int, most: int) -> list[range]:
     """``range(n)`` dealt in k contiguous blocks for ``_dealt``: k is the
-    free CPUs of ``_cpus``, but at most ``most`` and n, and at least 1."""
-    k = max(1, min(_cpus(), n, most))
+    CPUs of the process's affinity mask (1 where that does not exist), read
+    at each call, but at most ``most`` and n, and at least 1."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    k = max(1, min(len(affinity(0)) if affinity else 1, n, most))
     return [range(n * i // k, n * (i + 1) // k) for i in range(k)]
 
 
@@ -1336,9 +1324,8 @@ def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], 
     writes the dataset's dumps while the experiment scores. That caller waits
     for its child before it leaves, also when it raises, so its child is
     never killed: a killed writer would leave its dump unwritten and its
-    temp file behind. A child holds a CPU of ``_cpus`` from its fork until it
-    exits, so the experiment scores in one process while its writer runs and
-    on every CPU once the writer has exited, before it is reaped.
+    temp file behind. The deals of ``_blocks`` do not count the writer, so
+    the experiment's fits and PSDS fork beside it.
 
     The process that forks may have threads: importing numpy starts
     OpenBLAS's pool, idle while this process forks. A child runs ``json``,
@@ -1357,19 +1344,16 @@ def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], 
             if pid == 0:
                 status = 1
                 try:
-                    _unreaped.clear()
                     work(file)
                     file.flush()
                     status = 0
                 finally:
                     os._exit(status)
             pids.append(pid)
-            _unreaped.add(pid)
 
             def done() -> IO[bytes] | None:
                 _, status = os.waitpid(pid, 0)
                 pids.remove(pid)
-                _unreaped.discard(pid)
                 if os.waitstatus_to_exitcode(status) != 0:
                     return None
                 file.seek(0)
@@ -1383,7 +1367,6 @@ def _forking() -> Iterator[Callable[[Callable[[IO[bytes]], None]], Callable[[], 
             for pid in pids:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-                _unreaped.discard(pid)
 
 
 class _NoChild(Exception):
@@ -1445,8 +1428,8 @@ def write_framegrids(
 ) -> None:
     """One line per grid, encoded on every CPU of the process's affinity mask.
 
-    The grids are dealt in consecutive shards (``_blocks``), one per free
-    CPU but at most one per grid, and their lines streamed into the file
+    The grids are dealt in consecutive shards (``_blocks``), one per CPU
+    but at most one per grid, and their lines streamed into the file
     through ``_dealt``: this process encodes the first shard and a child
     each later one. So a dump is never one string, and the bytes are those
     of one serial pass. If a shard gets no temp file or child, or its child

@@ -18,11 +18,13 @@ most ``_BLOCK_CELLS`` cells, so no float64 copy of a whole dump is made;
 ``_level_runs`` reads a sweep's runs in blocks of levels bounded the same way.
 ``_reduced`` runs the kernel once per block for both readers and keeps a
 ``ReducedDump``: the runs ``decode_many`` turns into events, and the smoothed
-PSDS levels, one byte per cell up to 255 operating points. ``read_reduced``
-applies it to each block of consecutive clips in the process that parses
-the block (``core.reduce_framegrids``), so ``sedfuse score`` and ``sedfuse
-decode`` never hold a dump's floats; the result is ``_reduced``'s over the
-whole dump, since each clip is smoothed and read on its own.
+PSDS levels, one byte per cell up to 255 operating points. ``sedfuse
+experiment`` reduces each system it holds once, for its events and its PSDS.
+``read_reduced`` applies it to each block of consecutive clips in the
+process that parses the block (``core.reduce_framegrids``), so ``sedfuse
+score`` and ``sedfuse decode`` never hold a dump's floats; the result is
+``_reduced``'s over the whole dump, since each clip is smoothed and read on
+its own.
 ``rasterize`` inverts ``extract_events`` for frame-aligned events and
 produces frame targets for fusion fitting.
 """

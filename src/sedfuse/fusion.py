@@ -227,7 +227,7 @@ def _dev_curve(
     equals decoding and matching the grids of ``_fuse_weighted``.
 
     The callers are ``fit_alpha`` and ``sweep_beta``. The parameters are
-    dealt in contiguous blocks to every free CPU (``core._cpus``), each block
+    dealt in contiguous blocks to every CPU (``core._blocks``), each block
     at least ``_MIN_SWEEP_CELLS`` cells of the M stacked models times
     parameters (``core._dealt``), and each block is swept on its own; the
     curves join in parameter order.
@@ -590,8 +590,8 @@ def fit_logistic_fusion(
     and the next step solves with the Hessian of the trial it accepted. The
     grids' columns must match ``vocab``, and ``model_names`` the models.
 
-    The classes are dealt in contiguous blocks to every free CPU
-    (``core._cpus``), each block at least ``_MIN_FIT_ROWS`` rows times classes
+    The classes are dealt in contiguous blocks to every CPU
+    (``core._blocks``), each block at least ``_MIN_FIT_ROWS`` rows times classes
     (``core._dealt``). Each process fits its classes one at a time, so it
     holds one class's design matrix at once.
     """

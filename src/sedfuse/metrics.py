@@ -21,7 +21,8 @@ every operating point in ``[lo, hi)`` and a step down ends one, so one pass
 per class gives each operating point the detections that decoding at its
 threshold would give, in (clip, onset) order. ``psds_many`` smooths the grids
 to those levels and ``psds_counted`` counts from levels alone, so scoring a
-dump parsed to its levels takes the same path. Operating points are swept in
+dump parsed to its levels, or reduced once for its runs and levels as the
+experiment reduces each system, takes the same path. Operating points are swept in
 blocks of at most ``decode._BLOCK_CELLS`` (operating point, position) pairs;
 a block's per-run arrays are made when it is counted and released before the
 next block's.
@@ -39,7 +40,7 @@ ratio is exactly 0, below any ``cttc > 0``.
 
 Each class writes only its own counts, and everything the sweep reads of the
 reference is built before it. So ``psds_counted`` deals its classes in
-contiguous blocks to every free CPU (``core._dealt``), each block at least
+contiguous blocks to every CPU (``core._dealt``), each block at least
 ``_MIN_PSDS_CELLS`` cells times operating points, and each child counts its own
 classes' rows of the levels it shares with this process. The counts are
 integers, so the reports are the serial pass's; if no child can be had or one
@@ -481,7 +482,7 @@ def psds_counted(
     vocab: ClassVocabulary,
 ) -> list[PSDSReport]:
     """``psds_many`` of a dump reduced to its levels at the configs' operating
-    points: the classes are counted on every free CPU (module docstring)."""
+    points: the classes are counted on every CPU (module docstring)."""
     if not ref.events:
         raise ValidationError("reference event list is empty")
     if not dump.clip_ids:

@@ -324,6 +324,28 @@ class TestMalformedGrids:
         err = capsys.readouterr().err
         assert f"{bad}:2:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param('"hop_seconds": 0.1, "classes": ["a", "b"], "posteriors": [[1'
+                         + "1" * 4999 + ',0]]', id="integer-too-long"),
+            # Before the posteriors, which the grid decoder takes: the rest of
+            # the line is read first, and then the whole line.
+            pytest.param('"extra": ' + "[" * 100_000 + "]" * 100_000
+                         + ', "hop_seconds": 0.1, "classes": ["a", "b"], "posteriors":[[0.5,0.5]]',
+                         id="nested-too-deep"),
+        ],
+    )
+    def test_json_beyond_its_limits_exits_2(self, tmp_path, capsys, record):
+        # json raises a ValueError that is no JSONDecodeError, or a RecursionError.
+        bad = tmp_path / "grids.jsonl"
+        bad.write_text('{"clip_id": "c0", ' + record + "}\n")
+        ref = tmp_path / "ref.tsv"
+        ref.write_text("filename\tonset\toffset\tevent_label\nc0\t0.0\t0.1\ta\n")
+        assert run("score", "--ref", ref, "--grids", bad, "--out", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:1: invalid JSON" in err and "Traceback" not in err
+
     def test_integer_cells_decode(self, tmp_path):
         grids = tmp_path / "grids.jsonl"
         grids.write_text(GOOD_GRID.replace("[[0.5, 0.5]]", "[[0, 1], [1, 1]]") + "\n")
@@ -409,6 +431,8 @@ class TestMalformedConfigs:
                          "{path}: probability True must be a number", id="separation-bool"),
             pytest.param("--psds-config", '{"dtc": true}', "{path}: dtc True must be a number",
                          id="psds-bool-dtc"),
+            pytest.param("--psds-config", '{"dtc": 1' + "1" * 4999 + "}",
+                         "{path}:1: invalid JSON", id="psds-dtc-too-long"),
             pytest.param("--decode-config", '{"default_treshold": 0.9}',
                          "{path}: unknown decode config keys ['default_treshold']",
                          id="decode-unknown-key"),
@@ -786,12 +810,22 @@ class TestExperiment:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
     def test_decodes_each_system_once(self, tmp_path, monkeypatch):
-        calls = []
-        decode_many = cli.decode_many
-        monkeypatch.setattr(cli, "decode_many", lambda *a: calls.append(a) or decode_many(*a))
+        # One reduce gives a system's runs and its PSDS levels: decode_many and
+        # psds_many would each reduce it again.
+        calls, reduced = [], decode._reduced
+
+        def recording(grids, vocab, cfg, events, ops):
+            calls.append((events, ops))
+            return reduced(grids, vocab, cfg, events=events, ops=ops)
+
+        monkeypatch.setattr(decode, "_reduced", recording)
+        monkeypatch.setattr(cli, "_reduced", recording)
+        for module, name in ((decode, "decode_many"), (metrics, "psds_many")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
         cfg = write_tiny_scenario(tmp_path, n_clips=8)
         assert run("experiment", "--config", cfg, "--out", tmp_path / "e") == 0
-        assert len(calls) == 6  # three models and three fused systems
+        # three models and three fused systems
+        assert calls == [(True, metrics.PSDS1.operating_points)] * 6
 
     def test_holds_at_most_one_fused_system_while_scoring(self, tmp_path, monkeypatch):
         live, sizes = weakref.WeakSet(), []
@@ -801,13 +835,13 @@ class TestExperiment:
                 live.add(grid)
                 return grid
             monkeypatch.setattr(cli, name, tracked)
-        psds_many = cli.psds_many
+        psds_counted = cli.psds_counted
 
         def recording(*args):
             gc.collect()
             sizes.append(len(live))
-            return psds_many(*args)
-        monkeypatch.setattr(cli, "psds_many", recording)
+            return psds_counted(*args)
+        monkeypatch.setattr(cli, "psds_counted", recording)
         cfg = write_tiny_scenario(tmp_path, n_clips=8)
         assert run("experiment", "--config", cfg, "--out", tmp_path / "e") == 0
         assert sizes == [0, 0, 0, 8, 8, 8]  # three models, then one fused system each
@@ -957,7 +991,7 @@ class TestBackgroundDumpWriter:
         def interrupted(*args):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "psds_many", interrupted)
+        monkeypatch.setattr(cli, "psds_counted", interrupted)
         with pytest.raises(KeyboardInterrupt):
             self.experiment(tmp_path)
         assert in_parent.paths == []
@@ -970,7 +1004,7 @@ class TestBackgroundDumpWriter:
         # forever, so a timer releases the writer and fails the test rather than
         # letting it hang.
         read_end, write_end = os.pipe()
-        write_framegrids, psds_many = cli.write_framegrids, cli.psds_many
+        write_framegrids, psds_counted = cli.write_framegrids, cli.psds_counted
         held, released, timed_out = [], [], []
 
         def held_until_scoring(*args):
@@ -983,14 +1017,14 @@ class TestBackgroundDumpWriter:
             if not released:
                 released.append(True)
                 os.write(write_end, b"x")
-            return psds_many(*args)
+            return psds_counted(*args)
 
         def release():
             timed_out.append(True)
             os.write(write_end, b"x")
 
         monkeypatch.setattr(cli, "write_framegrids", held_until_scoring)
-        monkeypatch.setattr(cli, "psds_many", releasing)
+        monkeypatch.setattr(cli, "psds_counted", releasing)
         timer = threading.Timer(10, release)
         timer.start()
         try:
@@ -1008,7 +1042,7 @@ class TestBackgroundDumpWriter:
 # writer, the grid writer's shards, the parser's byte ranges, the sweeps'
 # parameter blocks, and the class blocks of the logistic fit and of PSDS.
 FORKING = ("_write_dataset", "write_framegrids", "parse_framegrids", "_dev_curve",
-           "fit_logistic_fusion", "psds_many")
+           "fit_logistic_fusion", "psds_counted")
 
 
 class TestAnyCPUCount:

@@ -392,39 +392,20 @@ class TestGridsJSONL:
         later = sum(map(len, path.read_bytes().splitlines(keepends=True)[20:]))
         assert later > 1_900_000 and peak < later
 
-    def test_unreaped_children_hold_a_cpu(self, monkeypatch):
-        # While a child of _forking runs (the experiment's dump writer), this
-        # process counts one CPU less; the child counts all. Each child waits on
-        # its own pipe, so it runs until this process has counted.
+    def test_running_child_does_not_shrink_the_deal(self, monkeypatch):
+        # A child of _forking that still runs (the experiment's dump writer)
+        # leaves every CPU of the mask to the deals made beside it.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        first, second = os.pipe(), os.pipe()
+        read_end, write_end = os.pipe()
         try:
-            assert sedfuse.core._cpus() == 3
             with sedfuse.core._forking() as fork:
-                done = fork(lambda file: file.write(bytes([sedfuse.core._cpus()]))
-                            and os.read(first[0], 1))
-                assert sedfuse.core._cpus() == 2
-                fork(lambda file: os.read(second[0], 1))  # killed on leaving
-                assert sedfuse.core._cpus() == 1
-                os.write(first[1], b"x")
-                assert done().read() == bytes([3])
-                assert sedfuse.core._cpus() == 2
-            assert sedfuse.core._cpus() == 3
+                done = fork(lambda file: os.read(read_end, 1))
+                assert sedfuse.core._blocks(9, 9) == [range(0, 3), range(3, 6), range(6, 9)]
+                os.write(write_end, b"x")
+                assert done() is not None
         finally:
-            for fd in (*first, *second):
-                os.close(fd)
-
-    def test_exited_child_frees_its_cpu(self, monkeypatch):
-        # A child that has exited holds no CPU, though it is not reaped until
-        # done(), which still gives its file.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        with sedfuse.core._forking() as fork:
-            done = fork(lambda file: file.write(b"written"))
-            [pid] = sedfuse.core._unreaped
-            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
-            assert sedfuse.core._cpus() == 3
-            assert done().read() == b"written"
-            assert sedfuse.core._unreaped == set()
+            os.close(read_end)
+            os.close(write_end)
 
     def test_failed_write_leaves_no_file(self, tmp_path, vocab4, rng, monkeypatch):
         # The column check runs before any shard is forked.
