@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import os
 import resource
@@ -75,7 +76,7 @@ from .metrics import (
     report_tables,
     _reference_clips,
 )
-from .spl import select_mixtures, selection_report, write_selection
+from .spl import check_tau, select_mixtures, selection_report, write_selection
 from .synth import (
     Scenario,
     default_scenario,
@@ -279,6 +280,7 @@ def _write_dataset(
 
 def cmd_spl(args) -> int:
     run = _Run("spl", args)
+    check_tau(args.tau)  # also where no source gets judged
     manifest = parse_manifest(run.reads(args.manifest))
     results = []
     if len(manifest) > 0:  # an empty manifest reads no tags, whose file may be empty
@@ -316,32 +318,15 @@ def cmd_fuse(args) -> int:
             raise ValidationError("pair mode needs exactly 2 grid inputs")
         if args.alpha is None:
             raise ValidationError("pair mode needs --alpha (a weight or 'fit')")
-        pairs = list(zip(model_grids[0], model_grids[1]))
-        if args.alpha == "fit":
-            if not args.truth:
-                raise ValidationError("--alpha fit needs --truth to score against")
-            truth = parse_events(run.reads(args.truth), vocab)
-            fit = fit_alpha(pairs, truth, decode_cfg, vocab)
-            fit.save(run.writes(out / "curves.json"))
-            alpha = fit.best
-        else:
+        if args.alpha == "fit" and not args.truth:
+            raise ValidationError("--alpha fit needs --truth to score against")
+        if args.alpha != "fit":
             try:
                 alpha = float(args.alpha)
             except ValueError:
                 raise ValidationError(f"cannot parse --alpha {args.alpha!r}") from None
-        fused = [combine_pair(a, b, alpha) for a, b in pairs]
-    elif args.mode == "average":
-        fused = [fuse_average(group) for group in _aligned_clip_sets(model_grids)]
-    elif args.mode == "logistic":
-        if not args.truth:
-            raise ValidationError("logistic mode needs --truth to fit against")
-        truth = parse_events(run.reads(args.truth), vocab)
-        model = fit_logistic_fusion(model_grids, truth, vocab)
-        fused = [
-            apply_logistic_fusion(model, group)
-            for group in _aligned_clip_sets(model_grids)
-        ]
-        write_json(run.writes(out / "logistic_model.json"), model.metadata())
+    elif args.mode == "logistic" and not args.truth:
+        raise ValidationError("logistic mode needs --truth to fit against")
     elif args.mode == "classwise":
         if not args.f1_table:
             raise ValidationError("classwise mode needs --f1-table")
@@ -354,21 +339,31 @@ def cmd_fuse(args) -> int:
             raise VocabularyError(f"{table_path}: classes {list(table.classes)} differ from "
                                   f"the grids' {list(vocab.classes)}")
         betas = _parse_betas(args.beta)
-        if len(betas) == 1:
-            beta = betas[0]
-        else:
-            if not args.truth:
-                raise ValidationError("beta sweeps need --truth to score against")
+        if len(betas) > 1 and not args.truth:
+            raise ValidationError("beta sweeps need --truth to score against")
+    with _located(", ".join(args.grids)):  # every mode fuses the same clips of each dump
+        clips = _aligned_clip_sets(model_grids)
+    if args.mode == "pair":
+        if args.alpha == "fit":
+            fit = fit_alpha(clips, parse_events(run.reads(args.truth), vocab), decode_cfg, vocab)
+            fit.save(run.writes(out / "curves.json"))
+            alpha = fit.best
+        rule = lambda group: combine_pair(*group, alpha)
+    elif args.mode == "average":
+        rule = fuse_average
+    elif args.mode == "logistic":
+        model = fit_logistic_fusion(model_grids, parse_events(run.reads(args.truth), vocab), vocab)
+        write_json(run.writes(out / "logistic_model.json"), model.metadata())
+        rule = functools.partial(apply_logistic_fusion, model)
+    else:  # classwise
+        beta = betas[0]
+        if len(betas) > 1:
             truth = parse_events(run.reads(args.truth), vocab)
             sweep = sweep_beta(model_grids, table, truth, betas, decode_cfg, vocab)
             sweep.save(run.writes(out / "curves.json"))
             beta = sweep.best
-        weights = classwise_weights(table, beta)
-        fused = [
-            fuse_classwise(group, weights) for group in _aligned_clip_sets(model_grids)
-        ]
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValidationError(f"unknown mode {args.mode!r}")
+        rule = functools.partial(fuse_classwise, weights=classwise_weights(table, beta))
+    fused = [rule(group) for group in clips]
 
     write_framegrids(fused, vocab, run.writes(out / "fused.jsonl"))
     run.finish(out)

@@ -34,7 +34,8 @@ their cells at once, ``write_json`` writes every indented JSON document, and
 to ``_grid_values``, which decodes those of consecutive lines at once and
 proves each cell exact with the encoder's own kernel (``_scaled``), and any
 line the decoder does not take is read whole by ``json.loads``, so every
-value and every error is json's.
+value and every error is json's. ``_json_object`` alone makes a ``ParseError``
+of a record's or a document's text that json cannot read or that is no object.
 """
 
 from __future__ import annotations
@@ -872,25 +873,29 @@ _Result = TypeVar("_Result")
 def load_json_object(path: str | os.PathLike, build: Callable[[dict], _Built]) -> _Built:
     """Read a JSON file whose top level is an object and ``build`` from it.
 
-    Invalid JSON and a top level that is not an object raise ``ParseError``;
-    an integer too long for ``int`` or nesting too deep for ``json``, which
-    have no position, at line 1.
-    ``build`` checks the object against its field table; its ``ValidationError``
-    is raised again naming the file. Nothing else is caught: another exception
-    from ``build`` is a bug.
+    Invalid JSON and a top level that is not an object raise ``ParseError``
+    (``_json_object``). ``build`` checks the object against its field table;
+    its ``ValidationError`` is raised again naming the file. Nothing else is
+    caught: another exception from ``build`` is a bug.
     """
     with _lines(path) as lines:
-        text = "".join(line for _, line in lines)
+        data = _json_object(path, 1, "".join(line for _, line in lines), "top level")
+    with _located(path):
+        return build(data)
+
+
+def _json_object(path: str | os.PathLike, line_no: int, text: str, what: str) -> dict:
+    """The JSON object of ``text``, which starts at line ``line_no`` of ``path``, or a
+    ``ParseError`` at the line of json's error (``line_no`` where it has no position)."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ParseError(path, exc.lineno, f"invalid JSON: {exc.msg}") from None
-    except (ValueError, RecursionError) as exc:  # too many digits or too deep: no position
-        raise ParseError(path, 1, f"invalid JSON: {exc}") from None
+        raise ParseError(path, line_no + exc.lineno - 1, f"invalid JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:  # too many digits or too deep
+        raise ParseError(path, line_no, f"invalid JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ParseError(path, 1, "top level must be a JSON object")
-    with _located(path):
-        return build(data)
+        raise ParseError(path, line_no, f"{what} must be a JSON object")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -1097,14 +1102,7 @@ def _records(
                 except (ValueError, RecursionError, ValidationError):  # JSONDecodeError too
                     fields = None
             if fields is None:
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(path, line_no, f"invalid JSON: {exc.msg}") from None
-                except (ValueError, RecursionError) as exc:  # too many digits or too deep
-                    raise ParseError(path, line_no, f"invalid JSON: {exc}") from None
-                if not isinstance(record, dict):
-                    raise ParseError(path, line_no, "record must be a JSON object")
+                record = _json_object(path, line_no, line, "record")
                 try:
                     fields = read_fields(record, table, None)
                 except ValidationError as exc:

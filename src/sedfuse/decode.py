@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -168,19 +168,26 @@ def _median_network(window: int) -> tuple[tuple[int, int, bool, bool], ...]:
     return tuple(reversed(kept))
 
 
-def _running_median(stack: np.ndarray, windows: np.ndarray) -> np.ndarray:
-    """Centered, zero-padded running median along T of an (N, T, C) stack of counts, in place.
-
-    Column c uses ``windows[c]``, one column at a time, so no (N, T, C, w) array. Any
-    window of 2T + 1 or more holds more padding zeros than counts and gives 0: clamp it."""
+def _padded_columns(stack: np.ndarray, windows: np.ndarray, dtype_of: Callable) -> Iterator:
+    """(c, window, column c zero-padded by half the window in ``dtype_of(window)``) for each
+    column of an (N, T, C) stack whose window is above 1. Any window of 2T + 1 or more holds
+    more padding zeros than counts and gives 0, so it is clamped to 2T + 1."""
     n, t = stack.shape[:2]
     for c, window in enumerate(windows.tolist()):
         window = min(window, 2 * t + 1)
-        if window == 1:
-            continue
-        pad = window // 2
-        padded = np.zeros((n, t + 2 * pad), dtype=stack.dtype)
-        padded[:, pad : pad + t] = stack[:, :, c]
+        if window > 1:
+            pad = window // 2
+            padded = np.zeros((n, t + 2 * pad), dtype=dtype_of(window))
+            padded[:, pad : pad + t] = stack[:, :, c]
+            yield c, window, padded
+
+
+def _running_median(stack: np.ndarray, windows: np.ndarray) -> np.ndarray:
+    """Centered, zero-padded running median along T of an (N, T, C) stack of counts, in place.
+
+    Column c uses ``windows[c]``, one column at a time, so no (N, T, C, w) array."""
+    t = stack.shape[1]
+    for c, window, padded in _padded_columns(stack, windows, lambda _: stack.dtype):
         lanes = [padded[:, s : s + t] for s in range(window)]
         for i, j, keep_min, keep_max in _median_network(window):
             a, b = lanes[i], lanes[j]
@@ -188,7 +195,7 @@ def _running_median(stack: np.ndarray, windows: np.ndarray) -> np.ndarray:
                 lanes[i] = np.minimum(a, b)
             if keep_max:
                 lanes[j] = np.maximum(a, b)
-        stack[:, :, c] = lanes[pad]
+        stack[:, :, c] = lanes[window // 2]
     return stack
 
 
@@ -197,19 +204,13 @@ def _majority(stack: np.ndarray, windows: np.ndarray) -> np.ndarray:
     of 0s and 1s is 1 where the window holds more 1s than 0s, so each window's
     1s are summed by w - 1 shifted adds, where the sorting network compares
     more: 0.24 against 0.54 ms at w = 7 on a block of 2^18 cells."""
-    n, t = stack.shape[:2]
-    for c, window in enumerate(windows.tolist()):
-        window = min(window, 2 * t + 1)
-        if window == 1:
-            continue
-        pad = window // 2
-        # A clamped window reaches 2T + 1 cells, 1,025 at T = 512: no uint8 for it.
-        padded = np.zeros((n, t + 2 * pad), dtype=np.min_scalar_type(window))
-        padded[:, pad : pad + t] = stack[:, :, c]
+    t = stack.shape[1]
+    # A clamped window reaches 2T + 1 cells, 1,025 at T = 512: no uint8 for it.
+    for c, window, padded in _padded_columns(stack, windows, np.min_scalar_type):
         count = padded[:, :t].copy()
         for s in range(1, window):
             count += padded[:, s : s + t]
-        stack[:, :, c] = count > pad
+        stack[:, :, c] = count > window // 2
     return stack
 
 

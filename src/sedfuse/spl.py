@@ -75,6 +75,12 @@ class SelectionResult:
         return len(self.selected) + len(self.rejected)
 
 
+def check_tau(tau: float) -> None:
+    """Raise unless the activation threshold ``tau`` lies in (0, 1)."""
+    if not (0.0 < tau < 1.0):
+        raise ValidationError(f"tau {fmt_float(tau)} outside (0, 1)")
+
+
 def assign_pseudo_label(
     tag: TagPrediction, tau: float, vocab: ClassVocabulary
 ) -> PseudoLabel:
@@ -85,8 +91,7 @@ def assign_pseudo_label(
     the non-target prob), |A| >= 2 is ambiguous (confidence = max prob
     in A).
     """
-    if not (0.0 < tau < 1.0):
-        raise ValidationError(f"tau {fmt_float(tau)} outside (0, 1)")
+    check_tau(tau)
     tag.validate_vocab(vocab)
     active = [c for c in vocab.classes if tag.probs[c] >= tau]
     if len(active) == 1:

@@ -151,6 +151,45 @@ class TestSPL:
         assert rc == 2
         assert capsys.readouterr().err == "error: tau 1.5 outside (0, 1)\n"
 
+    @pytest.mark.parametrize("case", ["empty-manifest", "mixture-without-weak-row"])
+    def test_bad_tau_is_checked_when_no_source_is_judged(self, dataset, tmp_path, capsys, case):
+        manifest, weak = tmp_path / "manifest.jsonl", tmp_path / "weak.tsv"
+        first = (dataset / "sep_manifest.jsonl").read_text().splitlines()[0]
+        manifest.write_text("" if case == "empty-manifest" else first + "\n")
+        mixture = json.loads(first)["mixture_id"]
+        rows = (dataset / "weak.tsv").read_text().splitlines(keepends=True)
+        weak.write_text("".join(row for row in rows if not row.startswith(mixture + "\t")))
+        out = tmp_path / "o"
+        rc = run("spl", "--tags", dataset / "tags.jsonl", "--weak", weak,
+                 "--manifest", manifest, "--tau", "7", "--out", out)
+        assert rc == 2
+        assert capsys.readouterr().err == "error: tau 7.0 outside (0, 1)\n"
+        assert not out.exists()
+
+    def test_strong_labels_widen_the_known_classes(self, tmp_path):
+        # The source's class "a" is known from the strong labels only.
+        files = {
+            "tags.jsonl": '{"source_id":"m_s0","parent_clip_id":"m",'
+                          '"probs":{"a":0.9,"b":0.1,"other":0.05}}\n',
+            "manifest.jsonl": '{"mixture_id":"m","sources":["m_s0"]}\n',
+            "weak.tsv": "filename\tevent_labels\nm\tb\n",
+            "strong.tsv": "filename\tonset\toffset\tevent_label\nm\t0.0\t1.0\ta\n",
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        selections = {}
+        for strong in ([], ["--strong", tmp_path / "strong.tsv"]):
+            out = tmp_path / f"spl{len(strong)}"
+            assert run("spl", "--tags", tmp_path / "tags.jsonl", "--weak", tmp_path / "weak.tsv",
+                       "--manifest", tmp_path / "manifest.jsonl", *strong, "--out", out) == 0
+            selections[bool(strong)] = json.loads((out / "selection.jsonl").read_text())
+        assert selections[True]["selected"] == [{"source_id": "m_s0", "class": "a"}]
+        assert selections[True]["rejected"] == []
+        assert selections[False]["selected"] == []
+        assert selections[False]["rejected"] == [
+            {"source_id": "m_s0", "reason": "not-in-weak-labels"}
+        ]
+
     def test_clips_without_events_are_skipped_as_in_experiment(self, tmp_path):
         # weak.tsv writes a clip without events as a missing row; spl skips its
         # mixture, as the experiment does, instead of exiting 2.
@@ -598,6 +637,27 @@ class TestFuse:
         )
         assert rc == 2
 
+    @pytest.mark.parametrize("mode, alpha, order", [
+        ("pair", "0.5", "shorter"), ("pair", "fit", "shorter"),
+        ("pair", "0.5", "reversed"), ("average", None, "shorter"),
+    ])
+    def test_misaligned_dumps_exit_2_naming_both(self, dataset, tmp_path, capsys,
+                                                 mode, alpha, order):
+        # "shorter": dumps of 4 and 3 clips; "reversed": the same clips in another order.
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        lines_a = (dataset / "grids_model_1.jsonl").read_text().splitlines(keepends=True)
+        lines_b = (dataset / "grids_model_2.jsonl").read_text().splitlines(keepends=True)
+        a.write_text("".join(lines_a[:4] if order == "shorter" else lines_a))
+        b.write_text("".join(lines_b[:3] if order == "shorter" else lines_b[::-1]))
+        extra = [] if alpha is None else ["--alpha", alpha]
+        if alpha == "fit":
+            extra += ["--truth", dataset / "events.tsv"]
+        out = tmp_path / "o"
+        rc = run("fuse", "--mode", mode, "--grids", a, "--grids", b, *extra, "--out", out)
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith(f"error: {a}, {b}: "), err
+        assert not (out / "fused.jsonl").exists()
+
     def test_beta_sweep_writes_curve(self, dataset, tmp_path):
         table = tmp_path / "f1_table.json"
         classes = [f"event_{i:02d}" for i in range(4)]
@@ -641,6 +701,21 @@ class TestDecodeScore:
         decoded = parse_events(out / "events.tsv")
         key = lambda e: (e.clip_id, round(e.onset, 9), round(e.offset, 9), e.event_label)
         assert sorted(map(key, decoded)) == sorted(map(key, truth))
+
+    def test_thresholds_flag_overrides_every_class_threshold(self, dataset, tmp_path):
+        grids = dataset / "grids_model_1.jsonl"
+
+        def events(name, *args):
+            assert run("decode", "--grids", grids, *args, "--out", tmp_path / name) == 0
+            return (tmp_path / name / "events.tsv").read_bytes()
+
+        default, per_class = tmp_path / "default.json", tmp_path / "per_class.json"
+        default.write_text(json.dumps({"default_threshold": 0.9}))
+        per_class.write_text(json.dumps({"thresholds": {"event_00": 0.1, "event_01": 0.2}}))
+        flag = events("flag", "--thresholds", "0.9")
+        assert flag == events("default", "--decode-config", default)
+        assert events("per_class", "--decode-config", per_class) != flag
+        assert events("both", "--decode-config", per_class, "--thresholds", "0.9") == flag
 
     def test_score_est_equals_ref_gives_100(self, dataset, tmp_path, capsys):
         out = tmp_path / "score"

@@ -3,8 +3,9 @@
 ``_dealt`` raises or catches ``_NoChild``. One owner per format: JSON is
 encoded only by ``core._json_lines`` (JSONL records), ``core.write_json``
 (documents) and the summary ``cli.cmd_spl`` prints, and decoded only by
-``core._records`` (JSONL records), ``core.load_json_object`` (documents) and
-the grid decoder's cell fallback ``core._number``; only ``core._located``
+``core._records`` (a JSONL line's fields beside decoded posteriors),
+``core._json_object`` (JSONL records and documents) and the grid decoder's
+cell fallback ``core._number``; only ``core._located``
 raises a caught ``ValidationError`` again. The grid writer hands its arrays
 to ``_json_line``, never a ``tolist()``."""
 
@@ -69,7 +70,7 @@ def test_json_is_decoded_by_its_owners():
         isinstance(node, ast.Attribute) and node.attr in ("loads", "load")
         and isinstance(node.value, ast.Name) and node.value.id == "json"
         or isinstance(node, ast.ImportFrom) and node.module == "json"
-    )) == {"core._records", "core.load_json_object", "core._number"}
+    )) == {"core._records", "core._json_object", "core._number"}
 
 
 def test_grid_writer_never_lists_its_floats():
